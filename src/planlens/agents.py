@@ -278,10 +278,12 @@ class MockPlanner(_CallCounter):
 class MockGenerator(_CallCounter):
     """Produces k candidates with content-keyed quality draws.
 
-    The uniform draw for (sample, round, attempt) does not depend on the
-    coalition; only the grading thresholds do. Rollouts under different
-    coalitions therefore share random numbers, which keeps marginal
-    contributions low-variance.
+    Within one run seed, the uniform draw for (sample, round, attempt)
+    does not depend on the coalition; only the grading thresholds do.
+    Rollouts under different coalitions do not share random numbers,
+    though: each rollout's run seed is derive_seed(seed, "rollout", mask,
+    r), so it differs per coalition. Rollouts are therefore independent
+    across coalitions, as banzhaf_stderr assumes.
     """
 
     def __init__(

@@ -13,6 +13,7 @@ import hashlib
 import json
 import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -278,6 +279,24 @@ def cmd_intervene(args: argparse.Namespace) -> int:
     representation = Representation(args.representation)
     if args.coalition is None and not args.sweep:
         raise ConfigError("provide --coalition or --sweep")
+    if args.sweep:
+        # The sweep builds its own interventions per coalition and writes
+        # only the table; these flags would be ignored.
+        unsupported = [
+            flag
+            for flag, value in (
+                ("--plan-mode", args.plan_mode),
+                ("--randomize-feedback", args.randomize_feedback),
+                ("--trace", args.trace),
+                ("--archive", args.archive),
+                ("--replay", args.replay),
+            )
+            if value is not None
+        ]
+        if unsupported:
+            raise ConfigError(
+                f"--sweep cannot be combined with {', '.join(unsupported)}"
+            )
 
     metrics = args.metrics.split(",") if args.metrics else ["compiled", "pass", "fast"]
     settings = {
@@ -292,13 +311,20 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "mode": args.mode,
         "concurrency": args.concurrency,
+        "eval_concurrency": args.eval_concurrency,
         "sweep": bool(args.sweep),
         "coalition": args.coalition,
         "randomize_feedback": args.randomize_feedback,
         "plan_mode": args.plan_mode,
+        "replay": args.replay,
     }
 
-    agents = build_agents(config.get("agents", {"backend": args.backend}))
+    agent_config = config.get("agents", {"backend": args.backend})
+    agents = build_agents(agent_config)
+    settings["agents"] = {
+        "backend": agent_config.get("backend", "mock"),
+        "behavior": asdict(agents.generator.behavior),
+    }
     source = synthetic_artifact_source(checkpoint, components)
     pipe = InterventionPipeline(
         agents,

@@ -45,7 +45,7 @@ from .feedback import (
     default_components,
     dummy_plan,
 )
-from .seeding import derive_seed, hash_uniform, rng_for
+from .seeding import SeedPrefix, derive_seed, hash_uniform, rng_for
 from .trajectory import (
     ExecutionRecord,
     GenerationCheckpoint,
@@ -326,6 +326,15 @@ class RunLedger:
         self.intervention_signature = intervention.signature()
         self.config = config
         self.seed = seed
+        self._stage_prefix = SeedPrefix(
+            0,
+            "stage",
+            self.checkpoint_hash,
+            self.intervention_signature,
+            seed,
+            config.k,
+            config.rounds,
+        )
         self.replay = replay
         self.samples_by_id = {s.sample_id: s for s in checkpoint.samples}
         self.fan_in = FanIn(config.rounds)
@@ -344,11 +353,6 @@ class RunLedger:
         self.max_eval_queue = 0
         self.sample_spans: dict[str, list[tuple[float, float]]] = {}
         self._logical = itertools.count()
-        # engine state
-        self.ready: list[Task] = []
-        self.running: list = []
-        self._run_seq = itertools.count()
-        self._results: dict[Task, tuple[dict, list[Task], float]] = {}
         self.done = False
 
     def emit(self, kind: EventKind, sample_id: str, payload: Mapping) -> Event:
@@ -369,24 +373,16 @@ class RunLedger:
         return self.rounds.setdefault((sample_id, round_index), _RoundState())
 
     def stage_key(self, stage: Stage, sample_id: str, round_index: int, attempt: int = -1) -> str:
-        return "%016x" % derive_seed(
-            0,
-            "stage",
-            self.checkpoint_hash,
-            self.intervention_signature,
-            self.seed,
-            self.config.k,
-            self.config.rounds,
-            stage.name,
-            sample_id,
-            round_index,
-            attempt,
+        """Archive key: derive_seed(0, "stage", checkpoint hash, intervention
+        signature, seed, k, rounds, stage name, sample, round, attempt)."""
+        return "%016x" % self._stage_prefix.derive(
+            stage.name, sample_id, round_index, attempt
         )
 
-    def dump(self) -> str:
+    def dump(self, ready: int, running: int) -> str:
         lines = [
             f"run {self.run_id} clock={self.clock:.3f}",
-            f"ready={len(self.ready)} running={len(self.running)} "
+            f"ready={ready} running={running} "
             f"aggregated={len(self.aggregated)}/{len(self.checkpoint.samples)}",
         ]
         for sid, state in sorted(self.sample_state.items()):
@@ -580,9 +576,6 @@ class InterventionPipeline:
         for index, sample in enumerate(checkpoint.samples):
             ledger.sample_state[sample.sample_id] = "loaded"
             ledger.emit(EventKind.SAMPLE_LOADED, sample.sample_id, {"index": index})
-            ledger.ready.append(
-                Task(Stage.ANLZ, index, sample.sample_id, round_index=0)
-            )
         return run_id
 
     def ledger(self, run_id: str) -> RunLedger:
@@ -632,63 +625,99 @@ class InterventionPipeline:
 
     def _drive(self, led: RunLedger) -> None:
         cfg = self.config
+        stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
+        serial = cfg.execution_mode is ExecutionMode.SERIAL
         schedule_rng = (
             rng_for(cfg.schedule_seed, "schedule", led.run_id)
             if cfg.schedule_seed is not None
             else None
         )
+        wave_order = self._wave_order()
+        wave_index = 0
+        # Ready tasks: one heap of (key, task) per (round_index, stage). The
+        # key is Task.sort_key, or under schedule_seed a random priority
+        # drawn once when the task becomes ready.
+        buckets: dict[tuple[int, Stage], list] = {wave: [] for wave in wave_order}
+
+        def lanes_for(index: int) -> list[tuple[Stage, list]]:
+            """The buckets a scan may start tasks from."""
+            if stage_sync:
+                wave = wave_order[index]
+                return [(wave[1], buckets[wave])]
+            return [(stage, heap) for (_, stage), heap in buckets.items()]
+
+        def make_ready(task: Task) -> None:
+            key = task.sort_key()
+            if schedule_rng is not None:
+                key = (schedule_rng.random(), key)
+            heapq.heappush(buckets[task.round_index, task.stage], (key, task))
+
+        def stalled(message: str) -> PipelineStalledError:
+            ready = sum(len(heap) for heap in buckets.values())
+            return PipelineStalledError(message, led.dump(ready, len(running)))
+
+        lanes = lanes_for(wave_index)
+        # (finish, start order, task, payload, product, started_at)
+        running: list[tuple] = []
+        start_order = itertools.count()
         llm_inflight = 0
         gen_inflight = 0
         eval_inflight = 0
-        eval_queued = sum(1 for t in led.ready if t.stage is Stage.EVAL)
-        wave_order = self._wave_order()
-        wave_index = 0
+        eval_queued = 0
+        for index, sample in enumerate(led.checkpoint.samples):
+            make_ready(Task(Stage.ANLZ, index, sample.sample_id, round_index=0))
         last_progress = time.monotonic()
 
-        def startable(task: Task) -> bool:
-            if cfg.execution_mode is ExecutionMode.SERIAL and led.running:
-                return False
-            if cfg.execution_mode is ExecutionMode.STAGE_SYNC:
-                if wave_order[wave_index] != (task.round_index, task.stage):
-                    return False
-            if task.stage in (Stage.ANLZ, Stage.GEN):
-                if llm_inflight >= cfg.generator_concurrency:
-                    return False
+        while True:
+            # A scan visits ready tasks in key order and starts each one
+            # whose class is open. Openness changes only when a task starts,
+            # so the scan pops the smallest key above the cursor among the
+            # open buckets. Entries at or below the cursor in a bucket that
+            # reopened were passed over while it was closed: they are set
+            # aside until the scan ends.
+            cursor = None
+            aside: list[tuple[list, tuple]] = []
+            while not (serial and running):
+                llm_open = llm_inflight < cfg.generator_concurrency
                 # Backpressure on the GEN -> EVAL queue: each in-flight GEN
                 # will enqueue up to k evaluations, so space is reserved at
                 # start. Not applied under stage-sync, where the barrier
                 # already serializes the stages and blocking producers
                 # would deadlock against it.
-                if (
-                    task.stage is Stage.GEN
-                    and cfg.execution_mode is not ExecutionMode.STAGE_SYNC
-                    and eval_queued + (gen_inflight + 1) * cfg.k > cfg.queue_capacity
-                ):
-                    return False
-                return True
-            if task.stage is Stage.EVAL:
-                return eval_inflight < cfg.eval_concurrency
-            return True  # AGG
-
-        while led.ready or led.running:
-            if schedule_rng is not None:
-                schedule_rng.shuffle(led.ready)
-            else:
-                led.ready.sort(key=Task.sort_key)
-            deferred: list[Task] = []
-            for task in led.ready:
-                if not startable(task):
-                    deferred.append(task)
-                    continue
-                if task.stage in (Stage.ANLZ, Stage.GEN):
+                gen_open = llm_open and (
+                    stage_sync
+                    or eval_queued + (gen_inflight + 1) * cfg.k <= cfg.queue_capacity
+                )
+                is_open = (
+                    None,
+                    llm_open,  # ANLZ
+                    gen_open,  # GEN
+                    eval_inflight < cfg.eval_concurrency,  # EVAL
+                    True,  # AGG
+                )
+                best = None
+                for stage, heap in lanes:
+                    if not heap or not is_open[stage]:
+                        continue
+                    if cursor is not None:
+                        while heap and heap[0][0] <= cursor:
+                            aside.append((heap, heapq.heappop(heap)))
+                        if not heap:
+                            continue
+                    if best is None or heap[0][0] < best[0][0]:
+                        best = heap
+                if best is None:
+                    break
+                cursor, task = heapq.heappop(best)
+                if task.stage is Stage.EVAL:
+                    eval_inflight += 1
+                    eval_queued -= 1
+                elif task.stage is not Stage.AGG:
                     llm_inflight += 1
                     led.max_llm_inflight = max(led.max_llm_inflight, llm_inflight)
                     if task.stage is Stage.GEN:
                         gen_inflight += 1
                         led.max_gen_inflight = max(led.max_gen_inflight, gen_inflight)
-                elif task.stage is Stage.EVAL:
-                    eval_inflight += 1
-                    eval_queued -= 1
                 # The agent call happens at task start; its results become
                 # visible to the rest of the run only at completion time.
                 payload, product = self._execute(led, task)
@@ -697,39 +726,42 @@ class InterventionPipeline:
                     if payload.get("replayed")
                     else self.latency_model.duration(led.seed, task)
                 )
-                led._results[task] = (payload, product, led.clock)
                 heapq.heappush(
-                    led.running, (led.clock + duration, next(led._run_seq), task)
+                    running,
+                    (
+                        led.clock + duration,
+                        next(start_order),
+                        task,
+                        payload,
+                        product,
+                        led.clock,
+                    ),
                 )
-            led.ready = deferred
+            for heap, entry in aside:
+                heapq.heappush(heap, entry)
 
-            if not led.running:
-                if not led.ready:
+            if not running:
+                if not any(buckets.values()):
                     break
-                current = wave_order[wave_index]
-                has_current_wave = any(
-                    (t.round_index, t.stage) == current for t in led.ready
-                )
                 if (
-                    cfg.execution_mode is ExecutionMode.STAGE_SYNC
-                    and not has_current_wave
+                    stage_sync
+                    and not buckets[wave_order[wave_index]]
                     and wave_index + 1 < len(wave_order)
                 ):
                     wave_index += 1
+                    lanes = lanes_for(wave_index)
                     continue
-                raise PipelineStalledError(
-                    "ready tasks cannot acquire resources", led.dump()
-                )
+                raise stalled("ready tasks cannot acquire resources")
 
-            finish, _, task = heapq.heappop(led.running)
+            finish, _, task, payload, product, started_at = heapq.heappop(running)
             led.clock = max(led.clock, finish)
-            payload, product, started_at = led._results.pop(task)
             led.sample_spans.setdefault(task.sample_id, []).append(
                 (started_at, finish)
             )
             followups = self._commit(led, task, product)
             led.emit(_STAGE_EVENT[task.stage], task.sample_id, payload)
-            led.ready.extend(followups)
+            for followup in followups:
+                make_ready(followup)
             if task.stage in (Stage.ANLZ, Stage.GEN):
                 llm_inflight -= 1
                 if task.stage is Stage.GEN:
@@ -741,17 +773,14 @@ class InterventionPipeline:
 
             now = time.monotonic()
             if now - last_progress > cfg.watchdog_seconds:
-                raise PipelineStalledError(
+                raise stalled(
                     f"no event progress for {now - last_progress:.1f}s "
-                    f"(watchdog {cfg.watchdog_seconds}s)",
-                    led.dump(),
+                    f"(watchdog {cfg.watchdog_seconds}s)"
                 )
             last_progress = now
 
         if len(led.aggregated) < len(led.checkpoint.samples):
-            raise PipelineStalledError(
-                "run incomplete but no tasks remain", led.dump()
-            )
+            raise stalled("run incomplete but no tasks remain")
 
     def _wave_order(self) -> list[tuple[int, Stage]]:
         order: list[tuple[int, Stage]] = []

@@ -10,15 +10,18 @@ from __future__ import annotations
 import hashlib
 import random
 
-_SEP = b"\x1f"
+_SEP = "\x1f"
+
+
+def _frame(parts: tuple) -> bytes:
+    """Hash input for a label path: each part's str() followed by _SEP."""
+    if not parts:
+        return b""
+    return (_SEP.join(map(str, parts)) + _SEP).encode("utf-8")
 
 
 def _digest(*parts: object) -> bytes:
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(str(part).encode("utf-8"))
-        h.update(_SEP)
-    return h.digest()
+    return hashlib.blake2b(_frame(parts), digest_size=8).digest()
 
 
 def derive_seed(root: int, *labels: object) -> int:
@@ -34,3 +37,21 @@ def hash_uniform(root: int, *labels: object) -> float:
 def rng_for(root: int, *labels: object) -> random.Random:
     """A `random.Random` seeded from (root, labels)."""
     return random.Random(derive_seed(root, *labels))
+
+
+class SeedPrefix:
+    """A root seed and leading labels, hashed once for many derivations.
+
+    ``SeedPrefix(root, *labels).derive(*more) == derive_seed(root, *labels,
+    *more)``: keys that share a long prefix pay for hashing it only once.
+    """
+
+    __slots__ = ("_hasher",)
+
+    def __init__(self, root: int, *labels: object):
+        self._hasher = hashlib.blake2b(_frame((root, *labels)), digest_size=8)
+
+    def derive(self, *labels: object) -> int:
+        hasher = self._hasher.copy()
+        hasher.update(_frame(labels))
+        return int.from_bytes(hasher.digest(), "big")

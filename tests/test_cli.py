@@ -397,6 +397,77 @@ class TestIntervene:
         assert code == EXIT_CONFIG
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--plan-mode", "dummy"),
+            ("--randomize-feedback", "5"),
+            ("--trace", "trace.ndjson"),
+            ("--archive", "archive"),
+            ("--replay", "archive"),
+        ],
+    )
+    def test_sweep_rejects_flags_it_would_ignore(
+        self, tmp_path, checkpoint_file, capsys, flag, value
+    ):
+        out = tmp_path / "table.csv"
+        code = main(
+            [
+                "intervene",
+                "--checkpoint",
+                str(checkpoint_file),
+                "--sweep",
+                "--rollouts",
+                "1",
+                "--retries",
+                "1",
+                "--out",
+                str(out),
+                flag,
+                value,
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_hash_covers_agent_behavior(self, tmp_path, checkpoint_file):
+        meta = []
+        for base_compiled in (0.9, 0.2):
+            config_path = tmp_path / f"exp_{base_compiled}.json"
+            config_path.write_text(
+                json.dumps(
+                    {
+                        "agents": {
+                            "backend": "mock",
+                            "behavior": {"base_compiled": base_compiled},
+                        }
+                    }
+                )
+            )
+            out = tmp_path / f"stats_{base_compiled}.csv"
+            code = main(
+                [
+                    "intervene",
+                    "--checkpoint",
+                    str(checkpoint_file),
+                    "--config",
+                    str(config_path),
+                    "--coalition",
+                    "d",
+                    "--rollouts",
+                    "1",
+                    "--retries",
+                    "2",
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == EXIT_OK
+            meta.append(out.read_text().splitlines()[0])
+        assert meta[0].startswith("# planlens") and "config=" in meta[0]
+        assert meta[0] != meta[1]
+
 
 @pytest.fixture
 def sweep_table(tmp_path, checkpoint_file):

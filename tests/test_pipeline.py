@@ -222,6 +222,7 @@ class TestOrderIndependence:
 
     def test_randomized_schedules_identical_stats(self, checkpoint25):
         reference = None
+        orders = set()
         for schedule_seed in range(12):
             config = PipelineConfig(k=5, seed=7, schedule_seed=schedule_seed)
             pipe = build_pipe(checkpoint25, config=config)
@@ -229,6 +230,8 @@ class TestOrderIndependence:
             if reference is None:
                 reference = result.stats
             assert result.stats == reference
+            orders.add(tuple((e.kind, e.sample_id) for e in result.trace))
+        assert len(orders) > 1  # the seeds really permute the schedule
 
 
 class TestModes:
