@@ -675,7 +675,7 @@ class InterventionPipeline:
             # open buckets. Entries at or below the cursor in a bucket that
             # reopened were passed over while it was closed: they are set
             # aside until the scan ends.
-            cursor = None
+            cursor = ()  # sorts before every key
             aside: list[tuple[list, tuple]] = []
             while not (serial and running):
                 llm_open = llm_inflight < cfg.generator_concurrency
@@ -699,12 +699,9 @@ class InterventionPipeline:
                 for stage, heap in lanes:
                     if not heap or not is_open[stage]:
                         continue
-                    if cursor is not None:
-                        while heap and heap[0][0] <= cursor:
-                            aside.append((heap, heapq.heappop(heap)))
-                        if not heap:
-                            continue
-                    if best is None or heap[0][0] < best[0][0]:
+                    while heap and heap[0][0] <= cursor:
+                        aside.append((heap, heapq.heappop(heap)))
+                    if heap and (best is None or heap[0][0] < best[0][0]):
                         best = heap
                 if best is None:
                     break
@@ -726,19 +723,11 @@ class InterventionPipeline:
                     if payload.get("replayed")
                     else self.latency_model.duration(led.seed, task)
                 )
-                heapq.heappush(
-                    running,
-                    (
-                        led.clock + duration,
-                        next(start_order),
-                        task,
-                        payload,
-                        product,
-                        led.clock,
-                    ),
-                )
-            for heap, entry in aside:
-                heapq.heappush(heap, entry)
+                finish = led.clock + duration
+                entry = (finish, next(start_order), task, payload, product, led.clock)
+                heapq.heappush(running, entry)
+            for heap, passed_over in aside:
+                heapq.heappush(heap, passed_over)
 
             if not running:
                 if not any(buckets.values()):
