@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -302,9 +302,13 @@ class FanIn:
 
 @dataclass
 class _RoundState:
+    """One (sample, round)'s stage results, as the stages produced them."""
+
     report: Report | None = None
     plan: PlanArtifact | None = None
     candidates: dict[int, Candidate] = field(default_factory=dict)
+    failures: list[tuple[int, str]] | None = None  # None until GEN completes
+    records: dict[int, ExecutionRecord] = field(default_factory=dict)
 
 
 class RunLedger:
@@ -344,7 +348,6 @@ class RunLedger:
         self.best_outcomes: dict[str, OutcomeLevel] = {}
         self.events: list[Event] = []
         self.event_counts: dict[EventKind, int] = {kind: 0 for kind in EventKind}
-        self.cache: dict[str, dict] = {}  # stage_key -> payload, for archiving
         self.replay_hits = 0
         self.clock = 0.0
         self.stats: GenerationStats | None = None
@@ -355,19 +358,13 @@ class RunLedger:
         self._logical = itertools.count()
         self.done = False
 
-    def emit(self, kind: EventKind, sample_id: str, payload: Mapping) -> Event:
-        event = Event(
-            kind=kind,
-            sample_id=sample_id,
-            run_id=self.run_id,
-            payload=payload,
-            logical_time=next(self._logical),
-            wall_time=self.clock,
-        )
+    def emit(self, kind: EventKind, sample_id: str, payload: Mapping) -> None:
+        logical_time = next(self._logical)
         self.event_counts[kind] += 1
         if self.config.record_trace:
-            self.events.append(event)
-        return event
+            self.events.append(
+                Event(kind, sample_id, self.run_id, payload, logical_time, self.clock)
+            )
 
     def round_state(self, sample_id: str, round_index: int) -> _RoundState:
         return self.rounds.setdefault((sample_id, round_index), _RoundState())
@@ -378,6 +375,38 @@ class RunLedger:
         return "%016x" % self._stage_prefix.derive(
             stage.name, sample_id, round_index, attempt
         )
+
+    def replay_entry(
+        self, stage: Stage, sample_id: str, round_index: int, attempt: int = -1
+    ) -> dict | None:
+        """The replay archive's payload for this stage, if there is one."""
+        if self.replay is None:
+            return None
+        return self.replay.get(self.stage_key(stage, sample_id, round_index, attempt))
+
+    def archive_entries(self) -> dict[str, dict]:
+        """Stage key -> archive payload for every completed stage, replayed
+        stages included; `archive_run` writes these."""
+        entries: dict[str, dict] = {}
+        for (sid, r), state in self.rounds.items():
+            if state.report is not None:
+                entries[self.stage_key(Stage.ANLZ, sid, r)] = {
+                    "kind": "anlz",
+                    "report": _report_to_json(state.report),
+                    "plan": asdict(state.plan) if state.plan else None,
+                }
+            if state.failures is not None:
+                entries[self.stage_key(Stage.GEN, sid, r)] = {
+                    "kind": "gen",
+                    "candidates": [c.to_json() for c in state.candidates.values()],
+                    "failures": [[a, n] for a, n in state.failures],
+                }
+            for attempt, record in state.records.items():
+                entries[self.stage_key(Stage.EVAL, sid, r, attempt)] = {
+                    "kind": "eval",
+                    "record": record.to_json(),
+                }
+        return entries
 
     def dump(self, ready: int, running: int) -> str:
         lines = [
@@ -755,10 +784,12 @@ class InterventionPipeline:
                 llm_inflight -= 1
                 if task.stage is Stage.GEN:
                     gen_inflight -= 1
+                    # Its follow-ups are all EVALs or one round-end task.
+                    if followups[0].stage is Stage.EVAL:
+                        eval_queued += len(followups)
+                        led.max_eval_queue = max(led.max_eval_queue, eval_queued)
             elif task.stage is Stage.EVAL:
                 eval_inflight -= 1
-            eval_queued += sum(1 for t in followups if t.stage is Stage.EVAL)
-            led.max_eval_queue = max(led.max_eval_queue, eval_queued)
 
             now = time.monotonic()
             if now - last_progress > cfg.watchdog_seconds:
@@ -808,7 +839,7 @@ class InterventionPipeline:
         if task.stage is Stage.GEN:
             return self._commit_gen(led, task, product)
         if task.stage is Stage.EVAL:
-            return self._apply_eval(led, task, product)
+            return self._commit_eval(led, task, product)
         return self._commit_agg(led, task, product)
 
     def _effective_source(self, led: RunLedger) -> ArtifactSource:
@@ -821,8 +852,7 @@ class InterventionPipeline:
 
     def _exec_anlz(self, led: RunLedger, task: Task) -> tuple[dict, object]:
         led.sample_state[task.sample_id] = f"analyzing r{task.round_index}"
-        key = led.stage_key(Stage.ANLZ, task.sample_id, task.round_index)
-        cached = led.replay.get(key) if led.replay else None
+        cached = led.replay_entry(Stage.ANLZ, task.sample_id, task.round_index)
         if cached is not None:
             report = _report_from_json(cached["report"], self.players)
             plan = PlanArtifact(**cached["plan"]) if cached.get("plan") else None
@@ -852,19 +882,6 @@ class InterventionPipeline:
                 plan = None
             if plan is not None:
                 report = replace(report, plan_slot=plan.text)
-            led.cache[key] = {
-                "kind": "anlz",
-                "report": _report_to_json(report),
-                "plan": (
-                    {
-                        "text": plan.text,
-                        "producer_tag": plan.producer_tag,
-                        "generation_context_hash": plan.generation_context_hash,
-                    }
-                    if plan
-                    else None
-                ),
-            }
             replayed = False
         payload = {
             "round": task.round_index,
@@ -883,8 +900,7 @@ class InterventionPipeline:
     def _exec_gen(self, led: RunLedger, task: Task) -> tuple[dict, object]:
         led.sample_state[task.sample_id] = f"generating r{task.round_index}"
         state = led.round_state(task.sample_id, task.round_index)
-        key = led.stage_key(Stage.GEN, task.sample_id, task.round_index)
-        cached = led.replay.get(key) if led.replay else None
+        cached = led.replay_entry(Stage.GEN, task.sample_id, task.round_index)
         failures: list[tuple[int, str]] = []
         if cached is not None:
             candidates = [Candidate.from_json(c) for c in cached["candidates"]]
@@ -907,11 +923,6 @@ class InterventionPipeline:
                     failures.append((attempt, str(item)))
                 else:
                     candidates.append(item)
-            led.cache[key] = {
-                "kind": "gen",
-                "candidates": [c.to_json() for c in candidates],
-                "failures": [[a, n] for a, n in failures],
-            }
             replayed = False
         payload = {
             "round": task.round_index,
@@ -926,6 +937,7 @@ class InterventionPipeline:
         state = led.round_state(task.sample_id, task.round_index)
         for cand in candidates:
             state.candidates[cand.attempt] = cand
+        state.failures = failures
         for attempt, note in failures:
             led.fan_in.record_failure(task.sample_id, task.round_index, attempt, note)
         led.fan_in.expect_evals(task.sample_id, task.round_index, len(candidates))
@@ -946,10 +958,9 @@ class InterventionPipeline:
         led.sample_state[task.sample_id] = (
             f"evaluating r{task.round_index}#{task.attempt}"
         )
-        key = led.stage_key(
+        cached = led.replay_entry(
             Stage.EVAL, task.sample_id, task.round_index, task.attempt
         )
-        cached = led.replay.get(key) if led.replay else None
         if cached is not None:
             record = ExecutionRecord.from_json(cached["record"])
             led.replay_hits += 1
@@ -961,7 +972,6 @@ class InterventionPipeline:
                 record = self.agents.evaluator.evaluate(candidate)
             except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
                 record = crash_record(str(exc))
-            led.cache[key] = {"kind": "eval", "record": record.to_json()}
             replayed = False
         level = classify_execution(record)
         payload = {
@@ -970,7 +980,12 @@ class InterventionPipeline:
             "level": level.name,
             "replayed": replayed,
         }
-        return payload, level
+        return payload, (level, record)
+
+    def _commit_eval(self, led: RunLedger, task: Task, product) -> list[Task]:
+        level, record = product
+        led.round_state(task.sample_id, task.round_index).records[task.attempt] = record
+        return self._apply_eval(led, task, level)
 
     def _apply_eval(
         self, led: RunLedger, task: Task, level: OutcomeLevel
@@ -1095,7 +1110,7 @@ def archive_run(pipe: InterventionPipeline, run_id: str, directory: str | Path) 
     entries_dir = base / "entries"
     entries_dir.mkdir(parents=True, exist_ok=True)
     index: dict[str, str] = {}
-    for stage_key, payload in led.cache.items():
+    for stage_key, payload in led.archive_entries().items():
         blob = json.dumps(payload, sort_keys=True)
         name = "%016x.json" % derive_seed(0, "entry", blob)
         (entries_dir / name).write_text(blob, encoding="utf-8")

@@ -13,14 +13,19 @@ import json
 import pytest
 
 from conftest import build_checkpoint, build_pipe
+import planlens.pipeline as pipeline_mod
+from planlens.agents import Candidate
 from planlens.feedback import Coalition, Representation, default_components
 from planlens.pipeline import (
     ExecutionMode,
     Intervention,
     PipelineConfig,
     PlanMode,
+    RunLedger,
     archive_run,
+    replay_load,
 )
+from planlens.trajectory import ExecutionRecord
 
 FULL = Coalition.of(*default_components())
 FAILS = frozenset({("s001", 1), ("s002", 0), ("s002", 1), ("s002", 2)})
@@ -105,13 +110,10 @@ def build_case(name):
     return pipe, checkpoint, intervention
 
 
-def run_case(name, tmp_path, replay=None):
+def run_case(name, replay=None):
     pipe, checkpoint, intervention = build_case(name)
     run_id = pipe.submit(checkpoint, intervention, seed=17, replay=replay)
-    result = pipe.run_to_completion(run_id)
-    archive = tmp_path / f"{name}-{'replay' if replay else 'fresh'}"
-    archive_run(pipe, run_id, archive)
-    return pipe, checkpoint, result, archive
+    return pipe, run_id, pipe.run_to_completion(run_id)
 
 
 def agent_calls(pipe) -> tuple[int, int, int, int]:
@@ -135,5 +137,40 @@ def test_cases_cover_required_shapes():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_archive_pinned(name, tmp_path):
-    _, _, _, archive = run_case(name, tmp_path)
-    assert archive_digest(archive) == PINS[name]
+    pipe, run_id, _ = run_case(name)
+    archive_run(pipe, run_id, tmp_path)
+    assert archive_digest(tmp_path) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_unarchived_run_serializes_nothing(name, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("archive work done for a run nobody archived")
+
+    monkeypatch.setattr(pipeline_mod, "_report_to_json", refuse)
+    monkeypatch.setattr(Candidate, "to_json", refuse)
+    monkeypatch.setattr(ExecutionRecord, "to_json", refuse)
+    monkeypatch.setattr(RunLedger, "stage_key", refuse)
+    pipe, run_id, _ = run_case(name)
+    monkeypatch.undo()
+    archive_run(pipe, run_id, tmp_path)
+    assert archive_digest(tmp_path) == PINS[name]
+
+
+@pytest.mark.parametrize(
+    "kinds", [None, {"anlz"}, {"anlz", "gen"}], ids=["all", "anlz", "anlz-gen"]
+)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_archive_of_replayed_run_equals_original(name, kinds, tmp_path):
+    pipe, run_id, original = run_case(name)
+    archive_run(pipe, run_id, tmp_path / "original")
+    cp = pipe.ledger(run_id).checkpoint
+    cache = replay_load(tmp_path / "original", cp)
+    pipe, run_id, replayed = run_case(name, cache.filter(kinds) if kinds else cache)
+    archive_run(pipe, run_id, tmp_path / "replayed")
+    assert archive_digest(tmp_path / "replayed") == PINS[name]
+
+    # Replaying the replayed run's archive redoes no agent work.
+    pipe, _, again = run_case(name, replay_load(tmp_path / "replayed", cp))
+    assert agent_calls(pipe) == (0, 0, 0, 0)
+    assert again.stats == replayed.stats == original.stats

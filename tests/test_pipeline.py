@@ -298,7 +298,7 @@ class TestIsolation:
             t.join()
         led_a, led_b = pipe.ledger(run_a), pipe.ledger(run_b)
         assert led_a.checkpoint_hash != led_b.checkpoint_hash
-        assert not (set(led_a.cache) & set(led_b.cache))
+        assert not (set(led_a.archive_entries()) & set(led_b.archive_entries()))
         assert results[run_a].stats == results[run_b].stats  # same seed, same mocks
 
     def test_agent_rebinding_frozen_while_active(self, checkpoint25):
