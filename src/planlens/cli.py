@@ -168,13 +168,16 @@ def build_agents(agent_config: Mapping[str, Any]) -> AgentBundle:
     if backend == "http":
         # Real backends plug in at the summarizer/planner seam; program
         # generation+execution adapters stay external to this tool.
-        summarizer = HttpSummarizer(
-            HttpChatAgent(AgentRole(Role.SUMMARIZER, model_tag="summarizer"))
+        try:
+            summarizer_chat = HttpChatAgent(
+                AgentRole(Role.SUMMARIZER, model_tag="summarizer")
+            )
+            planner_chat = HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"))
+        except ValueError as exc:  # no backend URL configured
+            raise ConfigError(f"http backend: {exc}") from exc
+        return AgentBundle(
+            HttpSummarizer(summarizer_chat), HttpPlanner(planner_chat), generator, evaluator
         )
-        planner = HttpPlanner(
-            HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"))
-        )
-        return AgentBundle(summarizer, planner, generator, evaluator)
     return AgentBundle(MockSummarizer(), MockPlanner(), generator, evaluator)
 
 
@@ -285,6 +288,7 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         unsupported = [
             flag
             for flag, value in (
+                ("--coalition", args.coalition),
                 ("--plan-mode", args.plan_mode),
                 ("--randomize-feedback", args.randomize_feedback),
                 ("--trace", args.trace),
@@ -297,6 +301,9 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"--sweep cannot be combined with {', '.join(unsupported)}"
             )
+    elif args.metrics is not None:
+        # A single coalition's stats CSV always holds every metric.
+        raise ConfigError("--metrics applies only to --sweep")
 
     metrics = args.metrics.split(",") if args.metrics else ["compiled", "pass", "fast"]
     settings = {
@@ -319,7 +326,14 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         "replay": args.replay,
     }
 
-    agent_config = config.get("agents", {"backend": args.backend})
+    agent_config = dict(config.get("agents", {}))
+    if args.backend is not None:
+        configured = agent_config.setdefault("backend", args.backend)
+        if configured != args.backend:
+            raise ConfigError(
+                f"--backend {args.backend} conflicts with agents.backend "
+                f"{configured!r} in {args.config}"
+            )
     agents = build_agents(agent_config)
     settings["agents"] = {
         "backend": agent_config.get("backend", "mock"),
@@ -657,7 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--concurrency", type=int, default=None, help="LLM pool P")
     p_int.add_argument("--eval-concurrency", type=int, default=None)
     p_int.add_argument("--metrics", help="comma list of metrics for --sweep")
-    p_int.add_argument("--backend", choices=["mock", "http"], default="mock")
+    p_int.add_argument(
+        "--backend",
+        choices=["mock", "http"],
+        default=None,
+        help="agent backend (default: agents.backend from --config, else mock)",
+    )
     p_int.add_argument("--out", required=True, help="output CSV path")
     p_int.add_argument("--trace", help="write the event trace NDJSON here")
     p_int.add_argument("--archive", help="write a replay archive directory here")

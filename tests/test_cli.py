@@ -400,6 +400,7 @@ class TestIntervene:
     @pytest.mark.parametrize(
         "flag, value",
         [
+            ("--coalition", "d"),
             ("--plan-mode", "dummy"),
             ("--randomize-feedback", "5"),
             ("--trace", "trace.ndjson"),
@@ -430,6 +431,97 @@ class TestIntervene:
         assert code == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_metrics_rejected_without_sweep(self, tmp_path, checkpoint_file, capsys):
+        out = tmp_path / "stats.csv"
+        code = main(
+            [
+                "intervene",
+                "--checkpoint",
+                str(checkpoint_file),
+                "--coalition",
+                "d",
+                "--metrics",
+                "pass",
+                "--rollouts",
+                "1",
+                "--retries",
+                "1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "--metrics" in capsys.readouterr().err
+        assert not out.exists()
+
+    def intervene_with_backend(self, tmp_path, checkpoint_file, agents, backend):
+        argv = [
+            "intervene",
+            "--checkpoint",
+            str(checkpoint_file),
+            "--coalition",
+            "d",
+            "--rollouts",
+            "1",
+            "--retries",
+            "1",
+            "--out",
+            str(tmp_path / "stats.csv"),
+        ]
+        if agents is not None:
+            config_path = tmp_path / "exp.json"
+            config_path.write_text(json.dumps({"agents": agents}))
+            argv += ["--config", str(config_path)]
+        if backend is not None:
+            argv += ["--backend", backend]
+        return main(argv)
+
+    @pytest.mark.parametrize(
+        "agents, backend",
+        [({"backend": "mock"}, "http"), ({"backend": "http"}, "mock")],
+        ids=["config-mock-flag-http", "config-http-flag-mock"],
+    )
+    def test_backend_flag_conflicting_with_config_rejected(
+        self, tmp_path, checkpoint_file, capsys, monkeypatch, agents, backend
+    ):
+        monkeypatch.delenv("PLANLENS_BACKEND_URL", raising=False)
+        code = self.intervene_with_backend(tmp_path, checkpoint_file, agents, backend)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--backend" in err and "agents.backend" in err
+        assert not (tmp_path / "stats.csv").exists()
+
+    @pytest.mark.parametrize(
+        "agents, backend",
+        [
+            (None, "http"),
+            ({"behavior": {"base_compiled": 0.5}}, "http"),
+            ({"backend": "http"}, None),
+        ],
+        ids=["flag", "flag-and-config-behavior", "config"],
+    )
+    def test_http_backend_without_url_is_config_error(
+        self, tmp_path, checkpoint_file, capsys, monkeypatch, agents, backend
+    ):
+        monkeypatch.delenv("PLANLENS_BACKEND_URL", raising=False)
+        code = self.intervene_with_backend(tmp_path, checkpoint_file, agents, backend)
+        assert code == EXIT_CONFIG
+        assert "PLANLENS_BACKEND_URL" in capsys.readouterr().err
+
+    def test_mock_backend_named_anywhere_gives_one_output(
+        self, tmp_path, checkpoint_file
+    ):
+        outputs = set()
+        for i, (agents, backend) in enumerate(
+            [(None, None), (None, "mock"), ({"backend": "mock"}, "mock"), ({}, "mock")]
+        ):
+            run_dir = tmp_path / str(i)
+            run_dir.mkdir()
+            code = self.intervene_with_backend(run_dir, checkpoint_file, agents, backend)
+            assert code == EXIT_OK
+            outputs.add((run_dir / "stats.csv").read_text())
+        assert len(outputs) == 1  # provenance line included
 
     def test_config_hash_covers_agent_behavior(self, tmp_path, checkpoint_file):
         meta = []
