@@ -169,15 +169,15 @@ def build_agents(agent_config: Mapping[str, Any]) -> AgentBundle:
         # Real backends plug in at the summarizer/planner seam; program
         # generation+execution adapters stay external to this tool.
         try:
-            summarizer_chat = HttpChatAgent(
-                AgentRole(Role.SUMMARIZER, model_tag="summarizer")
+            summarizer = HttpSummarizer(
+                HttpChatAgent(AgentRole(Role.SUMMARIZER, model_tag="summarizer"))
             )
-            planner_chat = HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"))
+            planner = HttpPlanner(
+                HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"))
+            )
         except ValueError as exc:  # no backend URL configured
             raise ConfigError(f"http backend: {exc}") from exc
-        return AgentBundle(
-            HttpSummarizer(summarizer_chat), HttpPlanner(planner_chat), generator, evaluator
-        )
+        return AgentBundle(summarizer, planner, generator, evaluator)
     return AgentBundle(MockSummarizer(), MockPlanner(), generator, evaluator)
 
 

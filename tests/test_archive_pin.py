@@ -98,7 +98,7 @@ def archive_digest(directory) -> tuple[int, str]:
     return len(json.loads(index)), h.hexdigest()
 
 
-def build_case(name):
+def run_case(name, replay=None):
     n_samples, fields, intervention, fails, crashes = CASES[name]
     checkpoint = build_checkpoint(n_samples)
     pipe = build_pipe(
@@ -107,11 +107,6 @@ def build_case(name):
         fail_attempts=fails,
         crash_on=crashes,
     )
-    return pipe, checkpoint, intervention
-
-
-def run_case(name, replay=None):
-    pipe, checkpoint, intervention = build_case(name)
     run_id = pipe.submit(checkpoint, intervention, seed=17, replay=replay)
     return pipe, run_id, pipe.run_to_completion(run_id)
 
