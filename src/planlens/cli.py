@@ -305,7 +305,11 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         # A single coalition's stats CSV always holds every metric.
         raise ConfigError("--metrics applies only to --sweep")
 
-    metrics = args.metrics.split(",") if args.metrics else ["compiled", "pass", "fast"]
+    metrics = ["compiled", "pass", "fast"]
+    if args.metrics:
+        metrics = args.metrics.split(",")
+    elif args.sweep:
+        metrics = config.get("metrics", metrics)
     settings = {
         "command": "intervene",
         "checkpoint_hash": checkpoint.checkpoint_hash,
@@ -488,9 +492,19 @@ def cmd_gate(args: argparse.Namespace) -> int:
         status = OutcomeLevel.parse(args.status)
     except KeyError as exc:
         raise ConfigError(f"unknown status {args.status!r}") from exc
+    if not 0.0 <= args.tau_s <= 1.0:
+        raise ConfigError("--tau-s must be in [0, 1]")
+    if args.wl_iters < 1:
+        raise ConfigError("--wl-iters must be >= 1")
+    for given, needed in (("current", "reference"), ("reference", "current")):
+        if getattr(args, given) and not getattr(args, needed):
+            raise ConfigError(f"--{given} needs --{needed}")
+    if status >= OutcomeLevel.PASS and not args.current:
+        # The gate needs a similarity score once the candidate passes.
+        raise ConfigError(f"--status {args.status} needs --current and --reference")
     cfg = GateConfig(tau_s=args.tau_s, wl_iterations=args.wl_iters)
     s = None
-    if args.current and args.reference:
+    if args.current:
         try:
             current = parse_dot(Path(args.current).read_text(encoding="utf-8"))
             reference = parse_dot(Path(args.reference).read_text(encoding="utf-8"))

@@ -75,12 +75,6 @@ class CfgGraph:
     def labels(self) -> dict[str, str]:
         return dict(self.nodes)
 
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {nid: [] for nid, _ in self.nodes}
-        for src, dst in self.edges:
-            adj[src].append(dst)
-        return {nid: tuple(sorted(out)) for nid, out in adj.items()}
-
 
 _NODE_RE = re.compile(
     r'^\s*("(?P<qid>[^"]*)"|(?P<id>[A-Za-z0-9_.]+))\s*(\[(?P<attrs>[^\]]*)\])?\s*;?\s*$'
@@ -104,15 +98,11 @@ def parse_dot(text: str) -> CfgGraph:
     ``a -> b -> c;``. Undirected graphs (``graph`` / ``--``) are
     rejected. Duplicate edges collapse to one.
     """
-    node_order: list[str] = []
+    # Insertion-ordered dicts used as ordered sets: O(1) per endpoint.
+    node_order: dict[str, None] = {}
     explicit_labels: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-    seen_edges: set[tuple[str, str]] = set()
+    edges: dict[tuple[str, str], None] = {}
     graph_name = ""
-
-    def ensure_node(nid: str) -> None:
-        if nid not in node_order:
-            node_order.append(nid)
 
     lines = text.splitlines()
     opened = False
@@ -169,11 +159,9 @@ def parse_dot(text: str) -> CfgGraph:
                         )
                     ids.append(_strip_quotes(part))
                 for src, dst in zip(ids, ids[1:]):
-                    ensure_node(src)
-                    ensure_node(dst)
-                    if (src, dst) not in seen_edges:
-                        seen_edges.add((src, dst))
-                        edges.append((src, dst))
+                    node_order.setdefault(src)
+                    node_order.setdefault(dst)
+                    edges.setdefault((src, dst))
                 continue
             match = _NODE_RE.match(stmt)
             if not match:
@@ -185,7 +173,7 @@ def parse_dot(text: str) -> CfgGraph:
                 raise DotSyntaxError(
                     f"{nid!r} statements are not supported", lineno
                 )
-            ensure_node(nid)
+            node_order.setdefault(nid)
             attrs = match.group("attrs")
             if attrs:
                 label_match = _LABEL_RE.search(attrs)
@@ -207,25 +195,28 @@ def parse_dot(text: str) -> CfgGraph:
     return CfgGraph(nodes=nodes, edges=tuple(edges), source=graph_name)
 
 
-def wl_features(graph: CfgGraph, h: int) -> Counter:
-    """Multiset of (iteration, refined label) over h refinement rounds.
+def wl_features(graph: CfgGraph, h: int, table: dict) -> Counter:
+    """Multiset of (iteration, label id) over h refinement rounds.
 
-    Refinement is directed: a node's new label combines its current label
-    with the sorted multiset of its successors' labels.
+    Refinement is directed: a node's new label is its current label paired
+    with the sorted multiset of its successors' labels. `table` interns
+    each label as an integer id: iteration 0 maps ``(0, label)`` and
+    iteration i maps ``(previous id, sorted successor ids)``. Interning a
+    tuple is injective whatever characters the DOT labels hold, and ids
+    are comparable only between graphs refined through the same table.
     """
-    labels = graph.labels()
-    successors = graph.successors()
-    features: Counter = Counter()
-    for label in labels.values():
-        features[(0, label)] += 1
+    index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
+    successors: list[list[int]] = [[] for _ in graph.nodes]
+    for src, dst in graph.edges:
+        successors[index[src]].append(index[dst])
+    ids = [table.setdefault((0, label), len(table)) for _, label in graph.nodes]
+    features = Counter((0, i) for i in ids)
     for iteration in range(1, h + 1):
-        refined = {}
-        for nid, label in labels.items():
-            neighbor_labels = sorted(labels[s] for s in successors[nid])
-            refined[nid] = f"{label}|{','.join(neighbor_labels)}"
-        labels = refined
-        for label in labels.values():
-            features[(iteration, label)] += 1
+        ids = [
+            table.setdefault((own, tuple(sorted([ids[s] for s in out]))), len(table))
+            for own, out in zip(ids, successors)
+        ]
+        features.update((iteration, i) for i in ids)
     return features
 
 
@@ -239,8 +230,9 @@ def wl_similarity(g1: CfgGraph, g2: CfgGraph, h: int = DEFAULT_WL_ITERATIONS) ->
             return 1.0
         logger.warning("similarity against an empty graph defined as 0.0")
         return 0.0
-    f1 = wl_features(g1, h)
-    f2 = wl_features(g2, h)
+    table: dict = {}
+    f1 = wl_features(g1, h, table)
+    f2 = wl_features(g2, h, table)
     dot = sum(count * f2[key] for key, count in f1.items() if key in f2)
     norm1 = sum(count * count for count in f1.values())
     norm2 = sum(count * count for count in f2.values())

@@ -1110,11 +1110,14 @@ def archive_run(pipe: InterventionPipeline, run_id: str, directory: str | Path) 
     entries_dir = base / "entries"
     entries_dir.mkdir(parents=True, exist_ok=True)
     index: dict[str, str] = {}
+    blobs: dict[str, str] = {}  # stages with equal payloads share one file
     for stage_key, payload in led.archive_entries().items():
         blob = json.dumps(payload, sort_keys=True)
         name = "%016x.json" % derive_seed(0, "entry", blob)
-        (entries_dir / name).write_text(blob, encoding="utf-8")
+        blobs[name] = blob
         index[stage_key] = name
+    for name, blob in blobs.items():
+        (entries_dir / name).write_text(blob, encoding="utf-8")
     manifest = {
         "format_version": ARCHIVE_FORMAT_VERSION,
         "run_id": run_id,
@@ -1146,12 +1149,13 @@ def replay_load(
             f"({recorded[:12]} != {actual[:12]}); refusing to mix trajectories"
         )
     index = json.loads((base / "index.json").read_text(encoding="utf-8"))
-    entries = {}
-    for stage_key, name in index.items():
-        entries[stage_key] = json.loads(
-            (base / "entries" / name).read_text(encoding="utf-8")
-        )
-    return ReplayCache(recorded, entries)
+    payloads = {
+        name: json.loads((base / "entries" / name).read_text(encoding="utf-8"))
+        for name in dict.fromkeys(index.values())
+    }
+    return ReplayCache(
+        recorded, {stage_key: payloads[name] for stage_key, name in index.items()}
+    )
 
 
 def _report_to_json(report: Report) -> dict:

@@ -455,6 +455,34 @@ class TestIntervene:
         assert "--metrics" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, expected", [(None, {"pass"}), ("fast", {"fast"})], ids=["config", "flag"]
+    )
+    def test_sweep_metrics_from_config_unless_flag(
+        self, tmp_path, checkpoint_file, flag, expected
+    ):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"metrics": ["pass"]}))
+        out = tmp_path / "table.csv"
+        argv = [
+            "intervene",
+            "--checkpoint",
+            str(checkpoint_file),
+            "--config",
+            str(config_path),
+            "--sweep",
+            "--rollouts",
+            "1",
+            "--retries",
+            "1",
+            "--out",
+            str(out),
+        ]
+        if flag is not None:
+            argv += ["--metrics", flag]
+        assert main(argv) == EXIT_OK
+        assert {row["metric"] for row in read_csv_rows(out)} == expected
+
     def intervene_with_backend(self, tmp_path, checkpoint_file, agents, backend):
         argv = [
             "intervene",
@@ -764,6 +792,40 @@ class TestGateCommand:
     def test_unknown_status_is_config_error(self, tmp_path):
         code = main(["gate", "--status", "excellent"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "status, graphs, extra, flag",
+        [
+            ("pass", "current", [], "--reference"),
+            ("failed", "current", [], "--reference"),
+            ("compiled", "reference", [], "--current"),
+            ("fast", "", [], "--current"),
+            ("pass", "both", ["--tau-s", "2"], "--tau-s"),
+            ("pass", "both", ["--tau-s", "nan"], "--tau-s"),
+            ("pass", "both", ["--wl-iters", "0"], "--wl-iters"),
+        ],
+        ids=[
+            "pass-no-reference",
+            "failed-no-reference",
+            "compiled-no-current",
+            "fast-no-graphs",
+            "tau-above-one",
+            "tau-nan",
+            "wl-iters-zero",
+        ],
+    )
+    def test_bad_flags_are_config_errors(
+        self, tmp_path, capsys, status, graphs, extra, flag
+    ):
+        current, reference = self.write_dots(tmp_path)
+        argv = ["gate", "--status", status, "--out", str(tmp_path / "gate.json")]
+        if graphs in ("current", "both"):
+            argv += ["--current", str(current)]
+        if graphs in ("reference", "both"):
+            argv += ["--reference", str(reference)]
+        assert main(argv + extra) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "gate.json").exists()
 
 
 class TestCostCommand:

@@ -136,10 +136,34 @@ class TestWlKernel:
         assert s == pytest.approx(PATH_VS_TRIANGLE_H1, abs=1e-12)
 
     def test_feature_multisets_match_hand_iteration(self):
-        feats = wl_features(path_graph(), h=1)
-        assert feats == Counter({(0, "n"): 3, (1, "n|n"): 2, (1, "n|"): 1})
-        feats_tri = wl_features(triangle_graph(), h=1)
-        assert feats_tri == Counter({(0, "n"): 3, (1, "n|n"): 3})
+        table = {}
+        feats = wl_features(path_graph(), h=1, table=table)
+        feats_tri = wl_features(triangle_graph(), h=1, table=table)
+        n = table[(0, "n")]
+        n_n = table[(n, (n,))]  # "n|n": one successor labelled n
+        n_ = table[(n, ())]  # "n|": no successors
+        assert len(table) == 3
+        assert feats == Counter({(0, n): 3, (1, n_n): 2, (1, n_): 1})
+        assert feats_tri == Counter({(0, n): 3, (1, n_n): 3})
+        dot = sum(count * feats_tri[key] for key, count in feats.items())
+        assert dot == 15
+        assert sum(c * c for c in feats.values()) == 14
+        assert sum(c * c for c in feats_tri.values()) == 18
+
+    def test_relabelling_injective_for_separator_labels(self):
+        # Joining labels with ',' and '|' would render both graphs' "a" as
+        # "x|y,y", although a has one successor in g1 and two in g2.
+        g1 = parse_dot(
+            'digraph { a [label="x"]; c [label="y,y"]; p [label="y"]; '
+            'q [label="y"]; a -> c; }'
+        )
+        g2 = parse_dot(
+            'digraph { a [label="x"]; c [label="y,y"]; p [label="y"]; '
+            'q [label="y"]; a -> p; a -> q; }'
+        )
+        # Iteration 0 agrees on all 4 nodes (dot 6); iteration 1 differs
+        # only at a (dot 5); each norm is 6 + 6.
+        assert wl_similarity(g1, g2, h=1) == 11 / 12
 
     def test_isomorphic_graphs_score_one(self):
         g1 = graph([("a", "b"), ("b", "c")], labels={"a": "L", "b": "M", "c": "N"})

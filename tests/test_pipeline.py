@@ -1,6 +1,9 @@
 import itertools
+import json
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +341,28 @@ class TestReplay:
         assert fresh.agents.generator.calls == 6  # prompting still runs
         assert fresh.agents.evaluator.calls == 18
         assert result.stats == original.stats
+
+    def test_each_entry_file_written_and_read_once(self, tmp_path, monkeypatch):
+        cp = build_checkpoint(6)
+        pipe = build_pipe(cp, config=PipelineConfig(k=3, seed=9))
+        _, run_id = run_once(pipe, cp)
+        calls = Counter()
+        for method in ("write_text", "read_text"):
+
+            def counted(path, *args, _method=method, _original=getattr(Path, method), **kw):
+                if path.parent.name == "entries":
+                    calls[_method, path.name] += 1
+                return _original(path, *args, **kw)
+
+            monkeypatch.setattr(Path, method, counted)
+        archive_run(pipe, run_id, tmp_path)
+        replay_load(tmp_path, cp)
+        monkeypatch.undo()
+        names = list(json.loads((tmp_path / "index.json").read_text()).values())
+        assert len(set(names)) < len(names)  # equal EVAL records share a file
+        assert calls == Counter(
+            {(method, name): 1 for method in ("write_text", "read_text") for name in names}
+        )
 
     def test_checkpoint_mismatch_refused(self, tmp_path):
         cp = build_checkpoint(6)
