@@ -18,6 +18,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from math import sqrt
 from typing import Callable, Iterable, Sequence
 
@@ -210,13 +211,14 @@ def wl_features(graph: CfgGraph, h: int, table: dict) -> Counter:
     for src, dst in graph.edges:
         successors[index[src]].append(index[dst])
     ids = [table.setdefault((0, label), len(table)) for _, label in graph.nodes]
-    features = Counter((0, i) for i in ids)
+    features = Counter(zip(repeat(0), ids))
     for iteration in range(1, h + 1):
+        id_of = ids.__getitem__
         ids = [
-            table.setdefault((own, tuple(sorted([ids[s] for s in out]))), len(table))
+            table.setdefault((own, tuple(sorted(map(id_of, out)))), len(table))
             for own, out in zip(ids, successors)
         ]
-        features.update((iteration, i) for i in ids)
+        features.update(zip(repeat(iteration), ids))
     return features
 
 
