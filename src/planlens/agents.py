@@ -489,10 +489,6 @@ ENV_BACKEND_URL = "PLANLENS_BACKEND_URL"
 ENV_API_KEY = "PLANLENS_API_KEY"
 
 
-def env_model_tag(role: Role) -> str | None:
-    return os.environ.get(f"PLANLENS_MODEL_{role.value.upper()}")
-
-
 class HttpChatAgent:
     """Minimal JSON chat client: one POST per call, exponential backoff.
 

@@ -307,6 +307,53 @@ def attribute(table: CharacteristicTable, method: str = "banzhaf") -> Attributio
     )
 
 
+def _check_estimator(r_rollouts: int, aggregation: str) -> None:
+    if r_rollouts < 1:
+        raise ValueError("r_rollouts must be >= 1")
+    if aggregation not in ("rollouts", "samples"):
+        raise ValueError("aggregation must be 'rollouts' or 'samples'")
+
+
+def _rollouts(
+    checkpoint: GenerationCheckpoint,
+    coalition: Coalition,
+    rollout_fn: Callable[[GenerationCheckpoint, Coalition, int], GenerationStats],
+    r_rollouts: int,
+    seed: int,
+) -> list[GenerationStats]:
+    """Stats of a coalition's seeded rollouts; a failing rollout is left
+    out, and all of them failing is an error."""
+    stats_list: list[GenerationStats] = []
+    failure: Exception | None = None
+    for r in range(r_rollouts):
+        rollout_seed = derive_seed(seed, "rollout", coalition.mask, r)
+        try:
+            stats_list.append(rollout_fn(checkpoint, coalition, rollout_seed))
+        except Exception as exc:  # noqa: BLE001 - isolate per-rollout failures
+            failure = exc
+    if not stats_list:
+        raise EstimationFailedError(
+            f"all {r_rollouts} rollouts failed for coalition mask "
+            f"{coalition.mask}: {failure}"
+        )
+    return stats_list
+
+
+def _mean_stderr(
+    stats_list: Sequence[GenerationStats], metric: str, aggregation: str
+) -> tuple[float, float | None]:
+    rates = [st.rate_for(metric) for st in stats_list]
+    mean = math.fsum(rates) / len(rates)
+    if aggregation == "samples":
+        n_samples_total = sum(st.n_samples for st in stats_list)
+        if n_samples_total == 0:
+            return mean, None
+        return mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / n_samples_total)
+    if len(rates) < 2:
+        return mean, None
+    return mean, statistics.stdev(rates) / math.sqrt(len(rates))
+
+
 def estimate_payoff(
     checkpoint: GenerationCheckpoint,
     coalition: Coalition,
@@ -323,49 +370,9 @@ def estimate_payoff(
     (binomial plug-in). With a single rollout the rollout-level stderr is
     undefined and reported as None.
     """
-    if r_rollouts < 1:
-        raise ValueError("r_rollouts must be >= 1")
-    if aggregation not in ("rollouts", "samples"):
-        raise ValueError("aggregation must be 'rollouts' or 'samples'")
-    rates: list[float] = []
-    n_samples_total = 0
-    failures: list[Exception] = []
-    for r in range(r_rollouts):
-        rollout_seed = derive_seed(seed, "rollout", coalition.mask, r)
-        try:
-            stats = rollout_fn(checkpoint, coalition, rollout_seed)
-        except Exception as exc:  # noqa: BLE001 - isolate per-rollout failures
-            failures.append(exc)
-            continue
-        rates.append(stats.rate_for(metric))
-        n_samples_total += stats.n_samples
-    if not rates:
-        raise EstimationFailedError(
-            f"all {r_rollouts} rollouts failed for coalition mask "
-            f"{coalition.mask}: {failures[-1] if failures else 'no stats'}"
-        )
-    mean = math.fsum(rates) / len(rates)
-    if aggregation == "samples":
-        if n_samples_total == 0:
-            return mean, None
-        return mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / n_samples_total)
-    if len(rates) < 2:
-        return mean, None
-    return mean, statistics.stdev(rates) / math.sqrt(len(rates))
-
-
-def estimate_characteristic_table(
-    checkpoint: GenerationCheckpoint,
-    spec: GameSpec,
-    rollout_fn: Callable[[GenerationCheckpoint, Coalition, int], GenerationStats],
-    r_rollouts: int,
-    seed: int,
-    aggregation: str = "rollouts",
-) -> CharacteristicTable:
-    """Fill all 2^N coalition payoffs for one game spec."""
-    return sweep_characteristic_tables(
-        checkpoint, [spec], rollout_fn, r_rollouts, seed, aggregation
-    )[0]
+    _check_estimator(r_rollouts, aggregation)
+    stats_list = _rollouts(checkpoint, coalition, rollout_fn, r_rollouts, seed)
+    return _mean_stderr(stats_list, metric, aggregation)
 
 
 def sweep_characteristic_tables(
@@ -380,46 +387,20 @@ def sweep_characteristic_tables(
 
     All specs must share the same player set; every rollout yields stats
     for every metric at once, so the sweep costs 2^N x r_rollouts runs
-    total regardless of how many metrics are requested. Seed derivation
-    matches `estimate_payoff`, so single-metric estimates agree exactly.
+    total regardless of how many metrics are requested. Each entry equals
+    `estimate_payoff` for its coalition and metric bit for bit.
     """
     if not specs:
         raise ValueError("at least one game spec is required")
-    if r_rollouts < 1:
-        raise ValueError("r_rollouts must be >= 1")
-    n = specs[0].n
+    _check_estimator(r_rollouts, aggregation)
     for spec in specs[1:]:
         if spec.players != specs[0].players:
             raise ValueError("all specs must share one player set")
     tables = [CharacteristicTable(spec, aggregation=aggregation) for spec in specs]
-    for coalition in enumerate_coalitions(n):
-        stats_list: list[GenerationStats] = []
-        failures: list[Exception] = []
-        for r in range(r_rollouts):
-            rollout_seed = derive_seed(seed, "rollout", coalition.mask, r)
-            try:
-                stats_list.append(rollout_fn(checkpoint, coalition, rollout_seed))
-            except Exception as exc:  # noqa: BLE001 - isolate per-rollout failures
-                failures.append(exc)
-        if not stats_list:
-            raise EstimationFailedError(
-                f"all {r_rollouts} rollouts failed for coalition mask "
-                f"{coalition.mask}: {failures[-1] if failures else 'no stats'}"
-            )
-        n_samples_total = sum(st.n_samples for st in stats_list)
+    for coalition in enumerate_coalitions(specs[0].n):
+        stats_list = _rollouts(checkpoint, coalition, rollout_fn, r_rollouts, seed)
         for table in tables:
-            rates = [st.rate_for(table.spec.metric) for st in stats_list]
-            mean = math.fsum(rates) / len(rates)
-            if aggregation == "samples":
-                se = (
-                    math.sqrt(max(mean * (1.0 - mean), 0.0) / n_samples_total)
-                    if n_samples_total
-                    else None
-                )
-            elif len(rates) >= 2:
-                se = statistics.stdev(rates) / math.sqrt(len(rates))
-            else:
-                se = None
+            mean, se = _mean_stderr(stats_list, table.spec.metric, aggregation)
             table.set(coalition, mean, se, len(stats_list))
     return tables
 

@@ -13,9 +13,9 @@ import hashlib
 import json
 import shutil
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from . import __version__
 from .agents import (
@@ -60,7 +60,6 @@ from .gating import DotSyntaxError, GateConfig, decisions_to_json, gate, parse_d
 from .seeding import derive_seed
 from .pipeline import (
     ExecutionMode,
-    Intervention,
     InterventionPipeline,
     PipelineConfig,
     PipelineConfigError,
@@ -74,6 +73,7 @@ from .pipeline import (
     replay_load,
 )
 from .trajectory import (
+    METRICS,
     GenerationNotFoundError,
     StoreFormatError,
     TrajectoryStore,
@@ -130,6 +130,12 @@ _CONFIG_KEYS = {
 }
 
 
+def check_metrics(metrics: Iterable[str], where: str) -> None:
+    for metric in metrics:
+        if metric not in METRICS:
+            raise ConfigError(f"unknown metric {metric!r} in {where}")
+
+
 def load_experiment_config(path: str) -> dict:
     """Load and schema-check the JSON experiment document."""
     try:
@@ -149,10 +155,7 @@ def load_experiment_config(path: str) -> dict:
             )
     if "game" in data and data["game"] not in GAMES:
         raise ConfigError(f"config game must be one of {sorted(GAMES)}")
-    if "metrics" in data:
-        for metric in data["metrics"]:
-            if metric not in ("compiled", "pass", "fast", "overall"):
-                raise ConfigError(f"unknown metric {metric!r} in config")
+    check_metrics(data.get("metrics", ()), "config")
     if "agents" in data:
         backend = data["agents"].get("backend", "mock")
         if backend not in ("mock", "http"):
@@ -308,6 +311,7 @@ def cmd_intervene(args: argparse.Namespace) -> int:
     metrics = ["compiled", "pass", "fast"]
     if args.metrics:
         metrics = args.metrics.split(",")
+        check_metrics(metrics, "--metrics")
     elif args.sweep:
         metrics = config.get("metrics", metrics)
     settings = {
@@ -379,20 +383,12 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         intervention = game_intervention(
             args.game, coalition, components, representation
         )
+        plan_mode = intervention.plan_mode
         if args.plan_mode is not None:
-            intervention = Intervention(
-                coalition=intervention.coalition,
-                representation=intervention.representation,
-                plan_mode=PlanMode(args.plan_mode),
-                permutation=permutation,
-            )
-        elif permutation is not None:
-            intervention = Intervention(
-                coalition=intervention.coalition,
-                representation=intervention.representation,
-                plan_mode=intervention.plan_mode,
-                permutation=permutation,
-            )
+            plan_mode = PlanMode(args.plan_mode)
+        intervention = replace(
+            intervention, plan_mode=plan_mode, permutation=permutation
+        )
         replay_cache = None
         if args.replay:
             replay_cache = replay_load(args.replay, checkpoint)

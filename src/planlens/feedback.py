@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Callable, Hashable, Iterable, Mapping, Protocol
 
 from .seeding import rng_for
 from .trajectory import GenerationCheckpoint
@@ -241,32 +241,45 @@ class InMemoryArtifactSource:
         return self._store.get((sample_id, component.id, representation))
 
 
-class CachingArtifactSource:
-    """Content-addressed cache in front of a slower source.
+class Memo:
+    """At most one computation per key, also under concurrency.
 
-    Insert-if-absent is atomic: concurrent readers of the same key all
-    observe the first inserted artifact.
+    The first caller of a missing key computes its value while later
+    callers of that key wait on the key's in-flight guard; other keys go
+    ahead meanwhile. A computation that raises caches nothing, so the next
+    caller (a waiter included) computes it again.
     """
 
-    def __init__(self, inner: ArtifactSource):
-        self._inner = inner
-        self._cache: dict[tuple[str, int, Representation], FeedbackArtifact] = {}
+    def __init__(self):
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self._values: dict = {}
+        self._in_flight: dict[Hashable, threading.Event] = {}
 
-    def get(self, sample_id, component, representation):
-        key = (sample_id, component.id, representation)
-        with self._lock:
-            if key in self._cache:
-                self.hits += 1
-                return self._cache[key]
-        artifact = self._inner.get(sample_id, component, representation)
-        with self._lock:
-            if key not in self._cache and artifact is not None:
-                self._cache[key] = artifact
-            self.misses += 1
-            return self._cache.get(key, artifact)
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def get(self, key: Hashable, compute: Callable[[], object]):
+        # A hit needs no lock: a value is stored once and never removed.
+        try:
+            return self._values[key]
+        except KeyError:
+            pass
+        while True:
+            with self._lock:
+                if key in self._values:
+                    return self._values[key]
+                guard = self._in_flight.get(key)
+                if guard is None:
+                    guard = self._in_flight[key] = threading.Event()
+                    break
+            guard.wait()
+        try:
+            value = self._values[key] = compute()
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            guard.set()
+        return value
 
 
 class DirectoryArtifactStore:
@@ -371,24 +384,6 @@ class FeedbackPermutation:
 
     mapping: Mapping[str, str] = field(default_factory=dict)
     seed: int = 0
-
-    def donor_for(self, sample_id: str) -> str:
-        return self.mapping.get(sample_id, sample_id)
-
-    def inverse(self) -> "FeedbackPermutation":
-        return FeedbackPermutation(
-            {v: k for k, v in self.mapping.items()}, self.seed
-        )
-
-    def compose(self, other: "FeedbackPermutation") -> "FeedbackPermutation":
-        """Apply `other` after `self` (self's donors looked up through other)."""
-        keys = set(self.mapping) | set(other.mapping)
-        return FeedbackPermutation(
-            {k: other.donor_for(self.donor_for(k)) for k in keys}, self.seed
-        )
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.mapping.items())
 
 
 def randomize_feedback(

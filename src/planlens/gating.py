@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from itertools import repeat
 from math import sqrt
 from typing import Callable, Iterable, Sequence
 
-from .feedback import Coalition, FeedbackArtifact, default_components
+from .feedback import Coalition, FeedbackArtifact, Memo, default_components
 from .trajectory import GenerationCheckpoint, OutcomeLevel, Sample, sample_best_outcome
 
 logger = logging.getLogger(__name__)
@@ -394,18 +393,17 @@ def best_sample_reference(checkpoint: GenerationCheckpoint) -> Sample | None:
 class LazySummaryCache:
     """At-most-once summarization, triggered only on reference selection.
 
-    Entries are keyed by (sample, representation); insertion is
-    first-writer-wins, so concurrent selections of the same reference
-    still observe a single cached summary set.
+    Entries are keyed by (sample, representation). Concurrent selections of
+    one reference share a single summarizer call; a summarizer failure
+    caches nothing, so a later selection retries from scratch.
     """
 
     def __init__(self, summarizer):
         self._summarizer = summarizer
-        self._store: dict[tuple[str, str], tuple[FeedbackArtifact, ...]] = {}
-        self._lock = threading.Lock()
+        self._memo = Memo()
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._memo)
 
     def summaries_for(
         self,
@@ -413,13 +411,7 @@ class LazySummaryCache:
         raw_artifacts: Sequence[FeedbackArtifact],
         representation_key: str = "summarized",
     ) -> tuple[FeedbackArtifact, ...]:
-        key = (sample.sample_id, representation_key)
-        with self._lock:
-            cached = self._store.get(key)
-        if cached is not None:
-            return cached
-        # A summarizer failure propagates before anything is cached, so a
-        # later selection retries from scratch.
-        summaries = tuple(self._summarizer.summarize(raw_artifacts))
-        with self._lock:
-            return self._store.setdefault(key, summaries)
+        return self._memo.get(
+            (sample.sample_id, representation_key),
+            lambda: tuple(self._summarizer.summarize(raw_artifacts)),
+        )

@@ -38,6 +38,7 @@ from .feedback import (
     Coalition,
     FeedbackArtifact,
     FeedbackComponent,
+    Memo,
     PermutedArtifactSource,
     Report,
     Representation,
@@ -106,6 +107,13 @@ _STAGE_EVENT = {
     Stage.GEN: EventKind.CANDIDATES_GENERATED,
     Stage.EVAL: EventKind.EVAL_COMPLETED,
     Stage.AGG: EventKind.AGGREGATED,
+}
+
+# A sample's state in `RunLedger.dump` while the stage runs: (round, attempt).
+_STAGE_STATE = {
+    Stage.ANLZ: "analyzing r{0}",
+    Stage.GEN: "generating r{0}",
+    Stage.EVAL: "evaluating r{0}#{1}",
 }
 
 
@@ -292,9 +300,6 @@ class FanIn:
             return Disposition.PENDING
         return Disposition.ROUND_COMPLETE
 
-    def round_complete(self, sample_id: str, round_index: int) -> bool:
-        return self._pending.get((sample_id, round_index), 1) == 0
-
     def best_outcome(self, sample_id: str) -> OutcomeLevel:
         levels = self.outcomes.get(sample_id, {}).values()
         return max(levels, default=OutcomeLevel.FAILED)
@@ -390,22 +395,17 @@ class RunLedger:
         entries: dict[str, dict] = {}
         for (sid, r), state in self.rounds.items():
             if state.report is not None:
-                entries[self.stage_key(Stage.ANLZ, sid, r)] = {
-                    "kind": "anlz",
-                    "report": _report_to_json(state.report),
-                    "plan": asdict(state.plan) if state.plan else None,
-                }
+                entries[self.stage_key(Stage.ANLZ, sid, r)] = _encode_anlz(
+                    (state.report, state.plan)
+                )
             if state.failures is not None:
-                entries[self.stage_key(Stage.GEN, sid, r)] = {
-                    "kind": "gen",
-                    "candidates": [c.to_json() for c in state.candidates.values()],
-                    "failures": [[a, n] for a, n in state.failures],
-                }
+                entries[self.stage_key(Stage.GEN, sid, r)] = _encode_gen(
+                    (state.candidates.values(), state.failures)
+                )
             for attempt, record in state.records.items():
-                entries[self.stage_key(Stage.EVAL, sid, r, attempt)] = {
-                    "kind": "eval",
-                    "record": record.to_json(),
-                }
+                entries[self.stage_key(Stage.EVAL, sid, r, attempt)] = _encode_eval(
+                    record
+                )
         return entries
 
     def dump(self, ready: int, running: int) -> str:
@@ -472,26 +472,6 @@ DEFAULT_LATENCIES = {
 }
 
 
-class _SummaryCache:
-    """Insert-once summaries keyed by raw artifact content hash."""
-
-    def __init__(self):
-        import threading
-
-        self._lock = threading.Lock()
-        self._store: dict[str, FeedbackArtifact] = {}
-
-    def get_or_summarize(self, summarizer, artifact: FeedbackArtifact) -> FeedbackArtifact:
-        key = artifact.content_hash
-        with self._lock:
-            cached = self._store.get(key)
-        if cached is not None:
-            return cached
-        summary = summarizer.summarize([artifact])[0]
-        with self._lock:
-            return self._store.setdefault(key, summary)
-
-
 class _RepresentationSource:
     """Serves the requested representation, deriving it from raw feedback.
 
@@ -500,20 +480,18 @@ class _RepresentationSource:
     artifact (content-addressed cache).
     """
 
-    def __init__(self, inner: ArtifactSource, summarizer, cache: _SummaryCache):
+    def __init__(self, inner: ArtifactSource, summarizer, cache: Memo):
         self._inner = inner
         self._summarizer = summarizer
         self._cache = cache
 
     def get(self, sample_id, component, representation):
         direct = self._inner.get(sample_id, component, representation)
-        if direct is not None:
+        if direct is not None or representation is Representation.RAW:
             return direct
         raw = self._inner.get(sample_id, component, Representation.RAW)
         if raw is None:
             return None
-        if representation is Representation.RAW:
-            return raw
         if representation is Representation.FORMATTED:
             return FeedbackArtifact(
                 component=raw.component,
@@ -521,7 +499,9 @@ class _RepresentationSource:
                 payload=f"[{raw.component.name}] {raw.payload}",
                 source_sample=raw.source_sample,
             )
-        return self._cache.get_or_summarize(self._summarizer, raw)
+        return self._cache.get(
+            raw.content_hash, lambda: self._summarizer.summarize([raw])[0]
+        )
 
 
 class InterventionPipeline:
@@ -553,7 +533,7 @@ class InterventionPipeline:
         self._ledgers: dict[str, RunLedger] = {}
         self._active: set[str] = set()
         self._lock = threading.Lock()
-        self._summary_cache = _SummaryCache()
+        self._summary_cache = Memo()
         self._run_counter = itertools.count()
 
     # -- run lifecycle -------------------------------------------------------
@@ -631,13 +611,8 @@ class InterventionPipeline:
         ]
         budget = self.config.k * self.config.rounds
         ledger.stats = stats_from_outcomes(ledger.checkpoint.g, outcomes, budget)
-        programs = sum(
-            len(state.candidates) for state in ledger.rounds.values()
-        ) + sum(
-            1
-            for sid in ledger.fan_in.notes
-            for _ in ledger.fan_in.notes[sid]
-        )
+        programs = sum(len(state.candidates) for state in ledger.rounds.values())
+        programs += sum(map(len, ledger.fan_in.notes.values()))
         return RunResult(
             run_id=run_id,
             stats=ledger.stats,
@@ -686,7 +661,7 @@ class InterventionPipeline:
             return PipelineStalledError(message, led.dump(ready, len(running)))
 
         lanes = lanes_for(wave_index)
-        # (finish, start order, task, payload, product, started_at)
+        # (finish, start order, task, replayed, product, started_at)
         running: list[tuple] = []
         start_order = itertools.count()
         llm_inflight = 0
@@ -746,14 +721,12 @@ class InterventionPipeline:
                         led.max_gen_inflight = max(led.max_gen_inflight, gen_inflight)
                 # The agent call happens at task start; its results become
                 # visible to the rest of the run only at completion time.
-                payload, product = self._execute(led, task)
+                replayed, product = self._execute(led, task)
                 duration = (
-                    0.0
-                    if payload.get("replayed")
-                    else self.latency_model.duration(led.seed, task)
+                    0.0 if replayed else self.latency_model.duration(led.seed, task)
                 )
                 finish = led.clock + duration
-                entry = (finish, next(start_order), task, payload, product, led.clock)
+                entry = (finish, next(start_order), task, replayed, product, led.clock)
                 heapq.heappush(running, entry)
             for heap, passed_over in aside:
                 heapq.heappush(heap, passed_over)
@@ -771,13 +744,12 @@ class InterventionPipeline:
                     continue
                 raise stalled("ready tasks cannot acquire resources")
 
-            finish, _, task, payload, product, started_at = heapq.heappop(running)
+            finish, _, task, replayed, product, started_at = heapq.heappop(running)
             led.clock = max(led.clock, finish)
             led.sample_spans.setdefault(task.sample_id, []).append(
                 (started_at, finish)
             )
-            followups = self._commit(led, task, product)
-            led.emit(_STAGE_EVENT[task.stage], task.sample_id, payload)
+            followups = self._commit(led, task, replayed, product)
             for followup in followups:
                 make_ready(followup)
             if task.stage in (Stage.ANLZ, Stage.GEN):
@@ -822,52 +794,33 @@ class InterventionPipeline:
 
     # -- task effects ------------------------------------------------------------
 
-    def _execute(self, led: RunLedger, task: Task) -> tuple[dict, object]:
-        """Run the task's work (agent calls); no ledger state transitions."""
-        if task.stage is Stage.ANLZ:
-            return self._exec_anlz(led, task)
-        if task.stage is Stage.GEN:
-            return self._exec_gen(led, task)
-        if task.stage is Stage.EVAL:
-            return self._exec_eval(led, task)
-        return self._exec_agg(led, task)
-
-    def _commit(self, led: RunLedger, task: Task, product: object) -> list[Task]:
-        """Apply the completed task's results; returns follow-up tasks."""
-        if task.stage is Stage.ANLZ:
-            return self._commit_anlz(led, task, product)
-        if task.stage is Stage.GEN:
-            return self._commit_gen(led, task, product)
-        if task.stage is Stage.EVAL:
-            return self._commit_eval(led, task, product)
-        return self._commit_agg(led, task, product)
-
-    def _effective_source(self, led: RunLedger) -> ArtifactSource:
-        source: ArtifactSource = self.artifact_source
-        if led.intervention.permutation:
-            source = PermutedArtifactSource(source, led.intervention.permutation)
-        return _RepresentationSource(
-            source, self.agents.summarizer, self._summary_cache
-        )
-
-    def _exec_anlz(self, led: RunLedger, task: Task) -> tuple[dict, object]:
-        led.sample_state[task.sample_id] = f"analyzing r{task.round_index}"
-        cached = led.replay_entry(Stage.ANLZ, task.sample_id, task.round_index)
-        if cached is not None:
-            report = _report_from_json(cached["report"], self.players)
-            plan = PlanArtifact(**cached["plan"]) if cached.get("plan") else None
+    def _execute(self, led: RunLedger, task: Task) -> tuple[bool, object]:
+        """Start a task: decode its product from the replay archive, or do
+        its work (agent calls). Returns (replayed, product); no ledger
+        state transitions."""
+        stage, sid, r = task.stage, task.sample_id, task.round_index
+        if stage is Stage.AGG:
+            return False, None
+        led.sample_state[sid] = _STAGE_STATE[stage].format(r, task.attempt)
+        entry = led.replay_entry(stage, sid, r, task.attempt)
+        if entry is not None:
             led.replay_hits += 1
-            replayed = True
-        else:
+            return True, _DECODE[stage](entry)
+        if stage is Stage.ANLZ:
             intervention = led.intervention
+            source: ArtifactSource = self.artifact_source
+            if intervention.permutation:
+                source = PermutedArtifactSource(source, intervention.permutation)
             report = build_report(
-                task.sample_id,
+                sid,
                 intervention.coalition,
                 intervention.representation,
-                self._effective_source(led),
+                _RepresentationSource(
+                    source, self.agents.summarizer, self._summary_cache
+                ),
                 self.players,
             )
-            plan: PlanArtifact | None
+            plan: PlanArtifact | None = None
             if intervention.plan_mode is PlanMode.SELF:
                 plan = self.agents.planner.plan(report)
             elif intervention.plan_mode is PlanMode.DUMMY:
@@ -878,114 +831,78 @@ class InterventionPipeline:
                 )
             elif intervention.plan_mode is PlanMode.INJECTED:
                 plan = intervention.injected_plan
-            else:
-                plan = None
             if plan is not None:
                 report = replace(report, plan_slot=plan.text)
-            replayed = False
-        payload = {
-            "round": task.round_index,
-            "report_hash": report.content_hash,
-            "replayed": replayed,
-        }
-        return payload, (report, plan)
-
-    def _commit_anlz(self, led: RunLedger, task: Task, product) -> list[Task]:
-        report, plan = product
-        state = led.round_state(task.sample_id, task.round_index)
-        state.report = report
-        state.plan = plan
-        return [Task(Stage.GEN, task.sample_index, task.sample_id, task.round_index)]
-
-    def _exec_gen(self, led: RunLedger, task: Task) -> tuple[dict, object]:
-        led.sample_state[task.sample_id] = f"generating r{task.round_index}"
-        state = led.round_state(task.sample_id, task.round_index)
-        cached = led.replay_entry(Stage.GEN, task.sample_id, task.round_index)
-        failures: list[tuple[int, str]] = []
-        if cached is not None:
-            candidates = [Candidate.from_json(c) for c in cached["candidates"]]
-            failures = [(int(a), str(n)) for a, n in cached.get("failures", [])]
-            led.replay_hits += 1
-            replayed = True
-        else:
-            sample = led.samples_by_id[task.sample_id]
+            return False, (report, plan)
+        state = led.rounds[sid, r]
+        if stage is Stage.GEN:
             outputs = self.agents.generator.generate(
-                sample,
+                led.samples_by_id[sid],
                 state.report,
                 state.plan,
                 self.config.k,
                 run_seed=led.seed,
-                round_index=task.round_index,
+                round_index=r,
             )
-            candidates = []
+            candidates, failures = [], []
             for attempt, item in enumerate(outputs):
                 if isinstance(item, GeneratorAttemptError):
                     failures.append((attempt, str(item)))
                 else:
                     candidates.append(item)
-            replayed = False
-        payload = {
-            "round": task.round_index,
-            "n_candidates": len(candidates),
-            "n_failed": len(failures),
-            "replayed": replayed,
-        }
-        return payload, (candidates, failures)
+            return False, (candidates, failures)
+        try:
+            return False, self.agents.evaluator.evaluate(state.candidates[task.attempt])
+        except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
+            return False, crash_record(str(exc))
 
-    def _commit_gen(self, led: RunLedger, task: Task, product) -> list[Task]:
-        candidates, failures = product
-        state = led.round_state(task.sample_id, task.round_index)
-        for cand in candidates:
-            state.candidates[cand.attempt] = cand
-        state.failures = failures
-        for attempt, note in failures:
-            led.fan_in.record_failure(task.sample_id, task.round_index, attempt, note)
-        led.fan_in.expect_evals(task.sample_id, task.round_index, len(candidates))
-        if not candidates:
-            return [self._after_round(led, task)]
-        return [
-            Task(
-                Stage.EVAL,
-                task.sample_index,
-                task.sample_id,
-                task.round_index,
-                attempt=cand.attempt,
-            )
-            for cand in candidates
-        ]
-
-    def _exec_eval(self, led: RunLedger, task: Task) -> tuple[dict, object]:
-        led.sample_state[task.sample_id] = (
-            f"evaluating r{task.round_index}#{task.attempt}"
-        )
-        cached = led.replay_entry(
-            Stage.EVAL, task.sample_id, task.round_index, task.attempt
-        )
-        if cached is not None:
-            record = ExecutionRecord.from_json(cached["record"])
-            led.replay_hits += 1
-            replayed = True
+    def _commit(
+        self, led: RunLedger, task: Task, replayed: bool, product: object
+    ) -> list[Task]:
+        """Apply a completed task's product and emit its event; returns the
+        follow-up tasks."""
+        stage, sid, r = task.stage, task.sample_id, task.round_index
+        payload: dict = {"round": r}
+        if stage is Stage.ANLZ:
+            state = led.round_state(sid, r)
+            state.report, state.plan = product
+            payload["report_hash"] = state.report.content_hash
+            followups = [Task(Stage.GEN, task.sample_index, sid, r)]
+        elif stage is Stage.GEN:
+            candidates, failures = product
+            state = led.rounds[sid, r]
+            for cand in candidates:
+                state.candidates[cand.attempt] = cand
+            state.failures = failures
+            for attempt, note in failures:
+                led.fan_in.record_failure(sid, r, attempt, note)
+            led.fan_in.expect_evals(sid, r, len(candidates))
+            payload["n_candidates"] = len(candidates)
+            payload["n_failed"] = len(failures)
+            followups = [
+                Task(Stage.EVAL, task.sample_index, sid, r, cand.attempt)
+                for cand in candidates
+            ] or [self._after_round(task)]
+        elif stage is Stage.EVAL:
+            led.rounds[sid, r].records[task.attempt] = product
+            level = classify_execution(product)
+            payload["attempt"] = task.attempt
+            payload["level"] = level.name
+            followups = self._apply_eval(led, task, level)
         else:
-            state = led.round_state(task.sample_id, task.round_index)
-            candidate = state.candidates[task.attempt]
-            try:
-                record = self.agents.evaluator.evaluate(candidate)
-            except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
-                record = crash_record(str(exc))
-            replayed = False
-        level = classify_execution(record)
-        payload = {
-            "round": task.round_index,
-            "attempt": task.attempt,
-            "level": level.name,
-            "replayed": replayed,
-        }
-        return payload, (level, record)
-
-    def _commit_eval(self, led: RunLedger, task: Task, product) -> list[Task]:
-        level, record = product
-        led.round_state(task.sample_id, task.round_index).records[task.attempt] = record
-        return self._apply_eval(led, task, level)
+            best = led.fan_in.best_outcome(sid)
+            payload["best"] = best.name
+            followups = []
+            if sid in led.aggregated:
+                logger.info("duplicate aggregation for %s ignored", sid)
+            else:
+                led.aggregated.add(sid)
+                led.best_outcomes[sid] = best
+                led.sample_state[sid] = f"aggregated ({best.name})"
+        if stage is not Stage.AGG:
+            payload["replayed"] = replayed
+        led.emit(_STAGE_EVENT[stage], sid, payload)
+        return followups
 
     def _apply_eval(
         self, led: RunLedger, task: Task, level: OutcomeLevel
@@ -1003,7 +920,7 @@ class InterventionPipeline:
             return []
         if disposition is Disposition.PENDING:
             return []
-        return [self._after_round(led, task)]
+        return [self._after_round(task)]
 
     def on_eval_complete(self, run_id: str, event: Event) -> list[Task]:
         """Deliver an evaluation-completed event; duplicates are ignored.
@@ -1025,24 +942,11 @@ class InterventionPipeline:
         level = OutcomeLevel[event.payload["level"]]
         return self._apply_eval(led, task, level)
 
-    def _after_round(self, led: RunLedger, task: Task) -> Task:
+    def _after_round(self, task: Task) -> Task:
         next_round = task.round_index + 1
         if next_round < self.config.rounds:
             return Task(Stage.ANLZ, task.sample_index, task.sample_id, next_round)
         return Task(Stage.AGG, task.sample_index, task.sample_id, task.round_index)
-
-    def _exec_agg(self, led: RunLedger, task: Task) -> tuple[dict, object]:
-        best = led.fan_in.best_outcome(task.sample_id)
-        return {"round": task.round_index, "best": best.name}, best
-
-    def _commit_agg(self, led: RunLedger, task: Task, product) -> list[Task]:
-        if task.sample_id in led.aggregated:
-            logger.info("duplicate aggregation for %s ignored", task.sample_id)
-            return []
-        led.aggregated.add(task.sample_id)
-        led.best_outcomes[task.sample_id] = product
-        led.sample_state[task.sample_id] = f"aggregated ({product.name})"
-        return []
 
 
 # -- rollout glue --------------------------------------------------------------
@@ -1122,7 +1026,7 @@ def archive_run(pipe: InterventionPipeline, run_id: str, directory: str | Path) 
         "format_version": ARCHIVE_FORMAT_VERSION,
         "run_id": run_id,
         "checkpoint_hash": led.checkpoint_hash,
-        "intervention_signature": led.intervention.signature(),
+        "intervention_signature": led.intervention_signature,
         "seed": led.seed,
         "k": led.config.k,
         "rounds": led.config.rounds,
@@ -1158,6 +1062,28 @@ def replay_load(
     )
 
 
+def _report_from_json(data: Mapping) -> Report:
+    artifacts = []
+    for item in data["artifacts"]:
+        comp = item["component"]
+        artifacts.append(
+            FeedbackArtifact(
+                component=FeedbackComponent(
+                    int(comp["id"]), comp["name"], comp.get("short", "")
+                ),
+                representation=Representation(item["representation"]),
+                payload=item["payload"],
+                source_sample=item["source_sample"],
+            )
+        )
+    return Report(
+        sample_id=data["sample_id"],
+        coalition=Coalition(int(data["coalition_mask"])),
+        artifacts=tuple(artifacts),
+        plan_slot=data.get("plan_slot"),
+    )
+
+
 def _report_to_json(report: Report) -> dict:
     return {
         "sample_id": report.sample_id,
@@ -1179,25 +1105,48 @@ def _report_to_json(report: Report) -> dict:
     }
 
 
-def _report_from_json(
-    data: Mapping, players: tuple[FeedbackComponent, ...]
-) -> Report:
-    artifacts = []
-    for item in data["artifacts"]:
-        comp = item["component"]
-        artifacts.append(
-            FeedbackArtifact(
-                component=FeedbackComponent(
-                    int(comp["id"]), comp["name"], comp.get("short", "")
-                ),
-                representation=Representation(item["representation"]),
-                payload=item["payload"],
-                source_sample=item["source_sample"],
-            )
-        )
-    return Report(
-        sample_id=data["sample_id"],
-        coalition=Coalition(int(data["coalition_mask"])),
-        artifacts=tuple(artifacts),
-        plan_slot=data.get("plan_slot"),
+# -- archive codec ---------------------------------------------------------------
+# One archive payload per ANLZ, GEN and EVAL stage. Each encoder takes the
+# product the stage's work returns and its decoder gives that product back;
+# `RunLedger.archive_entries` encodes and `_execute` decodes on replay.
+
+
+def _encode_anlz(product: tuple[Report, PlanArtifact | None]) -> dict:
+    report, plan = product
+    return {
+        "kind": "anlz",
+        "report": _report_to_json(report),
+        "plan": asdict(plan) if plan else None,
+    }
+
+
+def _decode_anlz(entry: Mapping) -> tuple[Report, PlanArtifact | None]:
+    plan = entry.get("plan")
+    return _report_from_json(entry["report"]), PlanArtifact(**plan) if plan else None
+
+
+def _encode_gen(product: tuple[Iterable[Candidate], list[tuple[int, str]]]) -> dict:
+    candidates, failures = product
+    return {
+        "kind": "gen",
+        "candidates": [c.to_json() for c in candidates],
+        "failures": [[a, n] for a, n in failures],
+    }
+
+
+def _decode_gen(entry: Mapping) -> tuple[list[Candidate], list[tuple[int, str]]]:
+    return (
+        [Candidate.from_json(c) for c in entry["candidates"]],
+        [(int(a), str(n)) for a, n in entry.get("failures", [])],
     )
+
+
+def _encode_eval(record: ExecutionRecord) -> dict:
+    return {"kind": "eval", "record": record.to_json()}
+
+
+def _decode_eval(entry: Mapping) -> ExecutionRecord:
+    return ExecutionRecord.from_json(entry["record"])
+
+
+_DECODE = {Stage.ANLZ: _decode_anlz, Stage.GEN: _decode_gen, Stage.EVAL: _decode_eval}

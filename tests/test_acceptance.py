@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import build_checkpoint, build_pipe, build_source
+from conftest import build_checkpoint, build_pipe
 from planlens.agents import Effect, MockBehavior, MockSummarizer, mock_bundle
 from planlens.attribution import (
     CharacteristicTable,
@@ -27,6 +27,7 @@ from planlens.attribution import (
     synergy_pair_adjusted,
     synergy_three,
 )
+from planlens.cli import synthetic_artifact_source
 from planlens.costmodel import CostParams, b_e2e, b_pipe, depth_slopes, scaling_table
 from planlens.feedback import (
     Coalition,
@@ -263,9 +264,8 @@ def planted_tables(behavior, metric, seed, n_samples=12, rollouts=500):
         execution_mode=ExecutionMode.SERIAL,
         record_trace=False,
     )
-    pipe = InterventionPipeline(
-        mock_bundle(behavior), build_source(checkpoint), config=config
-    )
+    source = synthetic_artifact_source(checkpoint, default_components())
+    pipe = InterventionPipeline(mock_bundle(behavior), source, config=config)
     rollout = make_rollout_fn(pipe)
     specs = [GameSpec(players=THREE, metric=metric, g=0)]
     return sweep_characteristic_tables(checkpoint, specs, rollout, rollouts, seed)[0]

@@ -34,7 +34,7 @@ from planlens.feedback import (
     enumerate_coalitions,
     plan_feedback_players,
 )
-from planlens.trajectory import GenerationCheckpoint, GenerationStats
+from planlens.trajectory import METRICS, GenerationCheckpoint, GenerationStats
 
 
 # Test-local oracle: direct enumeration of the marginal-contribution mean,
@@ -372,18 +372,47 @@ class TestEstimatePayoff:
 
     def test_sweep_matches_single_estimates(self):
         def rollout(checkpoint, coalition, seed):
-            rate = random.Random(seed ^ coalition.mask).random()
-            return GenerationStats(0, rate, rate, rate, rate, k=1, n_samples=5)
-
-        tables = sweep_characteristic_tables(
-            EMPTY_CP, [GameSpec(players=TWO, metric="pass")], rollout, 6, seed=3
-        )
-        for coalition in enumerate_coalitions(2):
-            v, se = estimate_payoff(
-                EMPTY_CP, coalition, rollout, 6, seed=3, metric="pass"
+            rng = random.Random(seed)
+            if rng.random() < 0.3:
+                raise RuntimeError("flaky backend")
+            rates = sorted((rng.random() for _ in range(3)), reverse=True)
+            return GenerationStats(
+                0, *rates, rates[1], k=3, n_samples=rng.randint(1, 9)
             )
-            assert tables[0].values[coalition.mask] == v
-            assert tables[0].stderr[coalition.mask] == se
+
+        specs = [GameSpec(players=THREE, metric=m) for m in METRICS]
+        for aggregation in ("rollouts", "samples"):
+            tables = sweep_characteristic_tables(
+                EMPTY_CP, specs, rollout, 7, seed=5, aggregation=aggregation
+            )
+            # Some rollouts failed and were left out of the estimates.
+            assert min(tables[0].n_rollouts.values()) < 7
+            for table in tables:
+                for coalition in enumerate_coalitions(3):
+                    v, se = estimate_payoff(
+                        EMPTY_CP,
+                        coalition,
+                        rollout,
+                        7,
+                        seed=5,
+                        metric=table.spec.metric,
+                        aggregation=aggregation,
+                    )
+                    # Bit for bit, not approximately.
+                    assert repr(table.values[coalition.mask]) == repr(v)
+                    assert repr(table.stderr[coalition.mask]) == repr(se)
+
+    def test_bad_aggregation_rejected_by_sweep_and_estimate(self):
+        spec = GameSpec(players=TWO, metric="pass")
+        rollout = constant_rollout(0.5)
+        with pytest.raises(ValueError, match="aggregation must be"):
+            sweep_characteristic_tables(
+                EMPTY_CP, [spec], rollout, 2, seed=0, aggregation="bogus"
+            )
+        with pytest.raises(ValueError, match="aggregation must be"):
+            estimate_payoff(
+                EMPTY_CP, Coalition(0), rollout, 2, seed=0, aggregation="bogus"
+            )
 
 
 class TestReportAssembly:

@@ -455,6 +455,30 @@ class TestIntervene:
         assert "--metrics" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_sweep_metric_is_config_error(
+        self, tmp_path, checkpoint_file, capsys
+    ):
+        out = tmp_path / "table.csv"
+        code = main(
+            [
+                "intervene",
+                "--checkpoint",
+                str(checkpoint_file),
+                "--sweep",
+                "--metrics",
+                "pass,bogus",
+                "--rollouts",
+                "1",
+                "--retries",
+                "1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, expected", [(None, {"pass"}), ("fast", {"fast"})], ids=["config", "flag"]
     )

@@ -1,14 +1,15 @@
+import threading
 from collections import Counter
 
 import pytest
 
 from planlens.feedback import (
-    CachingArtifactSource,
     Coalition,
     DirectoryArtifactStore,
     FeedbackArtifact,
     FeedbackComponent,
     InMemoryArtifactSource,
+    Memo,
     MissingFeedbackError,
     PermutedArtifactSource,
     Report,
@@ -150,13 +151,6 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="do not match coalition"):
             Report(sample_id="s0", coalition=Coalition.of(D), artifacts=(artifact(A),))
 
-    def test_caching_source_hash_identical(self):
-        source = CachingArtifactSource(self.source_for())
-        first = source.get("s0", D, Representation.RAW)
-        second = source.get("s0", D, Representation.RAW)
-        assert first.content_hash == second.content_hash
-        assert source.hits == 1
-
 
 def checkpoint_with(n, g=0):
     samples = tuple(
@@ -167,10 +161,6 @@ def checkpoint_with(n, g=0):
 
 
 class TestRandomizeFeedback:
-    def test_inverse_restores_original(self):
-        perm = randomize_feedback(checkpoint_with(6), seed=3)
-        assert perm.compose(perm.inverse()).is_identity()
-
     def test_two_samples_seed_enumerates_both_outcomes(self):
         outcomes = set()
         for seed in range(20):
@@ -186,7 +176,7 @@ class TestRandomizeFeedback:
     def test_single_sample_noop_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
             perm = randomize_feedback(checkpoint_with(1), seed=0)
-        assert perm.is_identity()
+        assert perm.mapping == {"s0": "s0"}
         assert any("single sample" in r.message for r in caplog.records)
 
     def test_empty_generation_rejected(self):
@@ -233,6 +223,55 @@ class TestDummyPlan:
         monkeypatch.setattr(fb, "_DUMMY_PLAN_ASSET", "missing.md")
         with pytest.raises(fb.TemplateAssetError):
             dummy_plan()
+
+
+class TestMemo:
+    def test_waiter_computes_after_failed_computation(self):
+        memo = Memo()
+        entered, release = threading.Event(), threading.Event()
+        outcome = {}
+
+        def failing():
+            entered.set()
+            release.wait(5)
+            raise RuntimeError("backend down")
+
+        def first():
+            try:
+                memo.get("k", failing)
+            except RuntimeError as exc:
+                outcome["first"] = exc
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        assert entered.wait(5)
+        waiter = threading.Thread(
+            target=lambda: outcome.setdefault("second", memo.get("k", lambda: 5))
+        )
+        waiter.start()
+        release.set()
+        thread.join(5)
+        waiter.join(5)
+        assert isinstance(outcome["first"], RuntimeError)
+        assert outcome["second"] == 5
+        assert memo.get("k", lambda: 6) == 5
+
+    def test_other_keys_go_ahead(self):
+        memo = Memo()
+        entered, release = threading.Event(), threading.Event()
+
+        def slow():
+            entered.set()
+            release.wait(5)
+            return "a"
+
+        thread = threading.Thread(target=memo.get, args=("a", slow))
+        thread.start()
+        assert entered.wait(5)
+        assert memo.get("b", lambda: "b") == "b"  # while "a" is in flight
+        release.set()
+        thread.join(5)
+        assert memo.get("a", lambda: "other") == "a"
 
 
 class TestDirectoryArtifactStore:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import build_checkpoint
+from conftest import HeldSummarizer, build_checkpoint, run_in_threads
 from planlens.agents import MockSummarizer
 from planlens.feedback import Coalition, FeedbackArtifact, Representation, default_components
 from planlens.gating import (
@@ -368,4 +368,18 @@ class TestLazySummarization:
         assert len(cache) == 0
         result = cache.summaries_for(sample, raw_artifacts("ref0"))
         assert len(result) == 3
+        assert len(cache) == 1
+
+    def test_concurrent_misses_summarize_once(self):
+        summarizer = HeldSummarizer()
+        cache = LazySummaryCache(summarizer)
+        sample = Sample(sample_id="ref0", generation_index=0)
+        arts = raw_artifacts("ref0")
+
+        def select():
+            return cache.summaries_for(sample, arts)
+
+        first, second = run_in_threads(select, select, summarizer.first_started)
+        assert summarizer.invocations == 1
+        assert first is second
         assert len(cache) == 1

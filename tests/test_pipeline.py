@@ -3,12 +3,14 @@ import json
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import build_checkpoint, build_pipe, build_source
+from conftest import HeldSummarizer, build_checkpoint, build_pipe, run_in_threads
 from planlens.agents import MockBehavior, mock_bundle
+from planlens.cli import synthetic_artifact_source
 from planlens.feedback import Coalition, Representation, default_components
 from planlens.pipeline import (
     Event,
@@ -77,7 +79,8 @@ class TestSubmit:
             generator=bundle.generator,
             evaluator=bundle.evaluator,
         )
-        pipe = InterventionPipeline(bundle, build_source(checkpoint25))
+        source = synthetic_artifact_source(checkpoint25, default_components())
+        pipe = InterventionPipeline(bundle, source)
         with pytest.raises(ValueError, match="planner"):
             pipe.submit(checkpoint25, Intervention())
 
@@ -279,13 +282,11 @@ class TestIsolation:
         cp_a = build_checkpoint(10, trajectory_id="ta")
         cp_b = build_checkpoint(10, trajectory_id="tb")
         bundle = mock_bundle(MockBehavior(seed=1))
-        source = build_source(cp_a)
+        source = synthetic_artifact_source(cp_a, default_components())
+        other = synthetic_artifact_source(cp_b, default_components())
         for sample in cp_b.samples:
             for component in default_components():
-                art = build_source(cp_b).get(
-                    sample.sample_id, component, Representation.RAW
-                )
-                source.put(art)
+                source.put(other.get(sample.sample_id, component, Representation.RAW))
         pipe = InterventionPipeline(bundle, source, config=PipelineConfig(k=3, seed=1))
         run_a = pipe.submit(cp_a, Intervention(coalition=FULL))
         run_b = pipe.submit(cp_b, Intervention(coalition=FULL))
@@ -412,6 +413,22 @@ class TestInterventionModes:
         run_once(pipe, cp, intervention)
         assert pipe.agents.summarizer.calls == 15  # cache persists across runs
 
+    def test_concurrent_runs_summarize_each_artifact_once(self):
+        cp = build_checkpoint(1)
+        pipe = build_pipe(cp)
+        summarizer = HeldSummarizer()
+        pipe.set_agents(replace(pipe.agents, summarizer=summarizer))
+        intervention = Intervention(
+            coalition=Coalition.of(D), representation=Representation.SUMMARIZED
+        )
+
+        def run():
+            return run_once(pipe, cp, intervention)[0].stats
+
+        first, second = run_in_threads(run, run, summarizer.first_started)
+        assert summarizer.invocations == 1  # the runs share `_summary_cache`
+        assert first == second
+
     def test_permutation_reroutes_feedback(self):
         cp = build_checkpoint(2)
         pipe = build_pipe(cp)
@@ -479,7 +496,8 @@ class TestDiagnostics:
             evaluator=SlowEvaluator(),
         )
         config = PipelineConfig(k=1, seed=1, watchdog_seconds=0.05)
-        pipe = InterventionPipeline(bundle, build_source(cp), config=config)
+        source = synthetic_artifact_source(cp, default_components())
+        pipe = InterventionPipeline(bundle, source, config=config)
         run_id = pipe.submit(cp, Intervention(coalition=FULL))
         with pytest.raises(PipelineStalledError, match="watchdog"):
             pipe.run_to_completion(run_id)
