@@ -13,6 +13,7 @@ from planlens.agents import MockBehavior, mock_bundle
 from planlens.cli import synthetic_artifact_source
 from planlens.feedback import Coalition, Representation, default_components
 from planlens.pipeline import (
+    CheckpointMutatedError,
     Event,
     EventKind,
     ExecutionMode,
@@ -93,6 +94,37 @@ class TestSubmit:
         pipe = build_pipe(checkpoint25)
         run_once(pipe, checkpoint25)
         assert checkpoint25.checkpoint_hash == before
+
+
+class TestCheckpointGuard:
+    """`Sample.metadata` is a mutable mapping inside the frozen checkpoint;
+    a change to it must not go unnoticed by a run or a replay."""
+
+    def test_metadata_mutated_mid_run_raises(self):
+        cp = build_checkpoint(3)
+        pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=1))
+        evaluate = pipe.agents.evaluator.evaluate
+
+        def mutating_evaluate(candidate):
+            cp.samples[0].metadata["touched"] = True
+            return evaluate(candidate)
+
+        pipe.agents.evaluator.evaluate = mutating_evaluate
+        run_id = pipe.submit(cp, Intervention(coalition=FULL))
+        with pytest.raises(CheckpointMutatedError, match=run_id):
+            pipe.run_to_completion(run_id)
+
+    def test_metadata_mutated_before_replay_submit_raises(self, tmp_path):
+        cp = build_checkpoint(3)
+        pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=1))
+        _, run_id = run_once(pipe, cp)
+        archive_run(pipe, run_id, tmp_path)
+        cache = replay_load(tmp_path, cp)
+        cp.samples[1].metadata["note"] = "edited after archiving"
+        with pytest.raises(ReplayMismatchError, match="different checkpoint"):
+            pipe.submit(cp, Intervention(coalition=FULL), replay=cache)
+        with pytest.raises(ReplayMismatchError, match="mismatch"):
+            replay_load(tmp_path, cp)
 
 
 class TestFanOut:
