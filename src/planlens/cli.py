@@ -59,8 +59,10 @@ from .feedback import (
 from .gating import DotSyntaxError, GateConfig, decisions_to_json, gate, parse_dot, similarity
 from .seeding import derive_seed
 from .pipeline import (
+    DEFAULT_LATENCIES,
     ExecutionMode,
     InterventionPipeline,
+    LatencyModel,
     PipelineConfig,
     PipelineConfigError,
     PipelineStalledError,
@@ -348,11 +350,14 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         "behavior": asdict(agents.generator.behavior),
     }
     source = synthetic_artifact_source(checkpoint, components)
+    # The behaviour's latencies override the defaults stage by stage.
+    latency = {**DEFAULT_LATENCIES, **agents.generator.behavior.latency}
     pipe = InterventionPipeline(
         agents,
         source,
         players=components,
         config=_pipeline_config(args, args.seed),
+        latency_model=LatencyModel(seed=args.seed, params=latency),
     )
 
     permutation = None

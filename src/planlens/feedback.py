@@ -16,6 +16,7 @@ import logging
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Protocol
@@ -170,7 +171,7 @@ class FeedbackArtifact:
     payload: str
     source_sample: str
 
-    @property
+    @cached_property  # every field is immutable
     def content_hash(self) -> str:
         digest = hashlib.sha256()
         digest.update(self.component.name.encode())
@@ -203,7 +204,7 @@ class Report:
         if ids != sorted(ids):
             raise ValueError("artifacts must be ordered by component id")
 
-    @property
+    @cached_property  # every field is immutable
     def content_hash(self) -> str:
         digest = hashlib.sha256()
         digest.update(self.sample_id.encode())

@@ -29,7 +29,6 @@ from .agents import (
     Candidate,
     GeneratorAttemptError,
     LatencyParams,
-    MockBehavior,
     PlanArtifact,
     crash_record,
 )
@@ -46,7 +45,8 @@ from .feedback import (
     default_components,
     dummy_plan,
 )
-from .seeding import SeedPrefix, derive_seed, hash_uniform, rng_for
+# `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
+from .seeding import SeedPrefix, derive_seed, hash_uniform, rng_for  # noqa: F401
 from .trajectory import (
     ExecutionRecord,
     GenerationCheckpoint,
@@ -108,14 +108,6 @@ _STAGE_EVENT = {
     Stage.EVAL: EventKind.EVAL_COMPLETED,
     Stage.AGG: EventKind.AGGREGATED,
 }
-
-# A sample's state in `RunLedger.dump` while the stage runs: (round, attempt).
-_STAGE_STATE = {
-    Stage.ANLZ: "analyzing r{0}",
-    Stage.GEN: "generating r{0}",
-    Stage.EVAL: "evaluating r{0}#{1}",
-}
-
 
 @dataclass(frozen=True)
 class Event:
@@ -181,23 +173,11 @@ class Intervention:
     permutation: Mapping[str, str] | None = None  # randomized-feedback donors
 
     def signature(self) -> str:
-        perm = (
-            tuple(sorted(self.permutation.items())) if self.permutation else ()
-        )
-        injected = (
-            (self.injected_plan.producer_tag, self.injected_plan.text)
-            if self.injected_plan
-            else None
-        )
-        return str(
-            (
-                self.coalition.mask,
-                self.representation.value,
-                self.plan_mode.value,
-                injected,
-                perm,
-            )
-        )
+        perm = tuple(sorted(self.permutation.items())) if self.permutation else ()
+        plan = self.injected_plan
+        injected = (plan.producer_tag, plan.text) if plan else None
+        mode = (self.coalition.mask, self.representation.value, self.plan_mode.value)
+        return str((*mode, injected, perm))
 
 
 def game_intervention(
@@ -249,11 +229,9 @@ class Task:
     def sort_key(self) -> tuple:
         return (self.sample_index, self.round_index, int(self.stage), self.attempt)
 
-
-class Disposition(Enum):
-    DUPLICATE = "duplicate"
-    PENDING = "pending"
-    ROUND_COMPLETE = "round_complete"
+    def label(self) -> str:
+        attempt = f"#{self.attempt}" if self.stage is Stage.EVAL else ""
+        return f"{self.stage.name} r{self.round_index}{attempt}"
 
 
 class FanIn:
@@ -264,8 +242,7 @@ class FanIn:
     evaluation completions yields the same statistics.
     """
 
-    def __init__(self, rounds: int):
-        self.rounds = rounds
+    def __init__(self):
         self.outcomes: dict[str, dict[tuple[int, int], OutcomeLevel]] = {}
         self.notes: dict[str, list[str]] = {}
         self._pending: dict[tuple[str, int], int] = {}
@@ -288,17 +265,22 @@ class FanIn:
 
     def record_eval(
         self, sample_id: str, round_index: int, attempt: int, level: OutcomeLevel
-    ) -> Disposition:
+    ) -> bool:
+        """Record one evaluation; True when it is its round's last one."""
         key = (round_index, attempt)
         per_sample = self.outcomes.setdefault(sample_id, {})
         if key in per_sample:
-            return Disposition.DUPLICATE
+            logger.info(
+                "duplicate evaluation event for %s r%d#%d ignored",
+                sample_id,
+                round_index,
+                attempt,
+            )
+            return False
         per_sample[key] = level
         pending_key = (sample_id, round_index)
         self._pending[pending_key] -= 1
-        if self._pending[pending_key] > 0:
-            return Disposition.PENDING
-        return Disposition.ROUND_COMPLETE
+        return self._pending[pending_key] == 0
 
     def best_outcome(self, sample_id: str) -> OutcomeLevel:
         levels = self.outcomes.get(sample_id, {}).values()
@@ -336,19 +318,13 @@ class RunLedger:
         self.config = config
         self.seed = seed
         self._stage_prefix = SeedPrefix(
-            0,
-            "stage",
-            self.checkpoint_hash,
-            self.intervention_signature,
-            seed,
-            config.k,
-            config.rounds,
+            0, "stage", self.checkpoint_hash, self.intervention_signature,
+            seed, config.k, config.rounds,
         )
         self.replay = replay
         self.samples_by_id = {s.sample_id: s for s in checkpoint.samples}
-        self.fan_in = FanIn(config.rounds)
+        self.fan_in = FanIn()
         self.rounds: dict[tuple[str, int], _RoundState] = {}
-        self.sample_state: dict[str, str] = {}
         self.aggregated: set[str] = set()
         self.best_outcomes: dict[str, OutcomeLevel] = {}
         self.events: list[Event] = []
@@ -360,15 +336,14 @@ class RunLedger:
         self.max_gen_inflight = 0
         self.max_eval_queue = 0
         self.sample_spans: dict[str, list[tuple[float, float]]] = {}
-        self._logical = itertools.count()
         self.done = False
 
-    def emit(self, kind: EventKind, sample_id: str, payload: Mapping) -> None:
-        logical_time = next(self._logical)
+    def emit(self, kind: EventKind, sample_id: str, payload: Mapping | None) -> None:
+        """Count an event; a traced run also keeps it, with its payload."""
         self.event_counts[kind] += 1
         if self.config.record_trace:
             self.events.append(
-                Event(kind, sample_id, self.run_id, payload, logical_time, self.clock)
+                Event(kind, sample_id, self.run_id, payload, len(self.events), self.clock)
             )
 
     def round_state(self, sample_id: str, round_index: int) -> _RoundState:
@@ -408,14 +383,27 @@ class RunLedger:
                 )
         return entries
 
-    def dump(self, ready: int, running: int) -> str:
+    def dump(self, ready: int, running: list[Task]) -> str:
+        """Each sample's progress, read from its committed stage results,
+        and its tasks in flight."""
         lines = [
             f"run {self.run_id} clock={self.clock:.3f}",
-            f"ready={ready} running={running} "
+            f"ready={ready} running={len(running)} "
             f"aggregated={len(self.aggregated)}/{len(self.checkpoint.samples)}",
         ]
-        for sid, state in sorted(self.sample_state.items()):
-            lines.append(f"  sample {sid}: {state}")
+        progress = dict.fromkeys(sorted(self.samples_by_id), "loaded")
+        for (sid, r), state in self.rounds.items():  # a sample's rounds in order
+            done = f"{len(state.records)}/{len(state.candidates)}"
+            progress[sid] = (
+                f"analyzed r{r}"
+                if state.failures is None
+                else f"generated r{r}, evaluated {done}"
+            )
+        for sid, best in self.best_outcomes.items():
+            progress[sid] = f"aggregated ({best.name})"
+        for task in running:
+            progress[task.sample_id] += f"; running {task.label()}"
+        lines.extend(f"  sample {sid}: {text}" for sid, text in progress.items())
         return "\n".join(lines)
 
 
@@ -439,30 +427,30 @@ class RunResult:
 
 
 class LatencyModel:
-    """Simulated task duration: mean + tail * Exp(1), keyed by task identity."""
+    """Simulated task duration: mean + tail * Exp(1), keyed by task identity.
+
+    The Exp(1) draw is hash_uniform(seed, "latency", run_seed, stage name,
+    sample, round, attempt). The labels up to run_seed, and the per-stage
+    params, are resolved once per run seed; runs on other threads replace
+    that state whole, so a draw never mixes two runs.
+    """
 
     def __init__(self, seed: int = 0, params: Mapping[str, LatencyParams] | None = None):
         self.seed = seed
         self.params = dict(params or {})
+        # (run_seed, SeedPrefix, stage -> (name, params)) of the latest run seed
+        self._run: tuple | None = None
 
     def duration(self, run_seed: int, task: Task) -> float:
         if task.stage is Stage.AGG:
             return 0.0
-        p = self.params.get(task.stage.name.lower(), LatencyParams())
-        u = hash_uniform(
-            self.seed,
-            "latency",
-            run_seed,
-            task.stage.name,
-            task.sample_id,
-            task.round_index,
-            task.attempt,
-        )
+        run = self._run
+        if run is None or run[0] != run_seed:
+            stages = {s: (s.name, self.params.get(s.name.lower(), LatencyParams())) for s in Stage}
+            run = self._run = (run_seed, SeedPrefix(self.seed, "latency", run_seed), stages)
+        name, p = run[2][task.stage]
+        u = run[1].derive(name, task.sample_id, task.round_index, task.attempt) / 2.0**64
         return p.mean + p.tail * -math.log(1.0 - u)
-
-    @classmethod
-    def from_behavior(cls, behavior: MockBehavior) -> "LatencyModel":
-        return cls(seed=behavior.seed, params=dict(behavior.latency))
 
 
 DEFAULT_LATENCIES = {
@@ -582,9 +570,10 @@ class InterventionPipeline:
             )
             self._ledgers[run_id] = ledger
             self._active.add(run_id)
+        trace = self.config.record_trace
         for index, sample in enumerate(checkpoint.samples):
-            ledger.sample_state[sample.sample_id] = "loaded"
-            ledger.emit(EventKind.SAMPLE_LOADED, sample.sample_id, {"index": index})
+            payload = {"index": index} if trace else None
+            ledger.emit(EventKind.SAMPLE_LOADED, sample.sample_id, payload)
         return run_id
 
     def ledger(self, run_id: str) -> RunLedger:
@@ -658,7 +647,8 @@ class InterventionPipeline:
 
         def stalled(message: str) -> PipelineStalledError:
             ready = sum(len(heap) for heap in buckets.values())
-            return PipelineStalledError(message, led.dump(ready, len(running)))
+            in_flight = [entry[2] for entry in running]
+            return PipelineStalledError(message, led.dump(ready, in_flight))
 
         lanes = lanes_for(wave_index)
         # (finish, start order, task, replayed, product, started_at)
@@ -670,6 +660,7 @@ class InterventionPipeline:
         eval_queued = 0
         for index, sample in enumerate(led.checkpoint.samples):
             make_ready(Task(Stage.ANLZ, index, sample.sample_id, round_index=0))
+        source = self._feedback_source(led.intervention)
         last_progress = time.monotonic()
 
         while True:
@@ -715,13 +706,15 @@ class InterventionPipeline:
                     eval_queued -= 1
                 elif task.stage is not Stage.AGG:
                     llm_inflight += 1
-                    led.max_llm_inflight = max(led.max_llm_inflight, llm_inflight)
+                    if llm_inflight > led.max_llm_inflight:
+                        led.max_llm_inflight = llm_inflight
                     if task.stage is Stage.GEN:
                         gen_inflight += 1
-                        led.max_gen_inflight = max(led.max_gen_inflight, gen_inflight)
+                        if gen_inflight > led.max_gen_inflight:
+                            led.max_gen_inflight = gen_inflight
                 # The agent call happens at task start; its results become
                 # visible to the rest of the run only at completion time.
-                replayed, product = self._execute(led, task)
+                replayed, product = self._execute(led, task, source)
                 duration = (
                     0.0 if replayed else self.latency_model.duration(led.seed, task)
                 )
@@ -745,7 +738,8 @@ class InterventionPipeline:
                 raise stalled("ready tasks cannot acquire resources")
 
             finish, _, task, replayed, product, started_at = heapq.heappop(running)
-            led.clock = max(led.clock, finish)
+            if finish > led.clock:
+                led.clock = finish
             led.sample_spans.setdefault(task.sample_id, []).append(
                 (started_at, finish)
             )
@@ -759,7 +753,8 @@ class InterventionPipeline:
                     # Its follow-ups are all EVALs or one round-end task.
                     if followups[0].stage is Stage.EVAL:
                         eval_queued += len(followups)
-                        led.max_eval_queue = max(led.max_eval_queue, eval_queued)
+                        if eval_queued > led.max_eval_queue:
+                            led.max_eval_queue = eval_queued
             elif task.stage is Stage.EVAL:
                 eval_inflight -= 1
 
@@ -794,31 +789,30 @@ class InterventionPipeline:
 
     # -- task effects ------------------------------------------------------------
 
-    def _execute(self, led: RunLedger, task: Task) -> tuple[bool, object]:
+    def _feedback_source(self, intervention: Intervention) -> ArtifactSource:
+        """The artifact source a run's ANLZ stages build reports from."""
+        source: ArtifactSource = self.artifact_source
+        if intervention.permutation:
+            source = PermutedArtifactSource(source, intervention.permutation)
+        return _RepresentationSource(source, self.agents.summarizer, self._summary_cache)
+
+    def _execute(
+        self, led: RunLedger, task: Task, source: ArtifactSource
+    ) -> tuple[bool, object]:
         """Start a task: decode its product from the replay archive, or do
         its work (agent calls). Returns (replayed, product); no ledger
         state transitions."""
         stage, sid, r = task.stage, task.sample_id, task.round_index
         if stage is Stage.AGG:
             return False, None
-        led.sample_state[sid] = _STAGE_STATE[stage].format(r, task.attempt)
         entry = led.replay_entry(stage, sid, r, task.attempt)
         if entry is not None:
             led.replay_hits += 1
             return True, _DECODE[stage](entry)
         if stage is Stage.ANLZ:
             intervention = led.intervention
-            source: ArtifactSource = self.artifact_source
-            if intervention.permutation:
-                source = PermutedArtifactSource(source, intervention.permutation)
             report = build_report(
-                sid,
-                intervention.coalition,
-                intervention.representation,
-                _RepresentationSource(
-                    source, self.agents.summarizer, self._summary_cache
-                ),
-                self.players,
+                sid, intervention.coalition, intervention.representation, source, self.players
             )
             plan: PlanArtifact | None = None
             if intervention.plan_mode is PlanMode.SELF:
@@ -862,65 +856,47 @@ class InterventionPipeline:
         """Apply a completed task's product and emit its event; returns the
         follow-up tasks."""
         stage, sid, r = task.stage, task.sample_id, task.round_index
-        payload: dict = {"round": r}
+        state = led.round_state(sid, r) if stage is Stage.ANLZ else led.rounds[sid, r]
+        outcome = None  # the level an EVAL or AGG event reports
         if stage is Stage.ANLZ:
-            state = led.round_state(sid, r)
             state.report, state.plan = product
-            payload["report_hash"] = state.report.content_hash
             followups = [Task(Stage.GEN, task.sample_index, sid, r)]
         elif stage is Stage.GEN:
             candidates, failures = product
-            state = led.rounds[sid, r]
             for cand in candidates:
                 state.candidates[cand.attempt] = cand
             state.failures = failures
             for attempt, note in failures:
                 led.fan_in.record_failure(sid, r, attempt, note)
             led.fan_in.expect_evals(sid, r, len(candidates))
-            payload["n_candidates"] = len(candidates)
-            payload["n_failed"] = len(failures)
             followups = [
                 Task(Stage.EVAL, task.sample_index, sid, r, cand.attempt)
                 for cand in candidates
             ] or [self._after_round(task)]
         elif stage is Stage.EVAL:
-            led.rounds[sid, r].records[task.attempt] = product
-            level = classify_execution(product)
-            payload["attempt"] = task.attempt
-            payload["level"] = level.name
-            followups = self._apply_eval(led, task, level)
+            state.records[task.attempt] = product
+            outcome = classify_execution(product)
+            followups = self._apply_eval(led, task, outcome)
         else:
-            best = led.fan_in.best_outcome(sid)
-            payload["best"] = best.name
+            outcome = led.fan_in.best_outcome(sid)
             followups = []
             if sid in led.aggregated:
                 logger.info("duplicate aggregation for %s ignored", sid)
             else:
                 led.aggregated.add(sid)
-                led.best_outcomes[sid] = best
-                led.sample_state[sid] = f"aggregated ({best.name})"
-        if stage is not Stage.AGG:
-            payload["replayed"] = replayed
+                led.best_outcomes[sid] = outcome
+        payload = None
+        if led.config.record_trace:
+            payload = _event_payload(task, replayed, state, outcome)
         led.emit(_STAGE_EVENT[stage], sid, payload)
         return followups
 
     def _apply_eval(
         self, led: RunLedger, task: Task, level: OutcomeLevel
     ) -> list[Task]:
-        disposition = led.fan_in.record_eval(
-            task.sample_id, task.round_index, task.attempt, level
-        )
-        if disposition is Disposition.DUPLICATE:
-            logger.info(
-                "duplicate evaluation event for %s r%d#%d ignored",
-                task.sample_id,
-                task.round_index,
-                task.attempt,
-            )
-            return []
-        if disposition is Disposition.PENDING:
-            return []
-        return [self._after_round(task)]
+        if led.fan_in.record_eval(task.sample_id, task.round_index, task.attempt, level):
+            return [self._after_round(task)]
+        return []
 
     def on_eval_complete(self, run_id: str, event: Event) -> list[Task]:
         """Deliver an evaluation-completed event; duplicates are ignored.
@@ -947,6 +923,26 @@ class InterventionPipeline:
         if next_round < self.config.rounds:
             return Task(Stage.ANLZ, task.sample_index, task.sample_id, next_round)
         return Task(Stage.AGG, task.sample_index, task.sample_id, task.round_index)
+
+
+def _event_payload(
+    task: Task, replayed: bool, state: _RoundState, outcome: OutcomeLevel | None
+) -> dict:
+    """A stage event's trace payload, from the stage results just committed."""
+    payload: dict = {"round": task.round_index}
+    if task.stage is Stage.ANLZ:
+        payload["report_hash"] = state.report.content_hash
+    elif task.stage is Stage.GEN:
+        payload["n_candidates"] = len(state.candidates)
+        payload["n_failed"] = len(state.failures)
+    elif task.stage is Stage.EVAL:
+        payload["attempt"] = task.attempt
+        payload["level"] = outcome.name
+    else:
+        payload["best"] = outcome.name
+        return payload
+    payload["replayed"] = replayed
+    return payload
 
 
 # -- rollout glue --------------------------------------------------------------

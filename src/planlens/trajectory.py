@@ -184,13 +184,21 @@ class GenerationCheckpoint:
 
     @property
     def checkpoint_hash(self) -> str:
-        payload = {
-            "trajectory_id": self.trajectory_id,
-            "g": self.g,
-            "samples": [s.to_json() for s in self.samples],
-            "references": list(self.cached_references),
-        }
-        return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+        # Samples' `metadata` mappings are the only mutable part of a
+        # checkpoint, so the full hash is kept until a dump of them changes.
+        guard = _canonical_json([dict(s.metadata) for s in self.samples])
+        memo = self.__dict__.get("_hash_memo")
+        if memo is None or memo[0] != guard:
+            payload = {
+                "trajectory_id": self.trajectory_id,
+                "g": self.g,
+                "samples": [s.to_json() for s in self.samples],
+                "references": list(self.cached_references),
+            }
+            digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+            memo = (guard, digest)
+            object.__setattr__(self, "_hash_memo", memo)
+        return memo[1]
 
     def sample_ids(self) -> tuple[str, ...]:
         return tuple(s.sample_id for s in self.samples)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import threading
 
 import pytest
@@ -79,3 +81,31 @@ def run_in_threads(first, second, started):
 @pytest.fixture
 def checkpoint25():
     return build_checkpoint(25)
+
+
+def record_computations(monkeypatch, cls, name="content_hash"):
+    """Replace `cls.name` (a property or cached_property) with one of the
+    same kind that appends each instance it computes the value for to the
+    returned list; reads served from a memo append nothing."""
+    descriptor = vars(cls)[name]
+    compute = getattr(descriptor, "func", None) or descriptor.fget
+    computed = []
+
+    def recorded(self):
+        computed.append(self)
+        return compute(self)
+
+    replacement = type(descriptor)(recorded)
+    if hasattr(replacement, "__set_name__"):
+        replacement.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, replacement)
+    return computed
+
+
+def event_digest(trace):
+    """sha256 over each event but its run id, which differs between pipelines."""
+    h = hashlib.sha256()
+    for e in trace:
+        row = [e.kind.value, e.sample_id, e.logical_time, e.wall_time, dict(e.payload)]
+        h.update(json.dumps(row, sort_keys=True).encode("utf-8"))
+    return h.hexdigest()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import random
 
@@ -6,6 +7,9 @@ import pytest
 
 from planlens.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from planlens.trajectory import ExecutionRecord, Sample, TrajectoryStore
+
+# (events, final simulated time, digest) of the default 8-sample `--coalition d` trace.
+PINNED_DEFAULT_TRACE = (48, 26.976224820540175, "b4688a2aee6a779a")
 
 
 @pytest.fixture
@@ -908,3 +912,54 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "planlens" in capsys.readouterr().out
+
+
+class TestLatencyConfig:
+    """`agents.behavior.latency` sets the simulated stage durations of
+    `intervene`, over the default latencies for stages it leaves out."""
+
+    def traced_run(self, tmp_path, checkpoint_file, name, behavior):
+        args = [
+            "intervene",
+            "--checkpoint",
+            str(checkpoint_file),
+            "--coalition",
+            "d",
+            "--rollouts",
+            "1",
+            "--retries",
+            "2",
+            "--out",
+            str(tmp_path / f"{name}.csv"),
+            "--trace",
+            str(tmp_path / f"{name}.ndjson"),
+        ]
+        if behavior is not None:
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps({"agents": {"behavior": behavior}}))
+            args += ["--config", str(config_path)]
+        assert main(args) == EXIT_OK
+        lines = (tmp_path / f"{name}.ndjson").read_text().splitlines()
+        # Run ids carry the process id; the rest of each event is compared.
+        events = [json.loads(line) for line in lines]
+        for event in events:
+            del event["run_id"]
+        return events
+
+    def test_gen_mean_moves_the_simulated_clock(self, tmp_path, checkpoint_file):
+        ends = []
+        for mean in (4.0, 500.0):
+            behavior = {"seed": 0, "latency": {"gen": {"mean": mean, "tail": 0.0}}}
+            events = self.traced_run(tmp_path, checkpoint_file, f"gen{mean}", behavior)
+            ends.append(events[-1]["wall_time"])
+        assert ends[0] < ends[1]
+        assert ends[1] >= 500.0
+
+    def test_no_latency_key_keeps_default_trace(self, tmp_path, checkpoint_file):
+        plain = self.traced_run(tmp_path, checkpoint_file, "plain", None)
+        configured = self.traced_run(tmp_path, checkpoint_file, "seeded", {"seed": 0})
+        assert configured == plain
+        digest = hashlib.sha256(
+            json.dumps(plain, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert (len(plain), plain[-1]["wall_time"], digest[:16]) == PINNED_DEFAULT_TRACE

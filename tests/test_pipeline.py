@@ -1,17 +1,34 @@
+import hashlib
 import itertools
 import json
 import threading
 import time
+import types
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import HeldSummarizer, build_checkpoint, build_pipe, run_in_threads
+import planlens.pipeline as pipeline_mod
+import planlens.trajectory as trajectory_mod
+from conftest import (
+    HeldSummarizer,
+    build_checkpoint,
+    build_pipe,
+    event_digest,
+    record_computations,
+    run_in_threads,
+)
 from planlens.agents import MockBehavior, mock_bundle
 from planlens.cli import synthetic_artifact_source
-from planlens.feedback import Coalition, Representation, default_components
+from planlens.feedback import (
+    Coalition,
+    FeedbackArtifact,
+    Report,
+    Representation,
+    default_components,
+)
 from planlens.pipeline import (
     CheckpointMutatedError,
     Event,
@@ -337,6 +354,37 @@ class TestIsolation:
         assert not (set(led_a.archive_entries()) & set(led_b.archive_entries()))
         assert results[run_a].stats == results[run_b].stats  # same seed, same mocks
 
+    def test_concurrent_runs_draw_their_own_latencies(self):
+        # One pipeline, so one LatencyModel, keeps its per-run draw state
+        # for one run seed at a time; interleaved runs must not mix them.
+        cp = build_checkpoint(8)
+        config = PipelineConfig(k=3, seed=2)
+        expected = {}
+        for seed in (3, 4):
+            result, _ = run_once(build_pipe(cp, config=config), cp, seed=seed)
+            expected[seed] = (result.makespan, event_digest(result.trace))
+        pipe = build_pipe(cp, config=config)
+        duration = pipe.latency_model.duration
+        drawn = []
+        first_draw = threading.Event()
+
+        def yielding_duration(run_seed, task):
+            drawn.append(run_seed)
+            first_draw.set()
+            time.sleep(0.0002)  # hand the interpreter to the other run
+            return duration(run_seed, task)
+
+        pipe.latency_model.duration = yielding_duration
+
+        def drive(seed):
+            result, _ = run_once(pipe, cp, seed=seed)
+            return result.makespan, event_digest(result.trace)
+
+        got = run_in_threads(lambda: drive(3), lambda: drive(4), first_draw)
+        assert got == [expected[3], expected[4]]
+        switches = sum(a != b for a, b in zip(drawn, drawn[1:]))
+        assert switches > 2  # the two runs' draws really interleaved
+
     def test_agent_rebinding_frozen_while_active(self, checkpoint25):
         pipe = build_pipe(checkpoint25)
         pipe.submit(checkpoint25, Intervention(coalition=FULL))
@@ -534,6 +582,32 @@ class TestDiagnostics:
         with pytest.raises(PipelineStalledError, match="watchdog"):
             pipe.run_to_completion(run_id)
 
+    def test_stall_dump_reads_progress_from_the_ledger(self):
+        cp = build_checkpoint(3)
+
+        class SlowEvaluator:
+            def evaluate(self, candidate):
+                time.sleep(0.3)
+                from planlens.trajectory import ExecutionRecord
+
+                return ExecutionRecord(compiled=False)
+
+        bundle = replace(mock_bundle(), evaluator=SlowEvaluator())
+        config = PipelineConfig(k=2, seed=1, watchdog_seconds=0.2)
+        source = synthetic_artifact_source(cp, default_components())
+        pipe = InterventionPipeline(bundle, source, config=config)
+        run_id = pipe.submit(cp, Intervention(coalition=FULL))
+        with pytest.raises(PipelineStalledError) as caught:
+            pipe.run_to_completion(run_id)
+        header, counts, *samples = caught.value.dump.splitlines()
+        assert header.startswith(f"run {run_id} clock=")
+        assert [line.split(":")[0] for line in samples] == [
+            f"  sample {sid}" for sid in cp.sample_ids()
+        ]
+        running = int(counts.split("running=")[1].split()[0])
+        assert running == caught.value.dump.count("; running ")
+        assert "evaluated 0/2; running EVAL r0#" in caught.value.dump
+
     def test_trace_export_schema(self, tmp_path, checkpoint25):
         import json
 
@@ -585,3 +659,65 @@ class TestDiagnostics:
         assert all(idle >= 0.0 for idle in result.sample_idle.values())
         assert result.programs == 125
         assert result.programs_per_hour > 0
+
+
+class TestCostGuards:
+    """What a run computes per task, pinned by call counts."""
+
+    def test_memo_hits_hash_each_artifact_and_report_once(self, monkeypatch):
+        cp = build_checkpoint(5)
+        pipe = build_pipe(cp)
+        artifacts = record_computations(monkeypatch, FeedbackArtifact)
+        reports = record_computations(monkeypatch, Report)
+        intervention = Intervention(
+            coalition=FULL, representation=Representation.SUMMARIZED
+        )
+        run_once(pipe, cp, intervention)  # fills the summary memo
+        first_run = len(artifacts)
+        run_once(pipe, cp, intervention)
+        assert pipe.agents.summarizer.calls == 15  # all 15 lookups hit the memo
+        assert len(artifacts) == first_run  # nothing is hashed again
+        assert len(set(map(id, artifacts))) == len(artifacts)
+        assert len(set(map(id, reports))) == len(reports)
+
+    def untraced_pipe(self, checkpoint):
+        config = PipelineConfig(k=5, seed=0, record_trace=False)
+        return build_pipe(checkpoint, config=config)
+
+    def test_two_runs_hash_the_checkpoint_once(self, monkeypatch):
+        full_hashes = []
+
+        def sha256(data=b""):
+            full_hashes.append(len(data))
+            return hashlib.sha256(data)
+
+        cp = build_checkpoint(25)
+        pipe = self.untraced_pipe(cp)
+        monkeypatch.setattr(trajectory_mod, "hashlib", types.SimpleNamespace(sha256=sha256))
+        run_once(pipe, cp)
+        run_once(pipe, cp)
+        assert len(full_hashes) <= 1
+
+    def test_untraced_run_builds_no_payloads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("report serialized for a run nobody archived")
+
+        cp = build_checkpoint(25)
+        pipe = self.untraced_pipe(cp)
+        reports = record_computations(monkeypatch, Report)
+        plan = pipe.agents.planner.plan
+        hashed_by_planner = []
+
+        def tracked_plan(report):
+            before = len(reports)
+            try:
+                return plan(report)
+            finally:
+                hashed_by_planner.append(len(reports) - before)
+
+        pipe.agents.planner.plan = tracked_plan
+        monkeypatch.setattr(pipeline_mod, "_report_to_json", refuse)
+        result, _ = run_once(pipe, cp)
+        assert result.trace == ()
+        assert hashed_by_planner == [1] * 25
+        assert len(reports) == 25  # no report hashed outside the planner
