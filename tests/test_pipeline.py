@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 import threading
 import time
 import types
@@ -359,31 +360,47 @@ class TestIsolation:
         # for one run seed at a time; interleaved runs must not mix them.
         cp = build_checkpoint(8)
         config = PipelineConfig(k=3, seed=2)
+        seeds = (3, 4, 5)  # one thread per seed, more threads than 2 cores
         expected = {}
-        for seed in (3, 4):
+        for seed in seeds:
             result, _ = run_once(build_pipe(cp, config=config), cp, seed=seed)
             expected[seed] = (result.makespan, event_digest(result.trace))
         pipe = build_pipe(cp, config=config)
-        duration = pipe.latency_model.duration
-        drawn = []
-        first_draw = threading.Event()
+        model = pipe.latency_model
 
-        def yielding_duration(run_seed, task):
+        class YieldingParams(dict):
+            def get(self, key, default=None):
+                time.sleep(0.0002)  # another run draws while this one resolves
+                return super().get(key, default)
+
+        model.params = YieldingParams(model.params)
+        duration = model.duration
+        drawn = []
+
+        def recording_duration(run_seed, task):
             drawn.append(run_seed)
-            first_draw.set()
-            time.sleep(0.0002)  # hand the interpreter to the other run
             return duration(run_seed, task)
 
-        pipe.latency_model.duration = yielding_duration
+        model.duration = recording_duration
+        got = {}
 
         def drive(seed):
             result, _ = run_once(pipe, cp, seed=seed)
-            return result.makespan, event_digest(result.trace)
+            got[seed] = (result.makespan, event_digest(result.trace))
 
-        got = run_in_threads(lambda: drive(3), lambda: drive(4), first_draw)
-        assert got == [expected[3], expected[4]]
-        switches = sum(a != b for a, b in zip(drawn, drawn[1:]))
-        assert switches > 2  # the two runs' draws really interleaved
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive, args=(s,)) for s in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert sum(a != b for a, b in zip(drawn, drawn[1:])) > 2  # runs interleaved
 
     def test_agent_rebinding_frozen_while_active(self, checkpoint25):
         pipe = build_pipe(checkpoint25)
