@@ -417,7 +417,7 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             export_trace(last_result, args.trace)
             print(f"event trace -> {args.trace}")
         if args.archive and last_result is not None:
-            archive_run(pipe, last_result.run_id, args.archive)
+            archive_run(last_result, args.archive)
             print(f"replay archive -> {args.archive}")
     return EXIT_OK
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import logging
 import math
 import os
 import time
@@ -56,8 +55,6 @@ from .trajectory import (
     stats_from_outcomes,
 )
 
-logger = logging.getLogger(__name__)
-
 ARCHIVE_FORMAT_VERSION = 1
 
 
@@ -93,6 +90,10 @@ class EventKind(Enum):
     CANDIDATES_GENERATED = "CandidatesGenerated"
     EVAL_COMPLETED = "EvalCompleted"
     AGGREGATED = "Aggregated"
+
+    # Members are singletons, so the identity hash agrees with `==`; Enum's
+    # own `__hash__` is a Python call, paid by `RunLedger.emit` per event.
+    __hash__ = object.__hash__
 
 
 class Stage(IntEnum):
@@ -234,68 +235,18 @@ class Task:
         return f"{self.stage.name} r{self.round_index}{attempt}"
 
 
-class FanIn:
-    """Commutative per-sample fan-in state.
-
-    Recording is idempotent (keyed by sample/round/attempt) and the final
-    fold over best outcomes is order independent, so any interleaving of
-    evaluation completions yields the same statistics.
-    """
-
-    def __init__(self):
-        self.outcomes: dict[str, dict[tuple[int, int], OutcomeLevel]] = {}
-        self.notes: dict[str, list[str]] = {}
-        self._pending: dict[tuple[str, int], int] = {}
-        self._expected: set[tuple[str, int]] = set()
-
-    def record_failure(
-        self, sample_id: str, round_index: int, attempt: int, note: str
-    ) -> None:
-        self.outcomes.setdefault(sample_id, {})[(round_index, attempt)] = (
-            OutcomeLevel.FAILED
-        )
-        self.notes.setdefault(sample_id, []).append(note)
-
-    def expect_evals(self, sample_id: str, round_index: int, count: int) -> None:
-        key = (sample_id, round_index)
-        if key in self._expected:
-            raise RuntimeError(f"round {key} already registered")
-        self._expected.add(key)
-        self._pending[key] = count
-
-    def record_eval(
-        self, sample_id: str, round_index: int, attempt: int, level: OutcomeLevel
-    ) -> bool:
-        """Record one evaluation; True when it is its round's last one."""
-        key = (round_index, attempt)
-        per_sample = self.outcomes.setdefault(sample_id, {})
-        if key in per_sample:
-            logger.info(
-                "duplicate evaluation event for %s r%d#%d ignored",
-                sample_id,
-                round_index,
-                attempt,
-            )
-            return False
-        per_sample[key] = level
-        pending_key = (sample_id, round_index)
-        self._pending[pending_key] -= 1
-        return self._pending[pending_key] == 0
-
-    def best_outcome(self, sample_id: str) -> OutcomeLevel:
-        levels = self.outcomes.get(sample_id, {}).values()
-        return max(levels, default=OutcomeLevel.FAILED)
-
-
 @dataclass
 class _RoundState:
-    """One (sample, round)'s stage results, as the stages produced them."""
+    """One (sample, round)'s stage results, as the stages produced them, and
+    its fan-in: the round ends when every candidate has a record, and `best`
+    is the max of its EVAL levels, in any order (failed attempts are FAILED)."""
 
     report: Report | None = None
     plan: PlanArtifact | None = None
     candidates: dict[int, Candidate] = field(default_factory=dict)
     failures: list[tuple[int, str]] | None = None  # None until GEN completes
     records: dict[int, ExecutionRecord] = field(default_factory=dict)
+    best: OutcomeLevel = OutcomeLevel.FAILED
 
 
 class RunLedger:
@@ -323,20 +274,15 @@ class RunLedger:
         )
         self.replay = replay
         self.samples_by_id = {s.sample_id: s for s in checkpoint.samples}
-        self.fan_in = FanIn()
         self.rounds: dict[tuple[str, int], _RoundState] = {}
-        self.aggregated: set[str] = set()
         self.best_outcomes: dict[str, OutcomeLevel] = {}
         self.events: list[Event] = []
         self.event_counts: dict[EventKind, int] = {kind: 0 for kind in EventKind}
         self.replay_hits = 0
         self.clock = 0.0
-        self.stats: GenerationStats | None = None
         self.max_llm_inflight = 0
         self.max_gen_inflight = 0
         self.max_eval_queue = 0
-        self.sample_spans: dict[str, list[tuple[float, float]]] = {}
-        self.done = False
 
     def emit(self, kind: EventKind, sample_id: str, payload: Mapping | None) -> None:
         """Count an event; a traced run also keeps it, with its payload."""
@@ -389,7 +335,7 @@ class RunLedger:
         lines = [
             f"run {self.run_id} clock={self.clock:.3f}",
             f"ready={ready} running={len(running)} "
-            f"aggregated={len(self.aggregated)}/{len(self.checkpoint.samples)}",
+            f"aggregated={len(self.best_outcomes)}/{len(self.checkpoint.samples)}",
         ]
         progress = dict.fromkeys(sorted(self.samples_by_id), "loaded")
         for (sid, r), state in self.rounds.items():  # a sample's rounds in order
@@ -417,7 +363,7 @@ class RunResult:
     max_gen_inflight: int
     max_eval_queue: int
     programs: int
-    sample_idle: Mapping[str, float]
+    ledger: RunLedger = field(repr=False, compare=False)  # freed with the result
 
     @property
     def programs_per_hour(self) -> float:
@@ -518,7 +464,7 @@ class InterventionPipeline:
         self.latency_model = latency_model or LatencyModel(
             seed=self.config.seed, params=DEFAULT_LATENCIES
         )
-        self._ledgers: dict[str, RunLedger] = {}
+        self._ledgers: dict[str, RunLedger] = {}  # submitted, not yet driven
         self._active: set[str] = set()
         self._lock = threading.Lock()
         self._summary_cache = Memo()
@@ -576,13 +522,13 @@ class InterventionPipeline:
             ledger.emit(EventKind.SAMPLE_LOADED, sample.sample_id, payload)
         return run_id
 
-    def ledger(self, run_id: str) -> RunLedger:
-        return self._ledgers[run_id]
-
     def run_to_completion(self, run_id: str) -> RunResult:
-        ledger = self._ledgers[run_id]
-        if ledger.done:
-            raise PipelineConfigError(f"run {run_id} already completed")
+        with self._lock:
+            ledger = self._ledgers.pop(run_id, None)
+        if ledger is None:
+            raise PipelineConfigError(
+                f"run {run_id!r} is not a submitted run awaiting completion"
+            )
         try:
             self._drive(ledger)
         finally:
@@ -593,25 +539,25 @@ class InterventionPipeline:
             raise CheckpointMutatedError(
                 f"checkpoint hash changed during run {run_id}"
             )
-        ledger.done = True
         outcomes = [
             ledger.best_outcomes[s.sample_id]
             for s in ledger.checkpoint.samples
         ]
         budget = self.config.k * self.config.rounds
-        ledger.stats = stats_from_outcomes(ledger.checkpoint.g, outcomes, budget)
-        programs = sum(len(state.candidates) for state in ledger.rounds.values())
-        programs += sum(map(len, ledger.fan_in.notes.values()))
+        programs = sum(
+            len(state.candidates) + len(state.failures)
+            for state in ledger.rounds.values()
+        )
         return RunResult(
             run_id=run_id,
-            stats=ledger.stats,
+            stats=stats_from_outcomes(ledger.checkpoint.g, outcomes, budget),
             trace=tuple(ledger.events),
             makespan=ledger.clock,
             event_counts=dict(ledger.event_counts),
             max_gen_inflight=ledger.max_gen_inflight,
             max_eval_queue=ledger.max_eval_queue,
             programs=programs,
-            sample_idle=self._idle_by_sample(ledger),
+            ledger=ledger,
         )
 
     # -- scheduling ------------------------------------------------------------
@@ -651,7 +597,7 @@ class InterventionPipeline:
             return PipelineStalledError(message, led.dump(ready, in_flight))
 
         lanes = lanes_for(wave_index)
-        # (finish, start order, task, replayed, product, started_at)
+        # (finish, start order, task, replayed, product)
         running: list[tuple] = []
         start_order = itertools.count()
         llm_inflight = 0
@@ -719,8 +665,7 @@ class InterventionPipeline:
                     0.0 if replayed else self.latency_model.duration(led.seed, task)
                 )
                 finish = led.clock + duration
-                entry = (finish, next(start_order), task, replayed, product, led.clock)
-                heapq.heappush(running, entry)
+                heapq.heappush(running, (finish, next(start_order), task, replayed, product))
             for heap, passed_over in aside:
                 heapq.heappush(heap, passed_over)
 
@@ -737,12 +682,9 @@ class InterventionPipeline:
                     continue
                 raise stalled("ready tasks cannot acquire resources")
 
-            finish, _, task, replayed, product, started_at = heapq.heappop(running)
+            finish, _, task, replayed, product = heapq.heappop(running)
             if finish > led.clock:
                 led.clock = finish
-            led.sample_spans.setdefault(task.sample_id, []).append(
-                (started_at, finish)
-            )
             followups = self._commit(led, task, replayed, product)
             for followup in followups:
                 make_ready(followup)
@@ -766,7 +708,7 @@ class InterventionPipeline:
                 )
             last_progress = now
 
-        if len(led.aggregated) < len(led.checkpoint.samples):
+        if len(led.best_outcomes) < len(led.checkpoint.samples):
             raise stalled("run incomplete but no tasks remain")
 
     def _wave_order(self) -> list[tuple[int, Stage]]:
@@ -775,17 +717,6 @@ class InterventionPipeline:
             order.extend([(r, Stage.ANLZ), (r, Stage.GEN), (r, Stage.EVAL)])
         order.append((self.config.rounds - 1, Stage.AGG))
         return order
-
-    def _idle_by_sample(self, led: RunLedger) -> dict[str, float]:
-        idle: dict[str, float] = {}
-        for sid, spans in led.sample_spans.items():
-            spans = sorted(spans)
-            gap = 0.0
-            for (_, end_prev), (start_next, _) in zip(spans, spans[1:]):
-                if start_next > end_prev:
-                    gap += start_next - end_prev
-            idle[sid] = gap
-        return idle
 
     # -- task effects ------------------------------------------------------------
 
@@ -866,9 +797,6 @@ class InterventionPipeline:
             for cand in candidates:
                 state.candidates[cand.attempt] = cand
             state.failures = failures
-            for attempt, note in failures:
-                led.fan_in.record_failure(sid, r, attempt, note)
-            led.fan_in.expect_evals(sid, r, len(candidates))
             followups = [
                 Task(Stage.EVAL, task.sample_index, sid, r, cand.attempt)
                 for cand in candidates
@@ -876,47 +804,19 @@ class InterventionPipeline:
         elif stage is Stage.EVAL:
             state.records[task.attempt] = product
             outcome = classify_execution(product)
-            followups = self._apply_eval(led, task, outcome)
+            if outcome > state.best:
+                state.best = outcome
+            round_done = len(state.records) == len(state.candidates)
+            followups = [self._after_round(task)] if round_done else []
         else:
-            outcome = led.fan_in.best_outcome(sid)
+            outcome = max(led.rounds[sid, i].best for i in range(r + 1))
+            led.best_outcomes[sid] = outcome
             followups = []
-            if sid in led.aggregated:
-                logger.info("duplicate aggregation for %s ignored", sid)
-            else:
-                led.aggregated.add(sid)
-                led.best_outcomes[sid] = outcome
         payload = None
         if led.config.record_trace:
             payload = _event_payload(task, replayed, state, outcome)
         led.emit(_STAGE_EVENT[stage], sid, payload)
         return followups
-
-    def _apply_eval(
-        self, led: RunLedger, task: Task, level: OutcomeLevel
-    ) -> list[Task]:
-        if led.fan_in.record_eval(task.sample_id, task.round_index, task.attempt, level):
-            return [self._after_round(task)]
-        return []
-
-    def on_eval_complete(self, run_id: str, event: Event) -> list[Task]:
-        """Deliver an evaluation-completed event; duplicates are ignored.
-
-        This is the fan-in entry point the engine itself uses; exposing it
-        lets tests deliver events out of order or twice.
-        """
-        if event.kind is not EventKind.EVAL_COMPLETED:
-            raise ValueError("expected an EvalCompleted event")
-        led = self._ledgers[run_id]
-        index = led.checkpoint.sample_ids().index(event.sample_id)
-        task = Task(
-            Stage.EVAL,
-            index,
-            event.sample_id,
-            int(event.payload["round"]),
-            attempt=int(event.payload["attempt"]),
-        )
-        level = OutcomeLevel[event.payload["level"]]
-        return self._apply_eval(led, task, level)
 
     def _after_round(self, task: Task) -> Task:
         next_round = task.round_index + 1
@@ -1003,9 +903,9 @@ class ReplayCache:
         )
 
 
-def archive_run(pipe: InterventionPipeline, run_id: str, directory: str | Path) -> None:
+def archive_run(result: RunResult, directory: str | Path) -> None:
     """Persist a completed run's stage results as content-addressed files."""
-    led = pipe.ledger(run_id)
+    led = result.ledger
     base = Path(directory)
     entries_dir = base / "entries"
     entries_dir.mkdir(parents=True, exist_ok=True)
@@ -1020,7 +920,7 @@ def archive_run(pipe: InterventionPipeline, run_id: str, directory: str | Path) 
         (entries_dir / name).write_text(blob, encoding="utf-8")
     manifest = {
         "format_version": ARCHIVE_FORMAT_VERSION,
-        "run_id": run_id,
+        "run_id": result.run_id,
         "checkpoint_hash": led.checkpoint_hash,
         "intervention_signature": led.intervention_signature,
         "seed": led.seed,

@@ -478,7 +478,7 @@ def random_checkpoint(rng, g=0):
     return GenerationCheckpoint(trajectory_id="t", g=g, samples=tuple(samples))
 
 
-def test_criterion_10_metric_lattice_and_replay():
+def test_criterion_10_metric_lattice_and_replay(tmp_path):
     with _Criterion(10, "rate nesting, pass@k monotonicity, replay without regeneration"):
         rng = random.Random(1010)
         for _ in range(1000):
@@ -497,11 +497,8 @@ def test_criterion_10_metric_lattice_and_replay():
         pipe = build_pipe(checkpoint, config=PipelineConfig(k=3, seed=10))
         run_id = pipe.submit(checkpoint, Intervention(coalition=Coalition(7)))
         original = pipe.run_to_completion(run_id)
-        archive_dir = "/tmp/planlens-acceptance-replay"
-        import shutil
-
-        shutil.rmtree(archive_dir, ignore_errors=True)
-        archive_run(pipe, run_id, archive_dir)
+        archive_dir = tmp_path / "replay"
+        archive_run(original, archive_dir)
         cache = replay_load(archive_dir, checkpoint)
         fresh = build_pipe(checkpoint, config=PipelineConfig(k=3, seed=10))
         rerun_id = fresh.submit(

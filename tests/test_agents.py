@@ -315,6 +315,7 @@ def chat_server():
     _ChatHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpChatAgent:

@@ -108,7 +108,7 @@ def run_case(name, replay=None):
         crash_on=crashes,
     )
     run_id = pipe.submit(checkpoint, intervention, seed=17, replay=replay)
-    return pipe, run_id, pipe.run_to_completion(run_id)
+    return pipe, pipe.run_to_completion(run_id)
 
 
 def agent_calls(pipe) -> tuple[int, int, int, int]:
@@ -132,8 +132,8 @@ def test_cases_cover_required_shapes():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_archive_pinned(name, tmp_path):
-    pipe, run_id, _ = run_case(name)
-    archive_run(pipe, run_id, tmp_path)
+    _, result = run_case(name)
+    archive_run(result, tmp_path)
     assert archive_digest(tmp_path) == PINS[name]
 
 
@@ -146,9 +146,9 @@ def test_unarchived_run_serializes_nothing(name, tmp_path, monkeypatch):
     monkeypatch.setattr(Candidate, "to_json", refuse)
     monkeypatch.setattr(ExecutionRecord, "to_json", refuse)
     monkeypatch.setattr(RunLedger, "stage_key", refuse)
-    pipe, run_id, _ = run_case(name)
+    _, result = run_case(name)
     monkeypatch.undo()
-    archive_run(pipe, run_id, tmp_path)
+    archive_run(result, tmp_path)
     assert archive_digest(tmp_path) == PINS[name]
 
 
@@ -157,15 +157,15 @@ def test_unarchived_run_serializes_nothing(name, tmp_path, monkeypatch):
 )
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_archive_of_replayed_run_equals_original(name, kinds, tmp_path):
-    pipe, run_id, original = run_case(name)
-    archive_run(pipe, run_id, tmp_path / "original")
-    cp = pipe.ledger(run_id).checkpoint
+    _, original = run_case(name)
+    archive_run(original, tmp_path / "original")
+    cp = original.ledger.checkpoint
     cache = replay_load(tmp_path / "original", cp)
-    pipe, run_id, replayed = run_case(name, cache.filter(kinds) if kinds else cache)
-    archive_run(pipe, run_id, tmp_path / "replayed")
+    _, replayed = run_case(name, cache.filter(kinds) if kinds else cache)
+    archive_run(replayed, tmp_path / "replayed")
     assert archive_digest(tmp_path / "replayed") == PINS[name]
 
     # Replaying the replayed run's archive redoes no agent work.
-    pipe, _, again = run_case(name, replay_load(tmp_path / "replayed", cp))
+    pipe, again = run_case(name, replay_load(tmp_path / "replayed", cp))
     assert agent_calls(pipe) == (0, 0, 0, 0)
     assert again.stats == replayed.stats == original.stats

@@ -1,3 +1,5 @@
+import enum
+import gc
 import hashlib
 import itertools
 import json
@@ -5,6 +7,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -31,23 +34,26 @@ from planlens.feedback import (
     default_components,
 )
 from planlens.pipeline import (
+    DEFAULT_LATENCIES,
     CheckpointMutatedError,
-    Event,
     EventKind,
     ExecutionMode,
     Intervention,
     InterventionPipeline,
+    LatencyModel,
     PipelineConfig,
     PipelineConfigError,
     PipelineStalledError,
     PlanMode,
     ReplayMismatchError,
+    Stage,
     archive_run,
     export_trace,
     game_intervention,
+    make_rollout_fn,
     replay_load,
 )
-from planlens.trajectory import OutcomeLevel
+from planlens.trajectory import OutcomeLevel, classify_execution
 
 D, A, P = default_components()
 FULL = Coalition.of(D, A, P)
@@ -135,8 +141,8 @@ class TestCheckpointGuard:
     def test_metadata_mutated_before_replay_submit_raises(self, tmp_path):
         cp = build_checkpoint(3)
         pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=1))
-        _, run_id = run_once(pipe, cp)
-        archive_run(pipe, run_id, tmp_path)
+        result, _ = run_once(pipe, cp)
+        archive_run(result, tmp_path)
         cache = replay_load(tmp_path, cp)
         cp.samples[1].metadata["note"] = "edited after archiving"
         with pytest.raises(ReplayMismatchError, match="different checkpoint"):
@@ -149,30 +155,32 @@ class TestFanOut:
     def test_generator_failure_isolated(self):
         cp = build_checkpoint(3)
         pipe = build_pipe(cp, fail_attempts=frozenset({("s001", 1)}))
-        result, run_id = run_once(pipe, cp)
-        led = pipe.ledger(run_id)
-        # The failed attempt is scored Failed; the sample still aggregates.
+        result, _ = run_once(pipe, cp)
+        state = result.ledger.rounds["s001", 0]
+        # The failed attempt is counted, not evaluated; the sample still aggregates.
         assert result.event_counts[EventKind.EVAL_COMPLETED] == 3 * 5 - 1
-        assert led.fan_in.outcomes["s001"][(0, 1)] is OutcomeLevel.FAILED
-        assert "s001" in led.aggregated
+        assert [attempt for attempt, _ in state.failures] == [1]
+        assert 1 not in state.candidates and 1 not in state.records
+        assert result.programs == 3 * 5
+        assert "s001" in result.ledger.best_outcomes
 
     def test_all_attempts_failing_still_aggregates(self):
         cp = build_checkpoint(2)
         fails = frozenset(("s000", j) for j in range(5))
         pipe = build_pipe(cp, fail_attempts=fails)
-        result, run_id = run_once(pipe, cp)
+        result, _ = run_once(pipe, cp)
         assert result.event_counts[EventKind.EVAL_COMPLETED] == 5
         assert result.event_counts[EventKind.AGGREGATED] == 2
-        assert pipe.ledger(run_id).best_outcomes["s000"] is OutcomeLevel.FAILED
+        assert result.ledger.best_outcomes["s000"] is OutcomeLevel.FAILED
 
     def test_evaluator_crash_becomes_failed_record(self):
         cp = build_checkpoint(2)
         behavior = MockBehavior(seed=1, base_compiled=1.0, base_pass=1.0, base_fast=0.0)
         pipe = build_pipe(cp, behavior=behavior, crash_on=frozenset({("s000", 0)}))
-        _, run_id = run_once(pipe, cp, Intervention(coalition=FULL))
-        led = pipe.ledger(run_id)
-        assert led.fan_in.outcomes["s000"][(0, 0)] is OutcomeLevel.FAILED
-        assert led.fan_in.outcomes["s000"][(0, 1)] is not OutcomeLevel.FAILED
+        result, _ = run_once(pipe, cp, Intervention(coalition=FULL))
+        records = result.ledger.rounds["s000", 0].records
+        assert classify_execution(records[0]) is OutcomeLevel.FAILED
+        assert classify_execution(records[1]) is not OutcomeLevel.FAILED
 
     def test_concurrency_bound_respected(self):
         cp = build_checkpoint(10)
@@ -197,84 +205,43 @@ class TestFanOut:
 
 class TestOrderIndependence:
     def test_eval_permutations_identical_ledger(self):
-        # Deliver the k=3 eval events of one sample in all 6 orders.
-        cp = build_checkpoint(1)
-        base_events = None
-        outcomes = []
-        for perm in itertools.permutations(range(3)):
-            # Reference outcomes from a fully driven run.
-            pipe = build_pipe(cp, config=PipelineConfig(k=3, seed=5))
-            run_id = pipe.submit(cp, Intervention(coalition=FULL))
-            led = pipe.ledger(run_id)
-            pipe.run_to_completion(run_id)
-            reference = dict(led.fan_in.outcomes["s000"])
-            if base_events is None:
-                base_events = reference
-            # Deliver the same eval events out of order on a fresh run.
-            pipe2 = build_pipe(cp, config=PipelineConfig(k=3, seed=5))
-            rid2 = pipe2.submit(cp, Intervention(coalition=FULL))
-            led2 = pipe2.ledger(rid2)
-            led2.fan_in.expect_evals("s000", 0, 3)
-            for attempt in perm:
-                event = Event(
-                    kind=EventKind.EVAL_COMPLETED,
-                    sample_id="s000",
-                    run_id=rid2,
-                    payload={
-                        "round": 0,
-                        "attempt": attempt,
-                        "level": reference[(0, attempt)].name,
-                    },
-                    logical_time=0,
-                    wall_time=0.0,
-                )
-                pipe2.on_eval_complete(rid2, event)
-            outcomes.append(dict(led2.fan_in.outcomes["s000"]))
-        assert all(o == outcomes[0] == base_events for o in outcomes)
+        # s000's k=3 EVALs start together and finish in each of the 6 orders.
+        cp = build_checkpoint(2)
 
-    def test_duplicate_eval_event_ignored(self):
-        cp = build_checkpoint(1)
-        pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=5))
-        run_id = pipe.submit(cp, Intervention(coalition=FULL))
-        led = pipe.ledger(run_id)
-        led.fan_in.expect_evals("s000", 0, 2)
-        event = Event(
-            kind=EventKind.EVAL_COMPLETED,
-            sample_id="s000",
-            run_id=run_id,
-            payload={"round": 0, "attempt": 0, "level": "PASS"},
-            logical_time=0,
-            wall_time=0.0,
-        )
-        first = pipe.on_eval_complete(run_id, event)
-        snapshot = dict(led.fan_in.outcomes["s000"])
-        second = pipe.on_eval_complete(run_id, event)
-        assert second == []
-        assert dict(led.fan_in.outcomes["s000"]) == snapshot
+        class OrderedEvals(LatencyModel):
+            def __init__(self, order):
+                super().__init__(seed=5, params=DEFAULT_LATENCIES)
+                self.order = order
 
-    def test_last_eval_triggers_single_aggregation(self):
-        cp = build_checkpoint(1)
-        pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=5))
-        run_id = pipe.submit(cp, Intervention(coalition=FULL))
-        pipe.ledger(run_id).fan_in.expect_evals("s000", 0, 2)
+            def duration(self, run_seed, task):
+                if task.stage is Stage.EVAL and task.sample_id == "s000":
+                    return 1.0 + self.order.index(task.attempt)
+                return super().duration(run_seed, task)
 
-        def deliver(attempt):
-            return pipe.on_eval_complete(
-                run_id,
-                Event(
-                    kind=EventKind.EVAL_COMPLETED,
-                    sample_id="s000",
-                    run_id=run_id,
-                    payload={"round": 0, "attempt": attempt, "level": "PASS"},
-                    logical_time=0,
-                    wall_time=0.0,
-                ),
-            )
-
-        assert deliver(0) == []
-        followups = deliver(1)
-        assert len(followups) == 1
-        assert followups[0].stage.name == "AGG"
+        behavior = MockBehavior(seed=2)  # s000's attempts reach three levels
+        orders, results = set(), []
+        for order in itertools.permutations(range(3)):
+            pipe = build_pipe(cp, behavior=behavior, config=PipelineConfig(k=3, seed=5))
+            pipe.latency_model = OrderedEvals(order)
+            result, _ = run_once(pipe, cp)
+            evals = [
+                (e.payload["attempt"], e.payload["level"])
+                for e in result.trace
+                if e.kind is EventKind.EVAL_COMPLETED and e.sample_id == "s000"
+            ]
+            assert tuple(attempt for attempt, _ in evals) == order
+            orders.add(order)
+            aggregated = {
+                e.sample_id: e.payload["best"]
+                for e in result.trace
+                if e.kind is EventKind.AGGREGATED
+            }
+            assert result.event_counts[EventKind.AGGREGATED] == len(aggregated) == 2
+            state = result.ledger.rounds["s000", 0]
+            results.append((result.stats, aggregated, state.best, state.records))
+        assert len(orders) == 6
+        assert len({level for _, level in evals}) == 3  # so the order could matter
+        assert all(r == results[0] for r in results)
 
     def test_randomized_schedules_identical_stats(self, checkpoint25):
         reference = None
@@ -350,7 +317,7 @@ class TestIsolation:
             t.start()
         for t in threads:
             t.join()
-        led_a, led_b = pipe.ledger(run_a), pipe.ledger(run_b)
+        led_a, led_b = results[run_a].ledger, results[run_b].ledger
         assert led_a.checkpoint_hash != led_b.checkpoint_hash
         assert not (set(led_a.archive_entries()) & set(led_b.archive_entries()))
         assert results[run_a].stats == results[run_b].stats  # same seed, same mocks
@@ -412,9 +379,9 @@ class TestIsolation:
 class TestReplay:
     def archived_run(self, tmp_path, cp, config=None):
         pipe = build_pipe(cp, config=config or PipelineConfig(k=3, seed=9))
-        result, run_id = run_once(pipe, cp)
+        result, _ = run_once(pipe, cp)
         archive_dir = tmp_path / "archive"
-        archive_run(pipe, run_id, archive_dir)
+        archive_run(result, archive_dir)
         return pipe, result, archive_dir
 
     def test_full_replay_zero_generator_calls(self, tmp_path):
@@ -422,12 +389,12 @@ class TestReplay:
         _, original, archive_dir = self.archived_run(tmp_path, cp)
         cache = replay_load(archive_dir, cp)
         fresh = build_pipe(cp, config=PipelineConfig(k=3, seed=9))
-        result, run_id = run_once(fresh, cp, replay=cache)
+        result, _ = run_once(fresh, cp, replay=cache)
         assert fresh.agents.generator.calls == 0
         assert fresh.agents.planner.calls == 0
         assert fresh.agents.evaluator.calls == 0
         assert result.stats == original.stats
-        assert fresh.ledger(run_id).replay_hits > 0
+        assert result.ledger.replay_hits > 0
 
     def test_anlz_only_replay(self, tmp_path):
         cp = build_checkpoint(6)
@@ -443,7 +410,7 @@ class TestReplay:
     def test_each_entry_file_written_and_read_once(self, tmp_path, monkeypatch):
         cp = build_checkpoint(6)
         pipe = build_pipe(cp, config=PipelineConfig(k=3, seed=9))
-        _, run_id = run_once(pipe, cp)
+        result, _ = run_once(pipe, cp)
         calls = Counter()
         for method in ("write_text", "read_text"):
 
@@ -453,7 +420,7 @@ class TestReplay:
                 return _original(path, *args, **kw)
 
             monkeypatch.setattr(Path, method, counted)
-        archive_run(pipe, run_id, tmp_path)
+        archive_run(result, tmp_path)
         replay_load(tmp_path, cp)
         monkeypatch.undo()
         names = list(json.loads((tmp_path / "index.json").read_text()).values())
@@ -484,17 +451,17 @@ class TestInterventionModes:
         cp = build_checkpoint(4)
         pipe = build_pipe(cp)
         intervention = Intervention(coalition=FULL, plan_mode=PlanMode.DUMMY)
-        _, run_id = run_once(pipe, cp, intervention)
+        result, _ = run_once(pipe, cp, intervention)
         assert pipe.agents.planner.calls == 0
-        state = pipe.ledger(run_id).round_state("s000", 0)
+        state = result.ledger.rounds["s000", 0]
         assert state.plan.producer_tag == "dummy-plan"
         assert "Executive Summary" in state.plan.text
 
     def test_no_plan_mode_leaves_slot_empty(self):
         cp = build_checkpoint(2)
         pipe = build_pipe(cp)
-        _, run_id = run_once(pipe, cp, Intervention(coalition=FULL, plan_mode=PlanMode.NONE))
-        state = pipe.ledger(run_id).round_state("s000", 0)
+        result, _ = run_once(pipe, cp, Intervention(coalition=FULL, plan_mode=PlanMode.NONE))
+        state = result.ledger.rounds["s000", 0]
         assert state.plan is None
         assert state.report.plan_slot is None
 
@@ -531,8 +498,8 @@ class TestInterventionModes:
         pipe = build_pipe(cp)
         perm = {"s000": "s001", "s001": "s000"}
         intervention = Intervention(coalition=Coalition.of(D), permutation=perm)
-        _, run_id = run_once(pipe, cp, intervention)
-        report = pipe.ledger(run_id).round_state("s000", 0).report
+        result, _ = run_once(pipe, cp, intervention)
+        report = result.ledger.rounds["s000", 0].report
         assert report.artifacts[0].source_sample == "s001"
 
     def test_game_intervention_mapping(self):
@@ -670,12 +637,69 @@ class TestDiagnostics:
         assert result.trace == ()
         assert result.event_counts[EventKind.AGGREGATED] == 25
 
-    def test_idle_accounting_nonnegative(self, checkpoint25):
+    def test_programs_and_throughput_reported(self, checkpoint25):
         pipe = build_pipe(checkpoint25)
         result, _ = run_once(pipe, checkpoint25)
-        assert all(idle >= 0.0 for idle in result.sample_idle.values())
         assert result.programs == 125
         assert result.programs_per_hour > 0
+
+
+class TestRelease:
+    """A driven run's state lives on its RunResult, not in the pipeline."""
+
+    def test_rollouts_leave_no_ledger_behind(self):
+        cp = build_checkpoint(3)
+        pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=0))
+        rollout = make_rollout_fn(pipe)
+        for r in range(20):
+            rollout(cp, Coalition(r % 8), r)
+        assert pipe._ledgers == {}
+        result, _ = run_once(pipe, cp)
+        ledger = weakref.ref(result.ledger)
+        del result
+        gc.collect()
+        assert ledger() is None
+
+    def test_a_run_completes_once(self):
+        cp = build_checkpoint(2)
+        pipe = build_pipe(cp)
+        _, run_id = run_once(pipe, cp)
+        with pytest.raises(PipelineConfigError, match=run_id):
+            pipe.run_to_completion(run_id)
+        with pytest.raises(PipelineConfigError, match="run-unknown"):
+            pipe.run_to_completion("run-unknown")
+
+    def test_racing_drivers_one_wins(self):
+        cp = build_checkpoint(4)
+        pipe = build_pipe(cp)
+        run_id = pipe.submit(cp, Intervention(coalition=FULL))
+        barrier = threading.Barrier(2)
+        turned_away = threading.Event()
+        plan = pipe.agents.planner.plan
+
+        def held_plan(report):  # the claiming driver waits for the other one
+            turned_away.wait(5)
+            return plan(report)
+
+        pipe.agents.planner.plan = held_plan
+        outcomes = []
+
+        def drive():
+            barrier.wait()
+            try:
+                outcomes.append(pipe.run_to_completion(run_id))
+            except PipelineConfigError as exc:
+                outcomes.append(exc)
+                turned_away.set()
+
+        threads = [threading.Thread(target=drive) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        kinds = sorted(type(outcome).__name__ for outcome in outcomes)
+        assert kinds == ["PipelineConfigError", "RunResult"]
 
 
 class TestCostGuards:
@@ -738,3 +762,26 @@ class TestCostGuards:
         assert result.trace == ()
         assert hashed_by_planner == [1] * 25
         assert len(reports) == 25  # no report hashed outside the planner
+
+    def test_event_counting_hashes_no_event_kind(self, monkeypatch):
+        cp = build_checkpoint(5)
+        pipe = self.untraced_pipe(cp)
+        enum_hash = enum.Enum.__hash__
+        hashed = []
+
+        def counted(member):
+            hashed.append(type(member))
+            return enum_hash(member)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counted)
+        result, _ = run_once(pipe, cp)
+        monkeypatch.undo()
+        assert EventKind not in hashed
+        assert type(result.event_counts) is dict
+        assert list(result.event_counts.items()) == [
+            (EventKind.SAMPLE_LOADED, 5),
+            (EventKind.FEEDBACK_BUILT, 5),
+            (EventKind.CANDIDATES_GENERATED, 5),
+            (EventKind.EVAL_COMPLETED, 25),
+            (EventKind.AGGREGATED, 5),
+        ]

@@ -84,7 +84,7 @@ def run_case(name):
         result.makespan,
         result.max_gen_inflight,
         result.max_eval_queue,
-        pipe.ledger(run_id).max_llm_inflight,
+        result.ledger.max_llm_inflight,
         event_digest(result.trace),
     )
 
