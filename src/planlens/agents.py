@@ -19,7 +19,7 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .feedback import Coalition, FeedbackArtifact, Report, Representation, count_tokens
+from .feedback import Coalition, FeedbackArtifact, Report, Representation
 from .seeding import hash_uniform
 from .trajectory import ExecutionRecord, OutcomeLevel, Sample
 
@@ -139,9 +139,6 @@ class MockBehavior:
             p_p = min(p_p, p_c)
             p_f = min(p_f, p_p)
         return p_c, p_p, p_f
-
-    def latency_for(self, stage: str) -> LatencyParams:
-        return self.latency.get(stage, LatencyParams())
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MockBehavior":
@@ -414,72 +411,6 @@ def mock_bundle(
         planner=MockPlanner(),
         generator=MockGenerator(behavior, fail_attempts=fail_attempts),
         evaluator=MockEvaluator(crash_on=crash_on),
-    )
-
-
-# -- plan injection (strong-to-weak distillation) ----------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorContext:
-    """Prompt context with an explicit plan slot and a fixed length budget.
-
-    plan_budget is the token length of the original self-plan; padding
-    keeps plan + pad at exactly that length so injected plans change only
-    semantic content, not context size.
-    """
-
-    preamble: str
-    plan: str
-    epilogue: str
-    pad: str = ""
-    plan_budget: int | None = None
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(
-            count_tokens(part)
-            for part in (self.preamble, self.plan, self.pad, self.epilogue)
-        )
-
-    def render(self) -> str:
-        parts = [self.preamble, self.plan]
-        if self.pad:
-            parts.append(self.pad)
-        parts.append(self.epilogue)
-        return "\n\n".join(parts)
-
-
-_PAD_COMMENT = "//"
-
-
-def inject_plan(context: GeneratorContext, strong_plan: PlanArtifact) -> GeneratorContext:
-    """Swap the plan slot, holding total context length fixed.
-
-    The budget is taken from the context's original plan on first
-    injection. Shorter plans are padded with neutral comment tokens;
-    longer plans are truncated with a warning.
-    """
-    budget = context.plan_budget
-    if budget is None:
-        budget = count_tokens(context.plan)
-    plan_text = strong_plan.text
-    n_tokens = count_tokens(plan_text)
-    if n_tokens > budget:
-        logger.warning(
-            "injected plan (%d tokens) exceeds the %d-token slot; truncating",
-            n_tokens,
-            budget,
-        )
-        plan_text = " ".join(plan_text.split()[:budget])
-        n_tokens = budget
-    pad = " ".join([_PAD_COMMENT] * (budget - n_tokens))
-    return GeneratorContext(
-        preamble=context.preamble,
-        plan=plan_text,
-        epilogue=context.epilogue,
-        pad=pad,
-        plan_budget=budget,
     )
 
 

@@ -117,8 +117,6 @@ def meta_line(settings: Mapping[str, Any]) -> str:
 # -- experiment config ---------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "trajectory": str,
-    "checkpoints": list,
     "game": str,
     "metrics": list,
     "representation": str,
@@ -127,7 +125,6 @@ _CONFIG_KEYS = {
     "rollouts": int,
     "seed": int,
     "pipeline": dict,
-    "gate": dict,
     "agents": dict,
 }
 
@@ -162,6 +159,17 @@ def load_experiment_config(path: str) -> dict:
         backend = data["agents"].get("backend", "mock")
         if backend not in ("mock", "http"):
             raise ConfigError("agents.backend must be 'mock' or 'http'")
+        latency = data["agents"].get("behavior", {}).get("latency", {})
+        for stage, params in latency.items():
+            if stage not in DEFAULT_LATENCIES:
+                raise ConfigError(
+                    f"agents.behavior.latency stage {stage!r} must be one of "
+                    f"{sorted(DEFAULT_LATENCIES)}"
+                )
+            if not isinstance(params, dict) or not {"mean", "tail"} <= params.keys():
+                raise ConfigError(
+                    f"agents.behavior.latency.{stage} needs both 'mean' and 'tail'"
+                )
     return data
 
 

@@ -11,14 +11,12 @@ assignments and a fixed content-free plan template.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from importlib import resources
-from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Protocol
 
 from .seeding import rng_for
@@ -102,12 +100,6 @@ class Coalition:
         self, players: Iterable[FeedbackComponent]
     ) -> tuple[FeedbackComponent, ...]:
         return tuple(p for p in sorted(players, key=lambda c: c.id) if p in self)
-
-    def with_member(self, component: FeedbackComponent) -> "Coalition":
-        return Coalition(self.mask | component.bit)
-
-    def without_member(self, component: FeedbackComponent) -> "Coalition":
-        return Coalition(self.mask & ~component.bit)
 
     def size(self) -> int:
         return bin(self.mask).count("1")
@@ -283,63 +275,6 @@ class Memo:
         return value
 
 
-class DirectoryArtifactStore:
-    """Content-addressed on-disk artifacts: hash-named files plus a JSON index.
-
-    The index maps "sample_id|component_id|representation" to the payload
-    file's content hash. Safe to reopen; writes are idempotent because the
-    file name is the content hash.
-    """
-
-    def __init__(self, directory: str):
-        self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._index_path = self._dir / "index.json"
-        self._lock = threading.Lock()
-        if self._index_path.exists():
-            self._index = json.loads(self._index_path.read_text(encoding="utf-8"))
-        else:
-            self._index = {}
-
-    @staticmethod
-    def _key(sample_id: str, component: FeedbackComponent, representation: Representation) -> str:
-        return f"{sample_id}|{component.id}|{representation.value}"
-
-    def put(self, artifact: FeedbackArtifact) -> str:
-        digest = artifact.content_hash
-        payload_path = self._dir / f"{digest}.txt"
-        if not payload_path.exists():
-            payload_path.write_text(artifact.payload, encoding="utf-8")
-        key = self._key(artifact.source_sample, artifact.component, artifact.representation)
-        with self._lock:
-            self._index[key] = {
-                "hash": digest,
-                "component_id": artifact.component.id,
-                "component_name": artifact.component.name,
-                "component_short": artifact.component.short,
-            }
-            self._index_path.write_text(
-                json.dumps(self._index, indent=2, sort_keys=True),
-                encoding="utf-8",
-            )
-        return digest
-
-    def get(self, sample_id, component, representation):
-        key = self._key(sample_id, component, representation)
-        entry = self._index.get(key)
-        if entry is None:
-            return None
-        payload = (self._dir / f"{entry['hash']}.txt").read_text(encoding="utf-8")
-        return FeedbackArtifact(
-            component=FeedbackComponent(
-                entry["component_id"], entry["component_name"], entry["component_short"]
-            ),
-            representation=representation,
-            payload=payload,
-            source_sample=sample_id,
-        )
-
-
 class PermutedArtifactSource:
     """Reroutes lookups through a sample->donor mapping (randomized feedback)."""
 
@@ -415,17 +350,14 @@ def randomize_feedback(
 # -- dummy plan control ----------------------------------------------------
 
 _DUMMY_PLAN_ASSET = "dummy_plan.md"
-_FILLER_SENTENCE = (
-    "Continue to observe standard operating procedures and record any "
-    "deviations for the next review cycle."
-)
 
 
 class TemplateAssetError(FileNotFoundError):
     """The dummy-plan template asset is missing from the installation."""
 
 
-def _load_dummy_template() -> str:
+def dummy_plan() -> str:
+    """The fixed, content-free plan template, byte-identical on every call."""
     try:
         ref = resources.files("planlens").joinpath("assets", _DUMMY_PLAN_ASSET)
         return ref.read_text(encoding="utf-8")
@@ -433,40 +365,3 @@ def _load_dummy_template() -> str:
         raise TemplateAssetError(
             f"dummy plan template asset {_DUMMY_PLAN_ASSET!r} not found"
         ) from exc
-
-
-def count_tokens(text: str) -> int:
-    """Whitespace-token count used for all plan length accounting."""
-    return len(text.split())
-
-
-def dummy_plan(
-    original_plan_length: int | None = None, pad: bool = False
-) -> str:
-    """The fixed, content-free plan template.
-
-    Without padding the template is returned verbatim (byte-identical on
-    every call). With ``pad=True`` and a target length, neutral filler
-    sentences are appended (or the text truncated, with a warning) so the
-    token count matches the original plan's.
-    """
-    template = _load_dummy_template()
-    if not pad or original_plan_length is None:
-        return template
-    target = int(original_plan_length)
-    if target < 1:
-        raise ValueError("original_plan_length must be positive when padding")
-    tokens = template.split()
-    if len(tokens) > int(target * 1.1):
-        logger.warning(
-            "dummy plan template (%d tokens) exceeds 110%% of target %d; truncating",
-            len(tokens),
-            target,
-        )
-        return " ".join(tokens[:target])
-    if len(tokens) >= target:
-        return template
-    filler = _FILLER_SENTENCE.split()
-    needed = target - len(tokens)
-    padding = [filler[i % len(filler)] for i in range(needed)]
-    return template + "\n\n" + " ".join(padding)

@@ -240,33 +240,16 @@ def wl_similarity(g1: CfgGraph, g2: CfgGraph, h: int = DEFAULT_WL_ITERATIONS) ->
     return dot / sqrt(norm1 * norm2)
 
 
-SimilarityKernel = Callable[[CfgGraph, CfgGraph, int], float]
-
-_KERNELS: dict[str, SimilarityKernel] = {"wl": wl_similarity}
-
-
-def register_kernel(name: str, kernel: SimilarityKernel) -> None:
-    """Plug in an additional graph kernel (averaged into the gate score)."""
-    _KERNELS[name] = kernel
-
-
-def kernel_names() -> tuple[str, ...]:
-    return tuple(sorted(_KERNELS))
-
-
 @dataclass(frozen=True)
 class GateConfig:
     tau_s: float = DEFAULT_TAU
     wl_iterations: int = DEFAULT_WL_ITERATIONS
-    kernel_set: tuple[str, ...] = ("wl",)
 
     def __post_init__(self):
         if not 0.0 <= self.tau_s <= 1.0:
             raise ValueError("tau_s must be in [0, 1]")
         if self.wl_iterations < 1:
             raise ValueError("wl_iterations must be >= 1")
-        if not self.kernel_set:
-            raise ValueError("kernel_set must not be empty")
 
 
 def similarity(
@@ -274,32 +257,20 @@ def similarity(
     reference: CfgGraph | None,
     cfg: GateConfig | None = None,
 ) -> float:
-    """Mean of the enabled kernels' normalized scores."""
+    """Normalized WL subtree similarity of two candidates' CFGs."""
     cfg = cfg or GateConfig()
     if current is None or reference is None:
         raise NoGraphError(
             "both samples need a control-flow graph; route non-compiling "
             "candidates to the correctness phase instead"
         )
-    scores = []
-    for name in cfg.kernel_set:
-        if name not in _KERNELS:
-            raise KeyError(f"unknown similarity kernel {name!r}")
-        scores.append(_KERNELS[name](current, reference, cfg.wl_iterations))
-    return sum(scores) / len(scores)
+    return wl_similarity(current, reference, cfg.wl_iterations)
 
 
 class Phase(Enum):
     CORRECTNESS = "correctness"
     STRUCTURAL_EXPLORATION = "structural_exploration"
     PERFORMANCE_EXPLOITATION = "performance_exploitation"
-
-
-_PHASE_ORDER = {
-    Phase.CORRECTNESS: 0,
-    Phase.STRUCTURAL_EXPLORATION: 1,
-    Phase.PERFORMANCE_EXPLOITATION: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -318,10 +289,6 @@ class GateDecision:
             "admitted_mask": self.admitted_components.mask,
             "reference_id": self.reference_id,
         }
-
-
-def phase_rank(phase: Phase) -> int:
-    return _PHASE_ORDER[phase]
 
 
 def gate(

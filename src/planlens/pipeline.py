@@ -162,7 +162,6 @@ class PlanMode(Enum):
     SELF = "self"  # planner runs on the report
     NONE = "none"  # implicit planning: empty plan slot
     DUMMY = "dummy"  # fixed content-free template, planner bypassed
-    INJECTED = "injected"  # a provided plan artifact replaces the planner
 
 
 @dataclass(frozen=True)
@@ -170,15 +169,13 @@ class Intervention:
     coalition: Coalition = Coalition(0)
     representation: Representation = Representation.RAW
     plan_mode: PlanMode = PlanMode.SELF
-    injected_plan: PlanArtifact | None = None
     permutation: Mapping[str, str] | None = None  # randomized-feedback donors
 
     def signature(self) -> str:
         perm = tuple(sorted(self.permutation.items())) if self.permutation else ()
-        plan = self.injected_plan
-        injected = (plan.producer_tag, plan.text) if plan else None
         mode = (self.coalition.mask, self.representation.value, self.plan_mode.value)
-        return str((*mode, injected, perm))
+        # None fills the retired injected-plan slot so stage keys and archives still match.
+        return str((*mode, None, perm))
 
 
 def game_intervention(
@@ -365,12 +362,6 @@ class RunResult:
     programs: int
     ledger: RunLedger = field(repr=False, compare=False)  # freed with the result
 
-    @property
-    def programs_per_hour(self) -> float:
-        if self.makespan <= 0:
-            return float("inf") if self.programs else 0.0
-        return self.programs / self.makespan * 3600.0
-
 
 class LatencyModel:
     """Simulated task duration: mean + tail * Exp(1), keyed by task identity.
@@ -465,21 +456,11 @@ class InterventionPipeline:
             seed=self.config.seed, params=DEFAULT_LATENCIES
         )
         self._ledgers: dict[str, RunLedger] = {}  # submitted, not yet driven
-        self._active: set[str] = set()
         self._lock = threading.Lock()
         self._summary_cache = Memo()
         self._run_counter = itertools.count()
 
     # -- run lifecycle -------------------------------------------------------
-
-    def set_agents(self, agents: AgentBundle) -> None:
-        """Rebinding agents is rejected while any run is in flight."""
-        with self._lock:
-            if self._active:
-                raise PipelineConfigError(
-                    "agent configuration is frozen while runs are active"
-                )
-            self.agents = agents
 
     def submit(
         self,
@@ -495,8 +476,6 @@ class InterventionPipeline:
                 f"coalition mask {intervention.coalition.mask} exceeds the "
                 f"{len(self.players)}-player game"
             )
-        if intervention.plan_mode is PlanMode.INJECTED and not intervention.injected_plan:
-            raise PipelineConfigError("plan_mode=injected requires injected_plan")
         if replay is not None and replay.checkpoint_hash != checkpoint.checkpoint_hash:
             raise ReplayMismatchError(
                 "replay archive was recorded on a different checkpoint "
@@ -515,7 +494,6 @@ class InterventionPipeline:
                 replay,
             )
             self._ledgers[run_id] = ledger
-            self._active.add(run_id)
         trace = self.config.record_trace
         for index, sample in enumerate(checkpoint.samples):
             payload = {"index": index} if trace else None
@@ -529,11 +507,7 @@ class InterventionPipeline:
             raise PipelineConfigError(
                 f"run {run_id!r} is not a submitted run awaiting completion"
             )
-        try:
-            self._drive(ledger)
-        finally:
-            with self._lock:
-                self._active.discard(run_id)
+        self._drive(ledger)
         after = ledger.checkpoint.checkpoint_hash
         if after != ledger.checkpoint_hash:
             raise CheckpointMutatedError(
@@ -754,8 +728,6 @@ class InterventionPipeline:
                     producer_tag="dummy-plan",
                     generation_context_hash=report.content_hash,
                 )
-            elif intervention.plan_mode is PlanMode.INJECTED:
-                plan = intervention.injected_plan
             if plan is not None:
                 report = replace(report, plan_slot=plan.text)
             return False, (report, plan)

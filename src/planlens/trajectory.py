@@ -235,22 +235,7 @@ def generation_stats(cp: GenerationCheckpoint, k: int) -> GenerationStats:
     """Compute pass@k-style rates over a checkpoint's samples."""
     if k < 1:
         raise ValueError("retry budget k must be >= 1")
-    n = len(cp.samples)
-    if n == 0:
-        return GenerationStats(cp.g, 0.0, 0.0, 0.0, 0.0, k, 0, empty=True)
-    bests = [sample_best_outcome(s, k) for s in cp.samples]
-    n_compiled = sum(1 for b in bests if b >= OutcomeLevel.COMPILED)
-    n_pass = sum(1 for b in bests if b >= OutcomeLevel.PASS)
-    n_fast = sum(1 for b in bests if b >= OutcomeLevel.FAST)
-    return GenerationStats(
-        g=cp.g,
-        rate_compiled=n_compiled / n,
-        rate_pass=n_pass / n,
-        rate_fast=n_fast / n,
-        rate_overall=n_pass / n,
-        k=k,
-        n_samples=n,
-    )
+    return stats_from_outcomes(cp.g, (sample_best_outcome(s, k) for s in cp.samples), k)
 
 
 def stats_from_outcomes(

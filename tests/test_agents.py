@@ -10,7 +10,6 @@ from planlens.agents import (
     DecodingConfig,
     Effect,
     GeneratorAttemptError,
-    GeneratorContext,
     HttpChatAgent,
     MockBehavior,
     MockEvaluator,
@@ -19,7 +18,6 @@ from planlens.agents import (
     MockSummarizer,
     RetryableAgentError,
     Role,
-    inject_plan,
     load_prompt,
     mock_artifact_payload,
     prompt_inventory,
@@ -30,7 +28,6 @@ from planlens.feedback import (
     FeedbackArtifact,
     Report,
     Representation,
-    count_tokens,
     default_components,
 )
 from planlens.trajectory import OutcomeLevel, Sample, classify_execution
@@ -204,7 +201,7 @@ class TestMockGenerator:
         behavior = MockBehavior.from_json(data)
         assert behavior.effects[0].level is OutcomeLevel.COMPILED
         assert behavior.producer_effects["strong"][0].delta == 0.2
-        assert behavior.latency_for("gen").mean == 2.0
+        assert behavior.latency["gen"].mean == 2.0
 
 
 class TestMockEvaluator:
@@ -244,42 +241,6 @@ class TestMockEvaluator:
         for i in range(200):
             cand = gen.generate(sample(f"s{i}"), report_for(Coalition(0)), None, k=1, run_seed=i)[0]
             classify_execution(evaluator.evaluate(cand))  # raises if malformed
-
-
-class TestInjectPlan:
-    def context(self, plan_text="alpha beta gamma delta"):
-        return GeneratorContext(
-            preamble="system prompt", plan=plan_text, epilogue="write code"
-        )
-
-    def test_self_plan_identity(self):
-        ctx = self.context()
-        out = inject_plan(ctx, PlanArtifact(text=ctx.plan, producer_tag="self"))
-        assert out.plan == ctx.plan
-        assert out.pad == ""
-        assert out.total_tokens == ctx.total_tokens
-
-    def test_shorter_plan_padded_to_equal_length(self):
-        ctx = self.context()
-        out = inject_plan(ctx, PlanArtifact(text="short", producer_tag="strong"))
-        assert count_tokens(out.plan) + count_tokens(out.pad) == count_tokens(ctx.plan)
-        assert out.total_tokens == ctx.total_tokens
-
-    def test_longer_plan_truncated_with_warning(self, caplog):
-        ctx = self.context()
-        long_plan = " ".join(f"w{i}" for i in range(50))
-        with caplog.at_level("WARNING"):
-            out = inject_plan(ctx, PlanArtifact(text=long_plan, producer_tag="strong"))
-        assert count_tokens(out.plan) == count_tokens(ctx.plan)
-        assert any("truncating" in r.message for r in caplog.records)
-
-    def test_swap_twice_restores_slot(self):
-        ctx = self.context()
-        original = PlanArtifact(text=ctx.plan, producer_tag="self")
-        swapped = inject_plan(ctx, PlanArtifact(text="other plan here now", producer_tag="x"))
-        restored = inject_plan(swapped, original)
-        assert restored.plan == ctx.plan
-        assert restored.pad == ""
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

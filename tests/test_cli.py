@@ -402,6 +402,30 @@ class TestIntervene:
         assert "nonsense" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("trajectory", "traj.ndjson"), ("checkpoints", ["g0.json"]), ("gate", {"tau_s": 0.5})],
+        ids=["trajectory", "checkpoints", "gate"],
+    )
+    def test_unread_config_keys_rejected(self, tmp_path, checkpoint_file, capsys, key, value):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({key: value}))
+        code = main(
+            [
+                "intervene",
+                "--checkpoint",
+                str(checkpoint_file),
+                "--config",
+                str(config_path),
+                "--coalition",
+                "d",
+                "--out",
+                str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flag, value",
         [
             ("--coalition", "d"),
@@ -954,6 +978,37 @@ class TestLatencyConfig:
             ends.append(events[-1]["wall_time"])
         assert ends[0] < ends[1]
         assert ends[1] >= 500.0
+
+    @pytest.mark.parametrize(
+        "latency, stage",
+        [
+            ({"gne": {"mean": 500.0, "tail": 0.0}}, "gne"),  # not a stage
+            ({"gen": {"mean": 500.0}}, "gen"),  # tail would silently default
+            ({"eval": {"tail": 0.0}}, "eval"),
+        ],
+        ids=["unknown-stage", "no-tail", "no-mean"],
+    )
+    def test_bad_latency_entry_is_config_error(
+        self, tmp_path, checkpoint_file, capsys, latency, stage
+    ):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"agents": {"behavior": {"latency": latency}}}))
+        code = main(
+            [
+                "intervene",
+                "--checkpoint",
+                str(checkpoint_file),
+                "--config",
+                str(config_path),
+                "--coalition",
+                "d",
+                "--out",
+                str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert stage in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_no_latency_key_keeps_default_trace(self, tmp_path, checkpoint_file):
         plain = self.traced_run(tmp_path, checkpoint_file, "plain", None)

@@ -5,7 +5,6 @@ import pytest
 
 from planlens.feedback import (
     Coalition,
-    DirectoryArtifactStore,
     FeedbackArtifact,
     FeedbackComponent,
     InMemoryArtifactSource,
@@ -15,7 +14,6 @@ from planlens.feedback import (
     Report,
     Representation,
     build_report,
-    count_tokens,
     default_components,
     dummy_plan,
     enumerate_coalitions,
@@ -201,22 +199,6 @@ class TestDummyPlan:
         assert dummy_plan() == dummy_plan()
         assert "Executive Summary" in dummy_plan()
 
-    def test_two_calls_byte_identical_with_padding(self):
-        assert dummy_plan(2000, pad=True) == dummy_plan(2000, pad=True)
-
-    def test_padding_hits_ten_percent_window(self):
-        out = dummy_plan(2000, pad=True)
-        assert 1800 <= count_tokens(out) <= 2200
-
-    def test_truncates_short_targets(self, caplog):
-        with caplog.at_level("WARNING"):
-            out = dummy_plan(50, pad=True)
-        assert count_tokens(out) == 50
-
-    def test_padding_requires_positive_target(self):
-        with pytest.raises(ValueError):
-            dummy_plan(0, pad=True)
-
     def test_missing_template_asset_is_config_error(self, monkeypatch):
         from planlens import feedback as fb
 
@@ -272,37 +254,6 @@ class TestMemo:
         release.set()
         thread.join(5)
         assert memo.get("a", lambda: "other") == "a"
-
-
-class TestDirectoryArtifactStore:
-    def test_roundtrip_and_hash_named_files(self, tmp_path):
-        store = DirectoryArtifactStore(str(tmp_path / "artifacts"))
-        art = artifact(D, "s0", payload="lint output for s0")
-        digest = store.put(art)
-        assert (tmp_path / "artifacts" / f"{digest}.txt").exists()
-        restored = store.get("s0", D, Representation.RAW)
-        assert restored.payload == art.payload
-        assert restored.content_hash == art.content_hash
-
-    def test_index_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "artifacts")
-        store = DirectoryArtifactStore(path)
-        store.put(artifact(A, "s1", payload="loop report"))
-        reopened = DirectoryArtifactStore(path)
-        assert reopened.get("s1", A, Representation.RAW).payload == "loop report"
-
-    def test_missing_returns_none(self, tmp_path):
-        store = DirectoryArtifactStore(str(tmp_path / "artifacts"))
-        assert store.get("s9", P, Representation.RAW) is None
-
-    def test_serves_build_report(self, tmp_path):
-        store = DirectoryArtifactStore(str(tmp_path / "artifacts"))
-        for component in default_components():
-            store.put(artifact(component, "s0"))
-        report = build_report(
-            "s0", Coalition(7), Representation.RAW, store, default_components()
-        )
-        assert len(report.artifacts) == 3
 
 
 def test_artifact_content_hash_covers_payload_and_representation():

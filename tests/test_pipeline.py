@@ -91,11 +91,6 @@ class TestSubmit:
         with pytest.raises(PipelineConfigError, match="coalition mask"):
             pipe.submit(checkpoint25, Intervention(coalition=Coalition(8)))
 
-    def test_injected_plan_required(self, checkpoint25):
-        pipe = build_pipe(checkpoint25)
-        with pytest.raises(PipelineConfigError, match="injected_plan"):
-            pipe.submit(checkpoint25, Intervention(plan_mode=PlanMode.INJECTED))
-
     def test_incomplete_bundle_rejected_before_work(self, checkpoint25):
         bundle = mock_bundle()
         bundle = type(bundle)(
@@ -369,12 +364,6 @@ class TestIsolation:
         assert got == expected
         assert sum(a != b for a, b in zip(drawn, drawn[1:])) > 2  # runs interleaved
 
-    def test_agent_rebinding_frozen_while_active(self, checkpoint25):
-        pipe = build_pipe(checkpoint25)
-        pipe.submit(checkpoint25, Intervention(coalition=FULL))
-        with pytest.raises(PipelineConfigError, match="frozen"):
-            pipe.set_agents(mock_bundle())
-
 
 class TestReplay:
     def archived_run(self, tmp_path, cp, config=None):
@@ -481,7 +470,7 @@ class TestInterventionModes:
         cp = build_checkpoint(1)
         pipe = build_pipe(cp)
         summarizer = HeldSummarizer()
-        pipe.set_agents(replace(pipe.agents, summarizer=summarizer))
+        pipe.agents = replace(pipe.agents, summarizer=summarizer)
         intervention = Intervention(
             coalition=Coalition.of(D), representation=Representation.SUMMARIZED
         )
@@ -641,7 +630,7 @@ class TestDiagnostics:
         pipe = build_pipe(checkpoint25)
         result, _ = run_once(pipe, checkpoint25)
         assert result.programs == 125
-        assert result.programs_per_hour > 0
+        assert result.makespan > 0  # so programs / makespan is a finite throughput
 
 
 class TestRelease:
