@@ -39,6 +39,8 @@ CASES = {
     "multi-async-rounds2": (17, dict(execution_mode=MULTI_ASYNC, k=3, rounds=2, generator_concurrency=4, eval_concurrency=2), frozenset(), "summarized"),
     "multi-async-fails": (12, dict(execution_mode=MULTI_ASYNC, k=5, rounds=2, generator_concurrency=1, eval_concurrency=1, queue_capacity=5), FAILS, "raw"),
     "multi-async-p1": (3, dict(execution_mode=MULTI_ASYNC, k=5, generator_concurrency=1, eval_concurrency=32), frozenset(), "raw"),
+    "stage-sync-rounds3-fails": (12, dict(execution_mode=STAGE_SYNC, k=5, rounds=3, generator_concurrency=4, eval_concurrency=3), FAILS, "raw"),
+    "multi-async-rounds3": (17, dict(execution_mode=MULTI_ASYNC, k=3, rounds=3, generator_concurrency=4, eval_concurrency=2, queue_capacity=9), frozenset(), "formatted"),
 }
 
 # name -> (makespan, max_gen_inflight, max_eval_queue, max_llm_inflight,
@@ -57,6 +59,8 @@ PINS = {
     "multi-async-rounds2": (110.77220966078048, 4, 20, 4, "29a4d299ff6b0bc62e0ecff6fde22dfddf74a60e2bc72ffaf008208facb212fd"),
     "multi-async-fails": (357.0370927311493, 1, 5, 1, "5e1072dc5bd5cbcac3ac494dce27129d7a7573a8eeced83b9aa5796de3d60ebe"),
     "multi-async-p1": (33.33882613677507, 1, 5, 1, "108418b5308f6ce85146eb86a3e6f4f497c2bef5889f878ac722b7b9b46a1e98"),
+    "stage-sync-rounds3-fails": (217.56802433828304, 4, 54, 4, "c88b1d27bf89d71ed1d6b1099ebf85ee2eb6dddd233427fcc61fd038c4085e71"),
+    "multi-async-rounds3": (179.9220878238174, 3, 6, 4, "adb46477342a093558564c4ea0e2fc182fe71cf61a9bda7e2743803e50f05377"),
 }
 
 
@@ -96,6 +100,11 @@ def test_cases_cover_required_shapes():
         f["execution_mode"] is STAGE_SYNC and f.get("rounds", 1) == 2
         for _, f, _, _ in CASES.values()
     )
+    # Past two rounds, a sample's later rounds can be ready next to other
+    # samples' earlier ones; both parallel modes pin that.
+    assert {
+        f["execution_mode"] for _, f, _, _ in CASES.values() if f.get("rounds", 1) >= 3
+    } == {STAGE_SYNC, MULTI_ASYNC}
     # GEN -> EVAL backpressure binds when the queue cannot hold k
     # evaluations for every GEN the LLM pool could run at once.
     assert any(
