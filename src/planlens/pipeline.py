@@ -541,7 +541,7 @@ class InterventionPipeline:
         stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
         serial = cfg.execution_mode is ExecutionMode.SERIAL
         schedule_rng = (
-            rng_for(cfg.schedule_seed, "schedule", led.run_id)
+            rng_for(cfg.schedule_seed, "schedule", led.seed)
             if cfg.schedule_seed is not None
             else None
         )

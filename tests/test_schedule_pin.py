@@ -9,6 +9,7 @@ rewrite must reproduce every one of them bit for bit.
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -41,6 +42,7 @@ CASES = {
     "multi-async-p1": (3, dict(execution_mode=MULTI_ASYNC, k=5, generator_concurrency=1, eval_concurrency=32), frozenset(), "raw"),
     "stage-sync-rounds3-fails": (12, dict(execution_mode=STAGE_SYNC, k=5, rounds=3, generator_concurrency=4, eval_concurrency=3), FAILS, "raw"),
     "multi-async-rounds3": (17, dict(execution_mode=MULTI_ASYNC, k=3, rounds=3, generator_concurrency=4, eval_concurrency=2, queue_capacity=9), frozenset(), "formatted"),
+    "multi-async-schedule-seed": (17, dict(execution_mode=MULTI_ASYNC, k=3, rounds=3, generator_concurrency=4, eval_concurrency=2, schedule_seed=3), FAILS, "raw"),
 }
 
 # name -> (makespan, max_gen_inflight, max_eval_queue, max_llm_inflight,
@@ -61,6 +63,7 @@ PINS = {
     "multi-async-p1": (33.33882613677507, 1, 5, 1, "108418b5308f6ce85146eb86a3e6f4f497c2bef5889f878ac722b7b9b46a1e98"),
     "stage-sync-rounds3-fails": (217.56802433828304, 4, 54, 4, "c88b1d27bf89d71ed1d6b1099ebf85ee2eb6dddd233427fcc61fd038c4085e71"),
     "multi-async-rounds3": (179.9220878238174, 3, 6, 4, "adb46477342a093558564c4ea0e2fc182fe71cf61a9bda7e2743803e50f05377"),
+    "multi-async-schedule-seed": (162.5672496057713, 4, 19, 4, "e7de423c87095bb764cfd7dcb15f78190c5e36c60033b9761329d2d5d0d113a6"),
 }
 
 
@@ -119,3 +122,15 @@ def test_cases_cover_required_shapes():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_schedule_pinned(name):
     assert run_case(name) == PINS[name]
+
+
+def test_schedule_seed_does_not_depend_on_the_process(monkeypatch):
+    """A schedule seed gives the same schedule in every process; the run id,
+    which holds the process id, must not feed it."""
+    name = "multi-async-schedule-seed"
+    assert CASES[name][1]["schedule_seed"] is not None
+    outputs = []
+    for pid in (1000, 2000):
+        monkeypatch.setattr(os, "getpid", lambda: pid)
+        outputs.append(run_case(name))
+    assert outputs[0] == outputs[1]
