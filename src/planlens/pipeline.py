@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .agents import (
     AgentBundle,
@@ -216,16 +216,15 @@ def game_intervention(
     raise PipelineConfigError(f"unknown game {game!r}")
 
 
-@dataclass(frozen=True)
-class Task:
-    stage: Stage
-    sample_index: int
-    sample_id: str
-    round_index: int
-    attempt: int = -1
+class Task(NamedTuple):
+    """One stage of one (sample, round), or one EVAL attempt of it. Tasks
+    order by sample, round, stage and attempt, so a task is its own heap key."""
 
-    def sort_key(self) -> tuple:
-        return (self.sample_index, self.round_index, int(self.stage), self.attempt)
+    sample_index: int
+    round_index: int
+    stage: Stage
+    attempt: int  # the EVAL's candidate; -1 for the other stages
+    sample_id: str
 
     def label(self) -> str:
         attempt = f"#{self.attempt}" if self.stage is Stage.EVAL else ""
@@ -270,7 +269,6 @@ class RunLedger:
             seed, config.k, config.rounds,
         )
         self.replay = replay
-        self.samples_by_id = {s.sample_id: s for s in checkpoint.samples}
         self.rounds: dict[tuple[str, int], _RoundState] = {}
         self.best_outcomes: dict[str, OutcomeLevel] = {}
         self.events: list[Event] = []
@@ -334,7 +332,9 @@ class RunLedger:
             f"ready={ready} running={len(running)} "
             f"aggregated={len(self.best_outcomes)}/{len(self.checkpoint.samples)}",
         ]
-        progress = dict.fromkeys(sorted(self.samples_by_id), "loaded")
+        progress = dict.fromkeys(
+            sorted(s.sample_id for s in self.checkpoint.samples), "loaded"
+        )
         for (sid, r), state in self.rounds.items():  # a sample's rounds in order
             done = f"{len(state.records)}/{len(state.candidates)}"
             progress[sid] = (
@@ -540,57 +540,48 @@ class InterventionPipeline:
         cfg = self.config
         stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
         serial = cfg.execution_mode is ExecutionMode.SERIAL
-        schedule_rng = (
-            rng_for(cfg.schedule_seed, "schedule", led.seed)
-            if cfg.schedule_seed is not None
-            else None
-        )
-        wave_order = self._wave_order()
-        wave_index = 0
-        # Ready tasks: one heap of (key, task) per (round_index, stage). The
-        # key is Task.sort_key, or under schedule_seed a random priority
-        # drawn once when the task becomes ready.
-        buckets: dict[tuple[int, Stage], list] = {wave: [] for wave in wave_order}
-
-        def lanes_for(index: int) -> list[tuple[Stage, list]]:
-            """The buckets a scan may start tasks from."""
-            if stage_sync:
-                wave = wave_order[index]
-                return [(wave[1], buckets[wave])]
-            return [(stage, heap) for (_, stage), heap in buckets.items()]
+        # Keyed by the run's seed, not its id: the id holds the process id.
+        shuffle = cfg.schedule_seed
+        schedule_rng = None if shuffle is None else rng_for(shuffle, "schedule", led.seed)
+        # Ready tasks: one heap per stage, whose entries are the tasks or,
+        # under schedule_seed, (random priority drawn once when the task
+        # becomes ready, task). The EVAL heap is the GEN -> EVAL queue.
+        ready: dict[Stage, list] = {stage: [] for stage in Stage}
+        eval_queue = ready[Stage.EVAL]
+        # Stage-sync starts only the current stage of this cycle. A sample's
+        # next-round tasks become ready only after its current round's
+        # stages ran, so a stage's heap never holds two rounds here.
+        cycle = [Stage.ANLZ, Stage.GEN, Stage.EVAL] * cfg.rounds + [Stage.AGG]
+        wave = 0
 
         def make_ready(task: Task) -> None:
-            key = task.sort_key()
-            if schedule_rng is not None:
-                key = (schedule_rng.random(), key)
-            heapq.heappush(buckets[task.round_index, task.stage], (key, task))
+            entry = task if schedule_rng is None else (schedule_rng.random(), task)
+            heapq.heappush(ready[task.stage], entry)
 
         def stalled(message: str) -> PipelineStalledError:
-            ready = sum(len(heap) for heap in buckets.values())
-            in_flight = [entry[2] for entry in running]
-            return PipelineStalledError(message, led.dump(ready, in_flight))
+            waiting = sum(map(len, ready.values()))
+            return PipelineStalledError(message, led.dump(waiting, [e[2] for e in running]))
 
-        lanes = lanes_for(wave_index)
+        lanes = [(cycle[0], ready[cycle[0]])] if stage_sync else list(ready.items())
         # (finish, start order, task, replayed, product)
         running: list[tuple] = []
         start_order = itertools.count()
         llm_inflight = 0
         gen_inflight = 0
         eval_inflight = 0
-        eval_queued = 0
         for index, sample in enumerate(led.checkpoint.samples):
-            make_ready(Task(Stage.ANLZ, index, sample.sample_id, round_index=0))
+            make_ready(Task(index, 0, Stage.ANLZ, -1, sample.sample_id))
         source = self._feedback_source(led.intervention)
         last_progress = time.monotonic()
 
         while True:
             # A scan visits ready tasks in key order and starts each one
-            # whose class is open. Openness changes only when a task starts,
-            # so the scan pops the smallest key above the cursor among the
-            # open buckets. Entries at or below the cursor in a bucket that
+            # whose stage is open. Openness changes only when a task starts,
+            # so the scan pops the smallest entry above the cursor among the
+            # open heaps. Entries at or below the cursor in a heap that
             # reopened were passed over while it was closed: they are set
             # aside until the scan ends.
-            cursor = ()  # sorts before every key
+            cursor = ()  # sorts before every entry
             aside: list[tuple[list, tuple]] = []
             while not (serial and running):
                 llm_open = llm_inflight < cfg.generator_concurrency
@@ -601,7 +592,7 @@ class InterventionPipeline:
                 # would deadlock against it.
                 gen_open = llm_open and (
                     stage_sync
-                    or eval_queued + (gen_inflight + 1) * cfg.k <= cfg.queue_capacity
+                    or len(eval_queue) + (gen_inflight + 1) * cfg.k <= cfg.queue_capacity
                 )
                 is_open = (
                     None,
@@ -614,16 +605,16 @@ class InterventionPipeline:
                 for stage, heap in lanes:
                     if not heap or not is_open[stage]:
                         continue
-                    while heap and heap[0][0] <= cursor:
+                    while heap and heap[0] <= cursor:
                         aside.append((heap, heapq.heappop(heap)))
-                    if heap and (best is None or heap[0][0] < best[0][0]):
+                    if heap and (best is None or heap[0] < best[0]):
                         best = heap
                 if best is None:
                     break
-                cursor, task = heapq.heappop(best)
+                cursor = heapq.heappop(best)
+                task = cursor if schedule_rng is None else cursor[1]
                 if task.stage is Stage.EVAL:
                     eval_inflight += 1
-                    eval_queued -= 1
                 elif task.stage is not Stage.AGG:
                     llm_inflight += 1
                     if llm_inflight > led.max_llm_inflight:
@@ -644,15 +635,11 @@ class InterventionPipeline:
                 heapq.heappush(heap, passed_over)
 
             if not running:
-                if not any(buckets.values()):
+                if not any(ready.values()):
                     break
-                if (
-                    stage_sync
-                    and not buckets[wave_order[wave_index]]
-                    and wave_index + 1 < len(wave_order)
-                ):
-                    wave_index += 1
-                    lanes = lanes_for(wave_index)
+                if stage_sync and not lanes[0][1] and wave + 1 < len(cycle):
+                    wave += 1
+                    lanes = [(cycle[wave], ready[cycle[wave]])]
                     continue
                 raise stalled("ready tasks cannot acquire resources")
 
@@ -666,11 +653,8 @@ class InterventionPipeline:
                 llm_inflight -= 1
                 if task.stage is Stage.GEN:
                     gen_inflight -= 1
-                    # Its follow-ups are all EVALs or one round-end task.
-                    if followups[0].stage is Stage.EVAL:
-                        eval_queued += len(followups)
-                        if eval_queued > led.max_eval_queue:
-                            led.max_eval_queue = eval_queued
+                    if len(eval_queue) > led.max_eval_queue:
+                        led.max_eval_queue = len(eval_queue)
             elif task.stage is Stage.EVAL:
                 eval_inflight -= 1
 
@@ -684,13 +668,6 @@ class InterventionPipeline:
 
         if len(led.best_outcomes) < len(led.checkpoint.samples):
             raise stalled("run incomplete but no tasks remain")
-
-    def _wave_order(self) -> list[tuple[int, Stage]]:
-        order: list[tuple[int, Stage]] = []
-        for r in range(self.config.rounds):
-            order.extend([(r, Stage.ANLZ), (r, Stage.GEN), (r, Stage.EVAL)])
-        order.append((self.config.rounds - 1, Stage.AGG))
-        return order
 
     # -- task effects ------------------------------------------------------------
 
@@ -734,7 +711,7 @@ class InterventionPipeline:
         state = led.rounds[sid, r]
         if stage is Stage.GEN:
             outputs = self.agents.generator.generate(
-                led.samples_by_id[sid],
+                led.checkpoint.samples[task.sample_index],
                 state.report,
                 state.plan,
                 self.config.k,
@@ -763,14 +740,14 @@ class InterventionPipeline:
         outcome = None  # the level an EVAL or AGG event reports
         if stage is Stage.ANLZ:
             state.report, state.plan = product
-            followups = [Task(Stage.GEN, task.sample_index, sid, r)]
+            followups = [Task(task.sample_index, r, Stage.GEN, -1, sid)]
         elif stage is Stage.GEN:
             candidates, failures = product
             for cand in candidates:
                 state.candidates[cand.attempt] = cand
             state.failures = failures
             followups = [
-                Task(Stage.EVAL, task.sample_index, sid, r, cand.attempt)
+                Task(task.sample_index, r, Stage.EVAL, cand.attempt, sid)
                 for cand in candidates
             ] or [self._after_round(task)]
         elif stage is Stage.EVAL:
@@ -793,8 +770,8 @@ class InterventionPipeline:
     def _after_round(self, task: Task) -> Task:
         next_round = task.round_index + 1
         if next_round < self.config.rounds:
-            return Task(Stage.ANLZ, task.sample_index, task.sample_id, next_round)
-        return Task(Stage.AGG, task.sample_index, task.sample_id, task.round_index)
+            return Task(task.sample_index, next_round, Stage.ANLZ, -1, task.sample_id)
+        return Task(task.sample_index, task.round_index, Stage.AGG, -1, task.sample_id)
 
 
 def _event_payload(
