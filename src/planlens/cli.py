@@ -127,12 +127,35 @@ _CONFIG_KEYS = {
     "pipeline": dict,
     "agents": dict,
 }
+_PIPELINE_KEYS = {"mode": str, "concurrency": int, "eval_concurrency": int}
+_AGENTS_KEYS = {"backend": str, "behavior": dict}
+# Allowed values of the string keys that name a choice.
+_CONFIG_CHOICES = {
+    "game": sorted(GAMES),
+    "representation": [r.value for r in Representation],
+    "pipeline.mode": [m.value for m in ExecutionMode],
+    "agents.backend": ["mock", "http"],
+}
 
 
 def check_metrics(metrics: Iterable[str], where: str) -> None:
     for metric in metrics:
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r} in {where}")
+
+
+def _check_keys(data: Mapping[str, Any], schema: Mapping[str, type], prefix: str = "") -> None:
+    """Reject keys outside the schema and values of the wrong type; a
+    boolean is not an int here, although Python counts it as one."""
+    for key, value in data.items():
+        name = prefix + key
+        if key not in schema:
+            raise ConfigError(f"unknown config key {name!r}")
+        kind = schema[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ConfigError(f"config key {name!r} must be {kind.__name__}")
+        if name in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[name]:
+            raise ConfigError(f"config key {name!r} must be one of {_CONFIG_CHOICES[name]}")
 
 
 def load_experiment_config(path: str) -> dict:
@@ -145,37 +168,34 @@ def load_experiment_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("experiment config must be a JSON object")
-    for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if not isinstance(value, _CONFIG_KEYS[key]):
-            raise ConfigError(
-                f"config key {key!r} must be {_CONFIG_KEYS[key].__name__}"
-            )
-    if "game" in data and data["game"] not in GAMES:
-        raise ConfigError(f"config game must be one of {sorted(GAMES)}")
+    _check_keys(data, _CONFIG_KEYS)
+    _check_keys(data.get("pipeline", {}), _PIPELINE_KEYS, "pipeline.")
+    _check_keys(data.get("agents", {}), _AGENTS_KEYS, "agents.")
+    if data.get("rollouts", 1) < 1:
+        raise ConfigError("config key 'rollouts' must be >= 1")
     check_metrics(data.get("metrics", ()), "config")
-    if "agents" in data:
-        backend = data["agents"].get("backend", "mock")
-        if backend not in ("mock", "http"):
-            raise ConfigError("agents.backend must be 'mock' or 'http'")
-        latency = data["agents"].get("behavior", {}).get("latency", {})
-        for stage, params in latency.items():
-            if stage not in DEFAULT_LATENCIES:
-                raise ConfigError(
-                    f"agents.behavior.latency stage {stage!r} must be one of "
-                    f"{sorted(DEFAULT_LATENCIES)}"
-                )
-            if not isinstance(params, dict) or not {"mean", "tail"} <= params.keys():
-                raise ConfigError(
-                    f"agents.behavior.latency.{stage} needs both 'mean' and 'tail'"
-                )
+    latency = data.get("agents", {}).get("behavior", {}).get("latency", {})
+    if not isinstance(latency, dict):
+        raise ConfigError("config key 'agents.behavior.latency' must be dict")
+    for stage, params in latency.items():
+        if stage not in DEFAULT_LATENCIES:
+            raise ConfigError(
+                f"agents.behavior.latency stage {stage!r} must be one of "
+                f"{sorted(DEFAULT_LATENCIES)}"
+            )
+        if not isinstance(params, dict) or not {"mean", "tail"} <= params.keys():
+            raise ConfigError(
+                f"agents.behavior.latency.{stage} needs both 'mean' and 'tail'"
+            )
     return data
 
 
 def build_agents(agent_config: Mapping[str, Any]) -> AgentBundle:
     backend = agent_config.get("backend", "mock")
-    behavior = MockBehavior.from_json(agent_config.get("behavior", {}))
+    try:
+        behavior = MockBehavior.from_json(agent_config.get("behavior", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"agents.behavior is malformed: {exc!r}") from exc
     generator = MockGenerator(behavior)
     evaluator = MockEvaluator()
     if backend == "http":
@@ -253,6 +273,8 @@ def _pipeline_config(args: argparse.Namespace, seed: int) -> PipelineConfig:
 
 
 def cmd_intervene(args: argparse.Namespace) -> int:
+    if args.rollouts is not None and args.rollouts < 1:
+        raise ConfigError("--rollouts must be >= 1")
     config = load_experiment_config(args.config) if args.config else {}
     for key, attr in (
         ("k", "retries"),
@@ -268,9 +290,9 @@ def cmd_intervene(args: argparse.Namespace) -> int:
     if args.mode is None:
         args.mode = pipeline_cfg.get("mode", "multi-async")
     if args.concurrency is None:
-        args.concurrency = int(pipeline_cfg.get("concurrency", 16))
+        args.concurrency = pipeline_cfg.get("concurrency", 16)
     if args.eval_concurrency is None:
-        args.eval_concurrency = int(pipeline_cfg.get("eval_concurrency", 32))
+        args.eval_concurrency = pipeline_cfg.get("eval_concurrency", 32)
     defaults = {
         "retries": 5,
         "rounds": 1,
@@ -314,9 +336,14 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"--sweep cannot be combined with {', '.join(unsupported)}"
             )
-    elif args.metrics is not None:
-        # A single coalition's stats CSV always holds every metric.
-        raise ConfigError("--metrics applies only to --sweep")
+    else:
+        if args.metrics is not None:
+            # A single coalition's stats CSV always holds every metric.
+            raise ConfigError("--metrics applies only to --sweep")
+        try:
+            coalition = Coalition.parse(args.coalition, players)
+        except ValueError as exc:
+            raise ConfigError(f"--coalition {args.coalition!r}: {exc}") from exc
 
     metrics = ["compiled", "pass", "fast"]
     if args.metrics:
@@ -392,7 +419,6 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             f"-> {out_path}"
         )
     else:
-        coalition = Coalition.parse(args.coalition, players)
         intervention = game_intervention(
             args.game, coalition, components, representation
         )

@@ -640,6 +640,79 @@ class TestIntervene:
         assert meta[0].startswith("# planlens") and "config=" in meta[0]
         assert meta[0] != meta[1]
 
+    def rejected(self, tmp_path, checkpoint_file, capsys, config, argv):
+        """Run `intervene` with an optional config document and flags; assert
+        exit 2 with no output written, and return the error text."""
+        out = tmp_path / "out.csv"
+        args = ["intervene", "--checkpoint", str(checkpoint_file), "--out", str(out), *argv]
+        if "--sweep" not in argv and "--coalition" not in argv:
+            args += ["--coalition", "d"]
+        if config is not None:
+            config_path = tmp_path / "exp.json"
+            config_path.write_text(json.dumps(config))
+            args += ["--config", str(config_path)]
+        assert main(args) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_unknown_coalition_component_is_config_error(
+        self, tmp_path, checkpoint_file, capsys
+    ):
+        err = self.rejected(tmp_path, checkpoint_file, capsys, None, ["--coalition", "da"])
+        assert "--coalition" in err and "'da'" in err
+
+    @pytest.mark.parametrize(
+        "agents, named",
+        [
+            ({"behavior": []}, "agents.behavior"),
+            ({"behavior": {"latency": {"gen": {"mean": "x", "tail": 1}}}}, "agents.behavior"),
+            ({"behavior": {"effects": [{"level": "pass"}]}}, "agents.behavior"),
+            ({"behavior": {"latency": []}}, "agents.behavior.latency"),
+            ({"bakend": "http"}, "agents.bakend"),
+        ],
+        ids=["behavior-list", "latency-mean-str", "effect-missing-keys", "latency-list", "unknown-key"],
+    )
+    def test_malformed_agents_config_is_config_error(
+        self, tmp_path, checkpoint_file, capsys, agents, named
+    ):
+        err = self.rejected(tmp_path, checkpoint_file, capsys, {"agents": agents}, [])
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "config, argv, named",
+        [
+            ({"pipeline": {"queue_capacity": 8}}, [], "pipeline.queue_capacity"),
+            ({"pipeline": {"mode": "async"}}, [], "pipeline.mode"),
+            ({"pipeline": {"concurrency": "x"}}, [], "pipeline.concurrency"),
+            ({"pipeline": {"eval_concurrency": 2.5}}, [], "pipeline.eval_concurrency"),
+            ({"representation": "fancy"}, [], "'representation'"),
+            ({"k": True}, [], "'k'"),
+            ({"pipeline": {"concurrency": True}}, [], "pipeline.concurrency"),
+            ({"rollouts": 0}, [], "'rollouts'"),
+            (None, ["--rollouts", "0"], "--rollouts"),
+            (None, ["--sweep", "--rollouts", "0"], "--rollouts"),
+        ],
+        ids=[
+            "unknown-pipeline-key",
+            "pipeline-mode",
+            "concurrency-str",
+            "eval-concurrency-float",
+            "representation",
+            "k-bool",
+            "concurrency-bool",
+            "config-rollouts-0",
+            "coalition-rollouts-0",
+            "sweep-rollouts-0",
+        ],
+    )
+    def test_malformed_pipeline_and_run_size_are_config_errors(
+        self, tmp_path, checkpoint_file, capsys, config, argv, named
+    ):
+        err = self.rejected(tmp_path, checkpoint_file, capsys, config, argv)
+        assert named in err
+
 
 @pytest.fixture
 def sweep_table(tmp_path, checkpoint_file):
