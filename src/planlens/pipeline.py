@@ -332,9 +332,8 @@ class RunLedger:
             f"ready={ready} running={len(running)} "
             f"aggregated={len(self.best_outcomes)}/{len(self.checkpoint.samples)}",
         ]
-        progress = dict.fromkeys(
-            sorted(s.sample_id for s in self.checkpoint.samples), "loaded"
-        )
+        ids = sorted(s.sample_id for s in self.checkpoint.samples)
+        progress = dict.fromkeys(ids, "loaded")
         for (sid, r), state in self.rounds.items():  # a sample's rounds in order
             done = f"{len(state.records)}/{len(state.candidates)}"
             progress[sid] = (
@@ -541,8 +540,9 @@ class InterventionPipeline:
         stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
         serial = cfg.execution_mode is ExecutionMode.SERIAL
         # Keyed by the run's seed, not its id: the id holds the process id.
-        shuffle = cfg.schedule_seed
-        schedule_rng = None if shuffle is None else rng_for(shuffle, "schedule", led.seed)
+        schedule_rng = None
+        if cfg.schedule_seed is not None:
+            schedule_rng = rng_for(cfg.schedule_seed, "schedule", led.seed)
         # Ready tasks: one heap per stage, whose entries are the tasks or,
         # under schedule_seed, (random priority drawn once when the task
         # becomes ready, task). The EVAL heap is the GEN -> EVAL queue.
@@ -580,7 +580,9 @@ class InterventionPipeline:
             # so the scan pops the smallest entry above the cursor among the
             # open heaps. Entries at or below the cursor in a heap that
             # reopened were passed over while it was closed: they are set
-            # aside until the scan ends.
+            # aside until the scan ends. Only GEN reopens within a scan (an
+            # EVAL start shortens the queue), so the EVAL heap's length
+            # stays the GEN -> EVAL queue's.
             cursor = ()  # sorts before every entry
             aside: list[tuple[list, tuple]] = []
             while not (serial and running):

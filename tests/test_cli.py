@@ -640,9 +640,46 @@ class TestIntervene:
         assert meta[0].startswith("# planlens") and "config=" in meta[0]
         assert meta[0] != meta[1]
 
-    def rejected(self, tmp_path, checkpoint_file, capsys, config, argv):
-        """Run `intervene` with an optional config document and flags; assert
-        exit 2 with no output written, and return the error text."""
+    @pytest.mark.parametrize(
+        "config, argv, named",
+        [
+            pytest.param(None, ["--coalition", "da"], "'da'", id="coalition-da"),
+            pytest.param({"agents": {"behavior": []}}, [], "agents.behavior", id="behavior-list"),
+            pytest.param(
+                {"agents": {"behavior": {"latency": {"gen": {"mean": "x", "tail": 1}}}}},
+                [],
+                "agents.behavior",
+                id="latency-mean-str",
+            ),
+            pytest.param(
+                {"agents": {"behavior": {"effects": [{"level": "pass"}]}}},
+                [],
+                "agents.behavior",
+                id="effect-missing-keys",
+            ),
+            pytest.param(
+                {"agents": {"behavior": {"latency": []}}}, [], "agents.behavior.latency", id="latency-list"
+            ),
+            pytest.param({"agents": {"bakend": "http"}}, [], "agents.bakend", id="unknown-agents-key"),
+            pytest.param(
+                {"pipeline": {"queue_capacity": 8}}, [], "pipeline.queue_capacity", id="unknown-pipeline-key"
+            ),
+            pytest.param({"pipeline": {"mode": "async"}}, [], "pipeline.mode", id="pipeline-mode"),
+            pytest.param({"pipeline": {"concurrency": "x"}}, [], "pipeline.concurrency", id="concurrency-str"),
+            pytest.param(
+                {"pipeline": {"eval_concurrency": 2.5}}, [], "pipeline.eval_concurrency", id="eval-concurrency-float"
+            ),
+            pytest.param({"representation": "fancy"}, [], "'representation'", id="representation"),
+            pytest.param({"k": True}, [], "'k'", id="k-bool"),
+            pytest.param({"pipeline": {"concurrency": True}}, [], "pipeline.concurrency", id="concurrency-bool"),
+            pytest.param({"rollouts": 0}, [], "'rollouts'", id="config-rollouts-0"),
+            pytest.param(None, ["--rollouts", "0"], "--rollouts", id="coalition-rollouts-0"),
+            pytest.param(None, ["--sweep", "--rollouts", "0"], "--rollouts", id="sweep-rollouts-0"),
+        ],
+    )
+    def test_malformed_input_is_config_error(
+        self, tmp_path, checkpoint_file, capsys, config, argv, named
+    ):
         out = tmp_path / "out.csv"
         args = ["intervene", "--checkpoint", str(checkpoint_file), "--out", str(out), *argv]
         if "--sweep" not in argv and "--coalition" not in argv:
@@ -654,64 +691,7 @@ class TestIntervene:
         assert main(args) == EXIT_CONFIG
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        return err
-
-    def test_unknown_coalition_component_is_config_error(
-        self, tmp_path, checkpoint_file, capsys
-    ):
-        err = self.rejected(tmp_path, checkpoint_file, capsys, None, ["--coalition", "da"])
-        assert "--coalition" in err and "'da'" in err
-
-    @pytest.mark.parametrize(
-        "agents, named",
-        [
-            ({"behavior": []}, "agents.behavior"),
-            ({"behavior": {"latency": {"gen": {"mean": "x", "tail": 1}}}}, "agents.behavior"),
-            ({"behavior": {"effects": [{"level": "pass"}]}}, "agents.behavior"),
-            ({"behavior": {"latency": []}}, "agents.behavior.latency"),
-            ({"bakend": "http"}, "agents.bakend"),
-        ],
-        ids=["behavior-list", "latency-mean-str", "effect-missing-keys", "latency-list", "unknown-key"],
-    )
-    def test_malformed_agents_config_is_config_error(
-        self, tmp_path, checkpoint_file, capsys, agents, named
-    ):
-        err = self.rejected(tmp_path, checkpoint_file, capsys, {"agents": agents}, [])
-        assert named in err
-
-    @pytest.mark.parametrize(
-        "config, argv, named",
-        [
-            ({"pipeline": {"queue_capacity": 8}}, [], "pipeline.queue_capacity"),
-            ({"pipeline": {"mode": "async"}}, [], "pipeline.mode"),
-            ({"pipeline": {"concurrency": "x"}}, [], "pipeline.concurrency"),
-            ({"pipeline": {"eval_concurrency": 2.5}}, [], "pipeline.eval_concurrency"),
-            ({"representation": "fancy"}, [], "'representation'"),
-            ({"k": True}, [], "'k'"),
-            ({"pipeline": {"concurrency": True}}, [], "pipeline.concurrency"),
-            ({"rollouts": 0}, [], "'rollouts'"),
-            (None, ["--rollouts", "0"], "--rollouts"),
-            (None, ["--sweep", "--rollouts", "0"], "--rollouts"),
-        ],
-        ids=[
-            "unknown-pipeline-key",
-            "pipeline-mode",
-            "concurrency-str",
-            "eval-concurrency-float",
-            "representation",
-            "k-bool",
-            "concurrency-bool",
-            "config-rollouts-0",
-            "coalition-rollouts-0",
-            "sweep-rollouts-0",
-        ],
-    )
-    def test_malformed_pipeline_and_run_size_are_config_errors(
-        self, tmp_path, checkpoint_file, capsys, config, argv, named
-    ):
-        err = self.rejected(tmp_path, checkpoint_file, capsys, config, argv)
-        assert named in err
+        assert named in err and "Traceback" not in err
 
 
 @pytest.fixture
