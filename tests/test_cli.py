@@ -1071,3 +1071,71 @@ class TestLatencyConfig:
             json.dumps(plain, sort_keys=True).encode("utf-8")
         ).hexdigest()
         assert (len(plain), plain[-1]["wall_time"], digest[:16]) == PINNED_DEFAULT_TRACE
+
+
+def config_of(path):
+    """The `config=` hash in an output file's `# planlens ...` header."""
+    header = path.read_text().splitlines()[0]
+    assert header.startswith("# planlens ")
+    return header.split("config=")[1]
+
+
+# Each run setting: (name, flag argv, the same value as an experiment config).
+RUN_SETTING_CASES = [
+    ("game", ["--game", "plan-feedback"], {"game": "plan-feedback"}),
+    ("representation", ["--representation", "formatted"], {"representation": "formatted"}),
+    ("k", ["--retries", "2"], {"k": 2}),
+    ("rounds", ["--rounds", "2"], {"rounds": 2}),
+    ("rollouts", ["--rollouts", "2"], {"rollouts": 2}),
+    ("seed", ["--seed", "5"], {"seed": 5}),
+    ("pipeline.mode", ["--mode", "serial"], {"pipeline": {"mode": "serial"}}),
+    ("pipeline.concurrency", ["--concurrency", "3"], {"pipeline": {"concurrency": 3}}),
+    (
+        "pipeline.eval_concurrency",
+        ["--eval-concurrency", "4"],
+        {"pipeline": {"eval_concurrency": 4}},
+    ),
+]
+
+# Every run setting away from its default, for the pinned provenance hashes.
+ALL_SETTINGS_ARGV = [
+    "--game", "plan-summary", "--representation", "summarized", "--retries", "2",
+    "--rounds", "2", "--rollouts", "2", "--seed", "5", "--mode", "stage-sync",
+    "--concurrency", "3", "--eval-concurrency", "4",
+]
+
+
+class TestRunSettings:
+    def intervene(self, tmp_path, checkpoint_file, name, argv, config=None):
+        out = tmp_path / f"{name}.csv"
+        args = ["intervene", "--checkpoint", str(checkpoint_file), "--out", str(out), *argv]
+        if config is not None:
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            args += ["--config", str(config_path)]
+        assert main(args) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize(
+        "flag, config", [case[1:] for case in RUN_SETTING_CASES], ids=[c[0] for c in RUN_SETTING_CASES]
+    )
+    def test_flag_and_config_key_give_one_output(self, tmp_path, checkpoint_file, flag, config):
+        base = {"--retries": "1", "--rollouts": "1"}
+        base.pop(flag[0], None)
+        argv = ["--sweep", *(item for pair in base.items() for item in pair)]
+        by_flag = self.intervene(tmp_path, checkpoint_file, "flag", argv + flag)
+        by_config = self.intervene(tmp_path, checkpoint_file, "config", argv, config)
+        default = self.intervene(tmp_path, checkpoint_file, "default", argv)
+        assert by_flag.read_bytes() == by_config.read_bytes()  # header included
+        assert config_of(by_flag) != config_of(default)
+
+    def test_provenance_hashes_pinned(self, tmp_path, checkpoint_file):
+        sweep = self.intervene(tmp_path, checkpoint_file, "sweep", ["--sweep", *ALL_SETTINGS_ARGV])
+        coalition = self.intervene(
+            tmp_path, checkpoint_file, "coalition", ["--coalition", "S,P", *ALL_SETTINGS_ARGV]
+        )
+        cost_dir = tmp_path / "cost"
+        assert main(["cost", "--depth", "7", "--k-local", "2", "--sweep", "2:4", "--out", str(cost_dir)]) == EXIT_OK
+        assert (config_of(sweep), config_of(coalition), config_of(cost_dir / "cost_scaling.csv")) == (
+            "746235b4eb2e", "948f11c8a34d", "784b8b44531b"
+        )
