@@ -13,7 +13,7 @@ import hashlib
 import json
 import shutil
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -116,25 +116,35 @@ def meta_line(settings: Mapping[str, Any]) -> str:
 
 # -- experiment config ---------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "game": str,
+_DEFAULTS = PipelineConfig()  # the pipeline's own defaults
+BACKENDS = ["mock", "http"]
+
+# The run settings of `intervene`, each declared once: (flag dest, config
+# key, default, choices). A setting takes its flag, else its config key,
+# else the default; the provenance hash names it by its key's last part.
+RUN_SETTINGS = (
+    ("game", "game", "components", sorted(GAMES)),
+    ("representation", "representation", "raw", [r.value for r in Representation]),
+    ("retries", "k", _DEFAULTS.k, None),
+    ("rounds", "rounds", _DEFAULTS.rounds, None),
+    ("rollouts", "rollouts", 5, None),
+    ("seed", "seed", _DEFAULTS.seed, None),
+    ("mode", "pipeline.mode", _DEFAULTS.execution_mode.value, [m.value for m in ExecutionMode]),
+    ("concurrency", "pipeline.concurrency", _DEFAULTS.generator_concurrency, None),
+    ("eval_concurrency", "pipeline.eval_concurrency", _DEFAULTS.eval_concurrency, None),
+)
+# The config schema, keyed by dotted name.
+_CONFIG_TYPES = {
+    **{key: type(default) for _, key, default, _ in RUN_SETTINGS},
     "metrics": list,
-    "representation": str,
-    "k": int,
-    "rounds": int,
-    "rollouts": int,
-    "seed": int,
     "pipeline": dict,
     "agents": dict,
+    "agents.backend": str,
+    "agents.behavior": dict,
 }
-_PIPELINE_KEYS = {"mode": str, "concurrency": int, "eval_concurrency": int}
-_AGENTS_KEYS = {"backend": str, "behavior": dict}
 # Allowed values of the string keys that name a choice.
-_CONFIG_CHOICES = {
-    "game": sorted(GAMES),
-    "representation": [r.value for r in Representation],
-    "pipeline.mode": [m.value for m in ExecutionMode],
-    "agents.backend": ["mock", "http"],
+_CONFIG_CHOICES = {key: choices for _, key, _, choices in RUN_SETTINGS if choices} | {
+    "agents.backend": BACKENDS
 }
 
 
@@ -144,14 +154,14 @@ def check_metrics(metrics: Iterable[str], where: str) -> None:
             raise ConfigError(f"unknown metric {metric!r} in {where}")
 
 
-def _check_keys(data: Mapping[str, Any], schema: Mapping[str, type], prefix: str = "") -> None:
+def _check_keys(data: Mapping[str, Any], prefix: str = "") -> None:
     """Reject keys outside the schema and values of the wrong type; a
     boolean is not an int here, although Python counts it as one."""
     for key, value in data.items():
         name = prefix + key
-        if key not in schema:
+        if name not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config key {name!r}")
-        kind = schema[key]
+        kind = _CONFIG_TYPES[name]
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise ConfigError(f"config key {name!r} must be {kind.__name__}")
         if name in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[name]:
@@ -168,9 +178,9 @@ def load_experiment_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("experiment config must be a JSON object")
-    _check_keys(data, _CONFIG_KEYS)
-    _check_keys(data.get("pipeline", {}), _PIPELINE_KEYS, "pipeline.")
-    _check_keys(data.get("agents", {}), _AGENTS_KEYS, "agents.")
+    _check_keys(data)
+    for section in ("pipeline", "agents"):
+        _check_keys(data.get(section, {}), section + ".")
     if data.get("rollouts", 1) < 1:
         raise ConfigError("config key 'rollouts' must be >= 1")
     check_metrics(data.get("metrics", ()), "config")
@@ -260,50 +270,15 @@ def cmd_freeze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pipeline_config(args: argparse.Namespace, seed: int) -> PipelineConfig:
-    return PipelineConfig(
-        generator_concurrency=args.concurrency,
-        eval_concurrency=args.eval_concurrency,
-        k=args.retries,
-        rounds=args.rounds,
-        seed=seed,
-        execution_mode=ExecutionMode(args.mode),
-        record_trace=args.trace is not None,
-    )
-
-
 def cmd_intervene(args: argparse.Namespace) -> int:
     if args.rollouts is not None and args.rollouts < 1:
         raise ConfigError("--rollouts must be >= 1")
     config = load_experiment_config(args.config) if args.config else {}
-    for key, attr in (
-        ("k", "retries"),
-        ("rounds", "rounds"),
-        ("rollouts", "rollouts"),
-        ("seed", "seed"),
-        ("game", "game"),
-        ("representation", "representation"),
-    ):
-        if getattr(args, attr) is None and key in config:
-            setattr(args, attr, config[key])
-    pipeline_cfg = config.get("pipeline", {})
-    if args.mode is None:
-        args.mode = pipeline_cfg.get("mode", "multi-async")
-    if args.concurrency is None:
-        args.concurrency = pipeline_cfg.get("concurrency", 16)
-    if args.eval_concurrency is None:
-        args.eval_concurrency = pipeline_cfg.get("eval_concurrency", 32)
-    defaults = {
-        "retries": 5,
-        "rounds": 1,
-        "rollouts": 5,
-        "seed": 0,
-        "game": "components",
-        "representation": "raw",
-    }
-    for attr, value in defaults.items():
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+    for dest, key, default, _ in RUN_SETTINGS:
+        section, _, name = key.rpartition(".")
+        scope = config.get(section, {}) if section else config
+        if getattr(args, dest) is None:
+            setattr(args, dest, scope.get(name, default))
 
     try:
         checkpoint = load_checkpoint(args.checkpoint)
@@ -354,16 +329,8 @@ def cmd_intervene(args: argparse.Namespace) -> int:
     settings = {
         "command": "intervene",
         "checkpoint_hash": checkpoint.checkpoint_hash,
-        "game": args.game,
-        "representation": args.representation,
         "metrics": metrics,
-        "k": args.retries,
-        "rounds": args.rounds,
-        "rollouts": args.rollouts,
-        "seed": args.seed,
-        "mode": args.mode,
-        "concurrency": args.concurrency,
-        "eval_concurrency": args.eval_concurrency,
+        **{key.rpartition(".")[2]: getattr(args, dest) for dest, key, _, _ in RUN_SETTINGS},
         "sweep": bool(args.sweep),
         "coalition": args.coalition,
         "randomize_feedback": args.randomize_feedback,
@@ -391,7 +358,15 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         agents,
         source,
         players=components,
-        config=_pipeline_config(args, args.seed),
+        config=PipelineConfig(
+            generator_concurrency=args.concurrency,
+            eval_concurrency=args.eval_concurrency,
+            k=args.retries,
+            rounds=args.rounds,
+            seed=args.seed,
+            execution_mode=ExecutionMode(args.mode),
+            record_trace=args.trace is not None,
+        ),
         latency_model=LatencyModel(seed=args.seed, params=latency),
     )
 
@@ -560,24 +535,9 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    params = CostParams(
-        depth=args.depth,
-        population=args.population,
-        repetitions=args.repetitions,
-        feedback_components=args.feedback_components,
-        checkpoints=args.checkpoints,
-        k_local=args.k_local,
-    )
-    settings = {
-        "command": "cost",
-        "depth": args.depth,
-        "population": args.population,
-        "repetitions": args.repetitions,
-        "feedback_components": args.feedback_components,
-        "checkpoints": args.checkpoints,
-        "k_local": args.k_local,
-        "sweep": args.sweep,
-    }
+    values = {f.name: getattr(args, f.name) for f in fields(CostParams)}
+    params = CostParams(**values)
+    settings = {"command": "cost", **values, "sweep": args.sweep}
     volume_e2e = b_e2e(params)
     volume_pipe = b_pipe(params)
     slope_e2e, slope_pipe = depth_slopes(params)
@@ -684,21 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument(
         "--sweep", action="store_true", help="evaluate all 2^N coalitions"
     )
-    p_int.add_argument(
-        "--game",
-        choices=sorted(GAMES),
-        default=None,
-        help="player set (default components)",
-    )
-    p_int.add_argument(
-        "--representation",
-        choices=[r.value for r in Representation],
-        default=None,
-    )
+    for dest, key, default, choices in RUN_SETTINGS:
+        p_int.add_argument(
+            "--" + dest.replace("_", "-"),
+            type=type(default),
+            choices=choices,
+            help=f"config key {key}, default {default}",
+        )
     p_int.add_argument(
         "--plan-mode",
-        choices=["self", "none", "dummy"],
-        default=None,
+        choices=[m.value for m in PlanMode],
         help="override plan handling (e.g. dummy)",
     )
     p_int.add_argument(
@@ -708,22 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="permute feedback within the generation (control condition)",
     )
-    p_int.add_argument("--rollouts", type=int, default=None)
-    p_int.add_argument("--seed", type=int, default=None)
-    p_int.add_argument("--retries", type=int, default=None, help="attempts per round (k)")
-    p_int.add_argument("--rounds", type=int, default=None)
-    p_int.add_argument(
-        "--mode",
-        choices=[m.value for m in ExecutionMode],
-        default=None,
-    )
-    p_int.add_argument("--concurrency", type=int, default=None, help="LLM pool P")
-    p_int.add_argument("--eval-concurrency", type=int, default=None)
     p_int.add_argument("--metrics", help="comma list of metrics for --sweep")
     p_int.add_argument(
         "--backend",
-        choices=["mock", "http"],
-        default=None,
+        choices=BACKENDS,
         help="agent backend (default: agents.backend from --config, else mock)",
     )
     p_int.add_argument("--out", required=True, help="output CSV path")
