@@ -475,12 +475,19 @@ class InterventionPipeline:
                 f"coalition mask {intervention.coalition.mask} exceeds the "
                 f"{len(self.players)}-player game"
             )
-        if replay is not None and replay.checkpoint_hash != checkpoint.checkpoint_hash:
-            raise ReplayMismatchError(
-                "replay archive was recorded on a different checkpoint "
-                f"({replay.checkpoint_hash[:12]} != "
-                f"{checkpoint.checkpoint_hash[:12]})"
-            )
+        if replay is not None:
+            # An archive recorded under other settings matches no stage key.
+            for name, recorded, actual in (
+                ("checkpoint", replay.checkpoint_hash, checkpoint.checkpoint_hash),
+                ("intervention signature", replay.intervention_signature, intervention.signature()),
+                ("k", replay.k, self.config.k),
+                ("rounds", replay.rounds, self.config.rounds),
+            ):
+                if recorded != actual:
+                    raise ReplayMismatchError(
+                        f"replay archive was recorded under a different {name} "
+                        f"({recorded} != {actual})"
+                    )
         effective_seed = self.config.seed if seed is None else seed
         with self._lock:
             run_id = f"run-{next(self._run_counter):04d}-{os.getpid()}"
@@ -832,25 +839,28 @@ def export_trace(result: RunResult, path: str | Path) -> None:
             fh.write(json.dumps(event.to_json(), sort_keys=True) + "\n")
 
 
+@dataclass(frozen=True)
 class ReplayCache:
-    """Preloaded stage results from a prior run on the same checkpoint."""
+    """Preloaded stage results from a prior run, with the checkpoint hash,
+    intervention signature, k and rounds it was recorded under."""
 
-    def __init__(self, checkpoint_hash: str, entries: Mapping[str, dict]):
-        self.checkpoint_hash = checkpoint_hash
-        self._entries = dict(entries)
+    checkpoint_hash: str
+    entries: Mapping[str, dict] = field(repr=False)
+    intervention_signature: str
+    k: int
+    rounds: int
 
     def get(self, stage_key: str) -> dict | None:
-        return self._entries.get(stage_key)
+        return self.entries.get(stage_key)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def filter(self, kinds: Iterable[str]) -> "ReplayCache":
         """Keep only the given stage kinds (e.g. {"anlz"})."""
         wanted = set(kinds)
-        return ReplayCache(
-            self.checkpoint_hash,
-            {k: v for k, v in self._entries.items() if v.get("kind") in wanted},
+        return replace(
+            self, entries={k: v for k, v in self.entries.items() if v.get("kind") in wanted}
         )
 
 
@@ -905,7 +915,8 @@ def replay_load(
         for name in dict.fromkeys(index.values())
     }
     return ReplayCache(
-        recorded, {stage_key: payloads[name] for stage_key, name in index.items()}
+        recorded, {stage_key: payloads[name] for stage_key, name in index.items()},
+        manifest["intervention_signature"], manifest["k"], manifest["rounds"],
     )
 
 

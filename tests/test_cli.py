@@ -292,6 +292,18 @@ class TestIntervene:
         assert code == EXIT_DATA
         assert "mismatch" in capsys.readouterr().err
 
+    def test_replay_of_another_coalition_is_data_error(self, tmp_path, checkpoint_file, capsys):
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--rollouts", "1", "--retries", "1"]
+        archive = tmp_path / "archive"
+        code = main(base + ["--coalition", "d,a", "--out", str(tmp_path / "x.csv"), "--archive", str(archive)])
+        assert code == EXIT_OK
+        out = tmp_path / "y.csv"
+        code = main(base + ["--coalition", "d", "--out", str(out), "--replay", str(archive)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "intervention signature" in err and "Traceback" not in err
+
     def test_dummy_plan_mode(self, tmp_path, checkpoint_file):
         out = tmp_path / "dummy.csv"
         code = main(

@@ -434,6 +434,24 @@ class TestReplay:
         with pytest.raises(ReplayMismatchError):
             pipe.submit(other, Intervention(coalition=FULL), replay=cache)
 
+    @pytest.mark.parametrize(
+        "config, coalition, named",
+        [
+            (PipelineConfig(k=2, seed=9), FULL, "k"),
+            (PipelineConfig(k=3, rounds=2, seed=9), FULL, "rounds"),
+            (PipelineConfig(k=3, seed=9), Coalition.of(D), "intervention signature"),
+        ],
+        ids=["k", "rounds", "coalition"],
+    )
+    def test_submit_rejects_archive_of_other_run_settings(self, tmp_path, config, coalition, named):
+        cp = build_checkpoint(4)
+        _, _, archive_dir = self.archived_run(tmp_path, cp)  # k=3, rounds=1, full coalition
+        cache = replay_load(archive_dir, cp)
+        pipe = build_pipe(cp, config=config)
+        for replay in (cache, cache.filter({"anlz"})):
+            with pytest.raises(ReplayMismatchError, match=f"different {named} "):
+                pipe.submit(cp, Intervention(coalition=coalition), replay=replay)
+
 
 class TestInterventionModes:
     def test_dummy_plan_bypasses_planner(self):
