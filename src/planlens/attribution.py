@@ -534,6 +534,8 @@ def tables_from_csv(
             )
         table = tables[key]
         mask = int(row["coalition_mask"])
+        if not 0 <= mask < 1 << len(players):
+            raise ValueError(f"coalition_mask {mask} is outside the {len(players)}-player game")
         stderr = float(row["stderr"]) if row.get("stderr") else None
         table.set(Coalition(mask), float(row["v"]), stderr, int(row.get("n") or 0))
     return [tables[key] for key in sorted(tables)]

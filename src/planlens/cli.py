@@ -439,7 +439,10 @@ def cmd_attribute(args: argparse.Namespace) -> int:
             text = Path(path).read_text(encoding="utf-8")
         except FileNotFoundError as exc:
             raise DataError(f"table file not found: {path}") from exc
-        tables.extend(tables_from_csv(text, players))
+        try:
+            tables.extend(tables_from_csv(text, players))
+        except (KeyError, TypeError, ValueError) as exc:  # missing column, short row, bad value
+            raise DataError(f"cannot read table file {path}: {exc!r}") from exc
     if not tables:
         raise DataError("no characteristic tables found in inputs")
     settings = {

@@ -797,6 +797,25 @@ class TestAttribute:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("case", ["mask-outside-game", "mask-not-int", "no-g-column"])
+    def test_bad_table_is_data_error(self, tmp_path, sweep_table, capsys, case):
+        rows = read_csv_rows(sweep_table)
+        game = "plan-feedback" if case == "mask-outside-game" else "components"  # a 3-player table
+        if case == "mask-not-int":
+            rows[0]["coalition_mask"] = "x"
+        if case == "no-g-column":
+            for row in rows:
+                del row["g"]
+        bad = tmp_path / "bad.csv"
+        with bad.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        code = main(["attribute", "--game", game, "--tables", str(bad), "--out", str(tmp_path / "report")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
     def test_shapley_flag(self, tmp_path, sweep_table):
         out = tmp_path / "shapley"
         code = main(
