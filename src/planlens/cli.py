@@ -143,9 +143,7 @@ _CONFIG_TYPES = {
     "agents.behavior": dict,
 }
 # Allowed values of the string keys that name a choice.
-_CONFIG_CHOICES = {key: choices for _, key, _, choices in RUN_SETTINGS if choices} | {
-    "agents.backend": BACKENDS
-}
+_CONFIG_CHOICES = {key: c for _, key, _, c in RUN_SETTINGS if c} | {"agents.backend": BACKENDS}
 
 
 def check_metrics(metrics: Iterable[str], where: str) -> None:

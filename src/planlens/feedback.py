@@ -283,12 +283,8 @@ class PermutedArtifactSource:
         self._mapping = dict(mapping)
 
     def get(self, sample_id, component, representation):
-        donor = self._mapping.get(sample_id, sample_id)
-        art = self._inner.get(donor, component, representation)
-        if art is None:
-            return None
-        # Keep the donor's payload; the report is for the receiving sample.
-        return art
+        # The donor's artifact, payload included; the report is for the receiving sample.
+        return self._inner.get(self._mapping.get(sample_id, sample_id), component, representation)
 
 
 def build_report(

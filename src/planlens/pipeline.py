@@ -397,11 +397,10 @@ DEFAULT_LATENCIES = {
 
 
 class _RepresentationSource:
-    """Serves the requested representation, deriving it from raw feedback.
-
-    Formatted output is a local deterministic transform; summarized output
-    goes through the summarizer agent exactly once per distinct raw
-    artifact (content-addressed cache).
+    """Serves the requested representation, derived from the one read of
+    the raw artifact: formatted output is a local deterministic transform;
+    summarized output goes through the summarizer agent exactly once per
+    distinct raw artifact (content-addressed cache).
     """
 
     def __init__(self, inner: ArtifactSource, summarizer, cache: Memo):
@@ -410,12 +409,9 @@ class _RepresentationSource:
         self._cache = cache
 
     def get(self, sample_id, component, representation):
-        direct = self._inner.get(sample_id, component, representation)
-        if direct is not None or representation is Representation.RAW:
-            return direct
         raw = self._inner.get(sample_id, component, Representation.RAW)
-        if raw is None:
-            return None
+        if raw is None or representation is Representation.RAW:
+            return raw
         if representation is Representation.FORMATTED:
             return FeedbackArtifact(
                 component=raw.component,

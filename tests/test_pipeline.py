@@ -728,6 +728,21 @@ class TestCostGuards:
         assert len(set(map(id, artifacts))) == len(artifacts)
         assert len(set(map(id, reports))) == len(reports)
 
+    def test_every_representation_reads_raw_once_per_lookup(self):
+        cp = build_checkpoint(5)
+        pipe = build_pipe(cp)
+        reads = Counter()
+        get = pipe.artifact_source.get
+
+        def counted(sample_id, component, representation):
+            reads[representation] += 1
+            return get(sample_id, component, representation)
+
+        pipe.artifact_source.get = counted
+        for representation in Representation:
+            run_once(pipe, cp, Intervention(coalition=FULL, representation=representation))
+        assert reads == Counter({Representation.RAW: 3 * 15})  # 5 samples x 3 components per run
+
     def untraced_pipe(self, checkpoint):
         config = PipelineConfig(k=5, seed=0, record_trace=False)
         return build_pipe(checkpoint, config=config)
