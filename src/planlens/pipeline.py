@@ -303,7 +303,7 @@ class RunLedger:
         """The replay archive's payload for this stage, if there is one."""
         if self.replay is None:
             return None
-        return self.replay.get(self.stage_key(stage, sample_id, round_index, attempt))
+        return self.replay.entries.get(self.stage_key(stage, sample_id, round_index, attempt))
 
     def archive_entries(self) -> dict[str, dict]:
         """Stage key -> archive payload for every completed stage, replayed
@@ -845,12 +845,6 @@ class ReplayCache:
     intervention_signature: str
     k: int
     rounds: int
-
-    def get(self, stage_key: str) -> dict | None:
-        return self.entries.get(stage_key)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def filter(self, kinds: Iterable[str]) -> "ReplayCache":
         """Keep only the given stage kinds (e.g. {"anlz"})."""
