@@ -2,10 +2,12 @@ import csv
 import hashlib
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from planlens.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from planlens.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, RUN_SETTINGS, load_experiment_config, main
 from planlens.trajectory import ExecutionRecord, Sample, TrajectoryStore
 
 # (events, final simulated time, digest) of the default 8-sample `--coalition d` trace.
@@ -1170,3 +1172,12 @@ class TestRunSettings:
         assert (config_of(sweep), config_of(coalition), config_of(cost_dir / "cost_scaling.csv")) == (
             "746235b4eb2e", "948f11c8a34d", "784b8b44531b"
         )
+
+    def test_readme_config_example_names_every_run_setting(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = tmp_path / "exp.json"
+        example.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        config = load_experiment_config(str(example))
+        for _, key, _, _ in RUN_SETTINGS:
+            section, _, name = key.rpartition(".")
+            assert name in (config[section] if section else config), key
