@@ -120,30 +120,33 @@ _DEFAULTS = PipelineConfig()  # the pipeline's own defaults
 BACKENDS = ["mock", "http"]
 
 # The run settings of `intervene`, each declared once: (flag dest, config
-# key, default, choices). A setting takes its flag, else its config key,
-# else the default; the provenance hash names it by its key's last part.
+# section, config key, default, choices, help). A setting takes its flag,
+# else its config key, else the default; the provenance hash names it by key.
 RUN_SETTINGS = (
-    ("game", "game", "components", sorted(GAMES)),
-    ("representation", "representation", "raw", [r.value for r in Representation]),
-    ("retries", "k", _DEFAULTS.k, None),
-    ("rounds", "rounds", _DEFAULTS.rounds, None),
-    ("rollouts", "rollouts", 5, None),
-    ("seed", "seed", _DEFAULTS.seed, None),
-    ("mode", "pipeline.mode", _DEFAULTS.execution_mode.value, [m.value for m in ExecutionMode]),
-    ("concurrency", "pipeline.concurrency", _DEFAULTS.generator_concurrency, None),
-    ("eval_concurrency", "pipeline.eval_concurrency", _DEFAULTS.eval_concurrency, None),
+    ("game", "", "game", "components", sorted(GAMES), "player set"),
+    ("representation", "", "representation", "raw", [r.value for r in Representation], "feedback form"),
+    ("retries", "", "k", _DEFAULTS.k, None, "attempts per round"),
+    ("rounds", "", "rounds", _DEFAULTS.rounds, None, "refinement rounds"),
+    ("rollouts", "", "rollouts", 5, None, "runs per coalition"),
+    ("seed", "", "seed", _DEFAULTS.seed, None, "run seed"),
+    ("mode", "pipeline", "mode", _DEFAULTS.execution_mode.value, [m.value for m in ExecutionMode], "execution mode"),
+    ("concurrency", "pipeline", "concurrency", _DEFAULTS.generator_concurrency, None, "LLM pool P, shared by ANLZ and GEN"),
+    ("eval_concurrency", "pipeline", "eval_concurrency", _DEFAULTS.eval_concurrency, None, "EVAL pool"),
 )
-# The config schema, keyed by dotted name.
-_CONFIG_TYPES = {
-    **{key: type(default) for _, key, default, _ in RUN_SETTINGS},
+
+
+def _section_schema(section: str) -> dict:
+    return {key: choices or type(default) for _, sec, key, default, choices, _ in RUN_SETTINGS if sec == section}
+
+
+# The config schema: a key maps to its type, to the strings it allows, or,
+# for a section, to the section's own schema.
+_CONFIG_SCHEMA = {
+    **_section_schema(""),
     "metrics": list,
-    "pipeline": dict,
-    "agents": dict,
-    "agents.backend": str,
-    "agents.behavior": dict,
+    "pipeline": _section_schema("pipeline"),
+    "agents": {"backend": BACKENDS, "behavior": dict},
 }
-# Allowed values of the string keys that name a choice.
-_CONFIG_CHOICES = {key: c for _, key, _, c in RUN_SETTINGS if c} | {"agents.backend": BACKENDS}
 
 
 def check_metrics(metrics: Iterable[str], where: str) -> None:
@@ -152,18 +155,21 @@ def check_metrics(metrics: Iterable[str], where: str) -> None:
             raise ConfigError(f"unknown metric {metric!r} in {where}")
 
 
-def _check_keys(data: Mapping[str, Any], prefix: str = "") -> None:
+def _check_keys(data: Mapping[str, Any], schema: Mapping[str, Any], prefix: str = "") -> None:
     """Reject keys outside the schema and values of the wrong type; a
     boolean is not an int here, although Python counts it as one."""
     for key, value in data.items():
         name = prefix + key
-        if name not in _CONFIG_TYPES:
+        if key not in schema:
             raise ConfigError(f"unknown config key {name!r}")
-        kind = _CONFIG_TYPES[name]
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ConfigError(f"config key {name!r} must be {kind.__name__}")
-        if name in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[name]:
-            raise ConfigError(f"config key {name!r} must be one of {_CONFIG_CHOICES[name]}")
+        kind = schema[key]
+        expected = dict if isinstance(kind, dict) else str if isinstance(kind, list) else kind
+        if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+            raise ConfigError(f"config key {name!r} must be {expected.__name__}")
+        if isinstance(kind, list) and value not in kind:
+            raise ConfigError(f"config key {name!r} must be one of {kind}")
+        if isinstance(kind, dict):
+            _check_keys(value, kind, name + ".")
 
 
 def load_experiment_config(path: str) -> dict:
@@ -176,9 +182,7 @@ def load_experiment_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("experiment config must be a JSON object")
-    _check_keys(data)
-    for section in ("pipeline", "agents"):
-        _check_keys(data.get(section, {}), section + ".")
+    _check_keys(data, _CONFIG_SCHEMA)
     if data.get("rollouts", 1) < 1:
         raise ConfigError("config key 'rollouts' must be >= 1")
     check_metrics(data.get("metrics", ()), "config")
@@ -272,11 +276,10 @@ def cmd_intervene(args: argparse.Namespace) -> int:
     if args.rollouts is not None and args.rollouts < 1:
         raise ConfigError("--rollouts must be >= 1")
     config = load_experiment_config(args.config) if args.config else {}
-    for dest, key, default, _ in RUN_SETTINGS:
-        section, _, name = key.rpartition(".")
+    for dest, section, key, default, _, _ in RUN_SETTINGS:
         scope = config.get(section, {}) if section else config
         if getattr(args, dest) is None:
-            setattr(args, dest, scope.get(name, default))
+            setattr(args, dest, scope.get(key, default))
 
     try:
         checkpoint = load_checkpoint(args.checkpoint)
@@ -328,7 +331,7 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         "command": "intervene",
         "checkpoint_hash": checkpoint.checkpoint_hash,
         "metrics": metrics,
-        **{key.rpartition(".")[2]: getattr(args, dest) for dest, key, _, _ in RUN_SETTINGS},
+        **{key: getattr(args, dest) for dest, _, key, _, _, _ in RUN_SETTINGS},
         "sweep": bool(args.sweep),
         "coalition": args.coalition,
         "randomize_feedback": args.randomize_feedback,
@@ -645,12 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument(
         "--sweep", action="store_true", help="evaluate all 2^N coalitions"
     )
-    for dest, key, default, choices in RUN_SETTINGS:
+    for dest, section, key, default, choices, what in RUN_SETTINGS:
         p_int.add_argument(
             "--" + dest.replace("_", "-"),
             type=type(default),
             choices=choices,
-            help=f"config key {key}, default {default}",
+            help=f"{what} (config key {section + '.' if section else ''}{key}, default {default})",
         )
     p_int.add_argument(
         "--plan-mode",

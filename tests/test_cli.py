@@ -679,6 +679,8 @@ class TestIntervene:
                 {"pipeline": {"queue_capacity": 8}}, [], "pipeline.queue_capacity", id="unknown-pipeline-key"
             ),
             pytest.param({"pipeline": {"mode": "async"}}, [], "pipeline.mode", id="pipeline-mode"),
+            pytest.param({"pipeline.mode": "serial"}, [], "'pipeline.mode'", id="dotted-top-level-pipeline-key"),
+            pytest.param({"agents.backend": "http"}, [], "'agents.backend'", id="dotted-top-level-agents-key"),
             pytest.param({"pipeline": {"concurrency": "x"}}, [], "pipeline.concurrency", id="concurrency-str"),
             pytest.param(
                 {"pipeline": {"eval_concurrency": 2.5}}, [], "pipeline.eval_concurrency", id="eval-concurrency-float"
@@ -1178,6 +1180,5 @@ class TestRunSettings:
         example = tmp_path / "exp.json"
         example.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
         config = load_experiment_config(str(example))
-        for _, key, _, _ in RUN_SETTINGS:
-            section, _, name = key.rpartition(".")
-            assert name in (config[section] if section else config), key
+        for _, section, key, _, _, _ in RUN_SETTINGS:
+            assert key in (config[section] if section else config), (section, key)
