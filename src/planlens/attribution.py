@@ -79,7 +79,6 @@ class CharacteristicTable:
     values: dict[int, float] = field(default_factory=dict)
     stderr: dict[int, float | None] = field(default_factory=dict)
     n_rollouts: dict[int, int] = field(default_factory=dict)
-    aggregation: str = "rollouts"  # or "samples": what stderr was taken over
 
     def set(
         self,
@@ -91,9 +90,6 @@ class CharacteristicTable:
         self.values[coalition.mask] = value
         self.stderr[coalition.mask] = stderr
         self.n_rollouts[coalition.mask] = n
-
-    def value(self, coalition: Coalition) -> float:
-        return self.values[coalition.mask]
 
     def missing_masks(self) -> list[int]:
         return [
@@ -271,23 +267,21 @@ class AttributionReport:
         return rows
 
 
+# Attribution methods by name: the value function and its propagated
+# stderr. The stderr assumes the uniform coalition average, so the
+# comparison Shapley path reports no uncertainty.
+METHODS = {"banzhaf": (banzhaf, banzhaf_stderr), "shapley": (shapley, None)}
+
+
 def attribute(table: CharacteristicTable, method: str = "banzhaf") -> AttributionReport:
     """Compute the full attribution report for one characteristic table."""
     table.require_complete()
     spec = table.spec
-    if method == "banzhaf":
-        value_fn: Callable[[CharacteristicTable, FeedbackComponent], float] = banzhaf
-    elif method == "shapley":
-        value_fn = shapley
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown attribution method {method!r}")
+    value_fn, stderr_fn = METHODS[method]
     phi = {p.name: value_fn(table, p) for p in spec.players}
-    # The propagated stderr assumes the uniform coalition average; the
-    # comparison Shapley path reports no uncertainty.
-    if method == "banzhaf":
-        phi_se = {p.name: banzhaf_stderr(table, p) for p in spec.players}
-    else:
-        phi_se = {p.name: None for p in spec.players}
+    phi_se = {p.name: None if stderr_fn is None else stderr_fn(table, p) for p in spec.players}
     pairs: dict[tuple[str, str], float] = {}
     adjusted: dict[tuple[str, str], float] | None = None
     for idx, p1 in enumerate(spec.players):
@@ -307,101 +301,51 @@ def attribute(table: CharacteristicTable, method: str = "banzhaf") -> Attributio
     )
 
 
-def _check_estimator(r_rollouts: int, aggregation: str) -> None:
-    if r_rollouts < 1:
-        raise ValueError("r_rollouts must be >= 1")
-    if aggregation not in ("rollouts", "samples"):
-        raise ValueError("aggregation must be 'rollouts' or 'samples'")
-
-
-def _rollouts(
-    checkpoint: GenerationCheckpoint,
-    coalition: Coalition,
-    rollout_fn: Callable[[GenerationCheckpoint, Coalition, int], GenerationStats],
-    r_rollouts: int,
-    seed: int,
-) -> list[GenerationStats]:
-    """Stats of a coalition's seeded rollouts; a failing rollout is left
-    out, and all of them failing is an error."""
-    stats_list: list[GenerationStats] = []
-    failure: Exception | None = None
-    for r in range(r_rollouts):
-        rollout_seed = derive_seed(seed, "rollout", coalition.mask, r)
-        try:
-            stats_list.append(rollout_fn(checkpoint, coalition, rollout_seed))
-        except Exception as exc:  # noqa: BLE001 - isolate per-rollout failures
-            failure = exc
-    if not stats_list:
-        raise EstimationFailedError(
-            f"all {r_rollouts} rollouts failed for coalition mask "
-            f"{coalition.mask}: {failure}"
-        )
-    return stats_list
-
-
-def _mean_stderr(
-    stats_list: Sequence[GenerationStats], metric: str, aggregation: str
-) -> tuple[float, float | None]:
-    rates = [st.rate_for(metric) for st in stats_list]
-    mean = math.fsum(rates) / len(rates)
-    if aggregation == "samples":
-        n_samples_total = sum(st.n_samples for st in stats_list)
-        if n_samples_total == 0:
-            return mean, None
-        return mean, math.sqrt(max(mean * (1.0 - mean), 0.0) / n_samples_total)
-    if len(rates) < 2:
-        return mean, None
-    return mean, statistics.stdev(rates) / math.sqrt(len(rates))
-
-
-def estimate_payoff(
-    checkpoint: GenerationCheckpoint,
-    coalition: Coalition,
-    rollout_fn: Callable[[GenerationCheckpoint, Coalition, int], GenerationStats],
-    r_rollouts: int,
-    seed: int,
-    metric: str = "overall",
-    aggregation: str = "rollouts",
-) -> tuple[float, float | None]:
-    """Estimate v(S) as the mean metric rate over repeated seeded rollouts.
-
-    `aggregation` selects what the standard error is taken over:
-    independent rollouts (default) or samples within the pooled rollouts
-    (binomial plug-in). With a single rollout the rollout-level stderr is
-    undefined and reported as None.
-    """
-    _check_estimator(r_rollouts, aggregation)
-    stats_list = _rollouts(checkpoint, coalition, rollout_fn, r_rollouts, seed)
-    return _mean_stderr(stats_list, metric, aggregation)
-
-
 def sweep_characteristic_tables(
     checkpoint: GenerationCheckpoint,
     specs: Sequence[GameSpec],
     rollout_fn: Callable[[GenerationCheckpoint, Coalition, int], GenerationStats],
     r_rollouts: int,
     seed: int,
-    aggregation: str = "rollouts",
 ) -> list[CharacteristicTable]:
-    """Estimate one table per spec from a single shared set of rollouts.
+    """Estimate v(S) for every coalition as the mean metric rate over
+    r_rollouts seeded rollouts, one table per spec.
 
     All specs must share the same player set; every rollout yields stats
     for every metric at once, so the sweep costs 2^N x r_rollouts runs
-    total regardless of how many metrics are requested. Each entry equals
-    `estimate_payoff` for its coalition and metric bit for bit.
+    total regardless of how many metrics are requested. The standard
+    error is taken over rollouts, and is None for a single one. A rollout
+    that fails with an agent or pipeline error (a RuntimeError) is left
+    out, so n < r_rollouts; all of a coalition's rollouts failing is an
+    error, and any other exception propagates.
     """
     if not specs:
         raise ValueError("at least one game spec is required")
-    _check_estimator(r_rollouts, aggregation)
+    if r_rollouts < 1:
+        raise ValueError("r_rollouts must be >= 1")
     for spec in specs[1:]:
         if spec.players != specs[0].players:
             raise ValueError("all specs must share one player set")
-    tables = [CharacteristicTable(spec, aggregation=aggregation) for spec in specs]
+    tables = [CharacteristicTable(spec) for spec in specs]
     for coalition in enumerate_coalitions(specs[0].n):
-        stats_list = _rollouts(checkpoint, coalition, rollout_fn, r_rollouts, seed)
+        stats_list: list[GenerationStats] = []
+        failure: RuntimeError | None = None
+        for r in range(r_rollouts):
+            rollout_seed = derive_seed(seed, "rollout", coalition.mask, r)
+            try:
+                stats_list.append(rollout_fn(checkpoint, coalition, rollout_seed))
+            except RuntimeError as exc:
+                failure = exc
+        if not stats_list:
+            raise EstimationFailedError(
+                f"all {r_rollouts} rollouts failed for coalition mask "
+                f"{coalition.mask}: {failure}"
+            )
+        n = len(stats_list)
         for table in tables:
-            mean, se = _mean_stderr(stats_list, table.spec.metric, aggregation)
-            table.set(coalition, mean, se, len(stats_list))
+            rates = [st.rate_for(table.spec.metric) for st in stats_list]
+            se = statistics.stdev(rates) / math.sqrt(n) if n > 1 else None
+            table.set(coalition, math.fsum(rates) / n, se, n)
     return tables
 
 
@@ -411,9 +355,6 @@ class AttributionBundle:
 
     reports: dict[tuple[int, str], AttributionReport] = field(default_factory=dict)
     errors: dict[tuple[int, str], str] = field(default_factory=dict)
-
-    def sorted_keys(self) -> list[tuple[int, str]]:
-        return sorted(self.reports, key=lambda key: (key[0], key[1]))
 
 
 def attribution_report(
@@ -536,6 +477,8 @@ def tables_from_csv(
         mask = int(row["coalition_mask"])
         if not 0 <= mask < 1 << len(players):
             raise ValueError(f"coalition_mask {mask} is outside the {len(players)}-player game")
+        if mask in table.values:
+            raise ValueError(f"coalition_mask {mask} repeated for g={key[0]} metric={key[1]}")
         stderr = float(row["stderr"]) if row.get("stderr") else None
         table.set(Coalition(mask), float(row["v"]), stderr, int(row.get("n") or 0))
     return [tables[key] for key in sorted(tables)]
@@ -567,7 +510,7 @@ def bundle_to_json(bundle: AttributionBundle, meta: dict | None = None) -> str:
     payload: dict = {"rows": [], "errors": []}
     if meta:
         payload["_meta"] = meta
-    for (g, metric) in bundle.sorted_keys():
+    for (g, metric) in sorted(bundle.reports):
         report = bundle.reports[(g, metric)]
         entry = {
             "g": g,

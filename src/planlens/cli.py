@@ -33,6 +33,7 @@ from .agents import (
     mock_artifact_payload,
 )
 from .attribution import (
+    METHODS,
     EstimationFailedError,
     GameSpec,
     IncompleteTableError,
@@ -435,15 +436,24 @@ def cmd_intervene(args: argparse.Namespace) -> int:
 def cmd_attribute(args: argparse.Namespace) -> int:
     players = GAMES[args.game]()
     tables = []
+    source: dict[tuple[int, str], str] = {}  # (g, metric) -> the file it came from
     for path in args.tables:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except FileNotFoundError as exc:
             raise DataError(f"table file not found: {path}") from exc
         try:
-            tables.extend(tables_from_csv(text, players))
+            file_tables = tables_from_csv(text, players)
         except (KeyError, TypeError, ValueError) as exc:  # missing column, short row, bad value
             raise DataError(f"cannot read table file {path}: {exc!r}") from exc
+        for table in file_tables:
+            key = (table.spec.g, table.spec.metric)
+            if key in source:
+                raise DataError(
+                    f"two tables for g={key[0]} metric={key[1]}: {source[key]} and {path}"
+                )
+            source[key] = path
+        tables.extend(file_tables)
     if not tables:
         raise DataError("no characteristic tables found in inputs")
     settings = {
@@ -540,7 +550,10 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     values = {f.name: getattr(args, f.name) for f in fields(CostParams)}
-    params = CostParams(**values)
+    try:
+        params = CostParams(**values)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"cost: {exc}") from exc
     settings = {"command": "cost", **values, "sweep": args.sweep}
     volume_e2e = b_e2e(params)
     volume_pipe = b_pipe(params)
@@ -687,9 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_attr.add_argument("--tables", nargs="+", required=True)
     p_attr.add_argument("--game", choices=sorted(GAMES), default="components")
-    p_attr.add_argument(
-        "--method", choices=["banzhaf", "shapley"], default="banzhaf"
-    )
+    p_attr.add_argument("--method", choices=sorted(METHODS), default="banzhaf")
     p_attr.add_argument(
         "--clip",
         type=float,

@@ -35,6 +35,7 @@ class CostParams:
         for name in ("depth", "repetitions", "feedback_components", "checkpoints", "k_local"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        coalition_count(self.feedback_components)  # OverflowError past the limit
         if isinstance(self.population, int):
             if self.population < 1:
                 raise ValueError("population must be positive")
@@ -67,8 +68,8 @@ def coalition_count(feedback_components: int) -> int:
         raise ValueError("feedback_components must be >= 1")
     if feedback_components > MAX_FEEDBACK_COMPONENTS:
         raise OverflowError(
-            f"refusing 2^{feedback_components} coalitions "
-            f"(limit {MAX_FEEDBACK_COMPONENTS})"
+            f"feedback_components {feedback_components}: refusing "
+            f"2^{feedback_components} coalitions (limit {MAX_FEEDBACK_COMPONENTS})"
         )
     return 1 << feedback_components
 

@@ -395,6 +395,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> GenerationCheckpoint:
+    """Read a `save_checkpoint` file as outside data: a malformed header,
+    a sample of another trajectory or generation, or a repeated sample id
+    raises StoreFormatError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -403,20 +406,42 @@ def load_checkpoint(path: str) -> GenerationCheckpoint:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise StoreFormatError(str(exc), 1) from exc
-    if "checkpoint" not in header:
+    meta = header.get("checkpoint") if isinstance(header, dict) else None
+    if not isinstance(meta, dict):
         raise StoreFormatError("missing checkpoint header record", 1)
-    meta = header["checkpoint"]
-    samples = []
+    trajectory_id, g = meta.get("trajectory_id"), meta.get("g")
+    references = meta.get("reference_ids", [])
+    if not isinstance(trajectory_id, str):
+        raise StoreFormatError("checkpoint header needs a string trajectory_id", 1)
+    if not isinstance(g, int) or isinstance(g, bool):
+        raise StoreFormatError("checkpoint header needs an integer g", 1)
+    if not isinstance(references, list) or not all(isinstance(r, str) for r in references):
+        raise StoreFormatError("checkpoint reference_ids must be a list of strings", 1)
+    samples: dict[str, Sample] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            samples.append(Sample.from_json(json.loads(line)))
+            data = json.loads(line)
+            sample = Sample.from_json(data)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(str(exc), lineno) from exc
+        if data.get("trajectory_id", trajectory_id) != trajectory_id:
+            raise StoreFormatError(
+                f"sample trajectory_id {data['trajectory_id']!r} is not the header's {trajectory_id!r}",
+                lineno,
+            )
+        if sample.generation_index != g:
+            raise StoreFormatError(
+                f"sample generation_index {sample.generation_index} is not the header's g={g}",
+                lineno,
+            )
+        if sample.sample_id in samples:
+            raise StoreFormatError(f"duplicate sample_id {sample.sample_id!r}", lineno)
+        samples[sample.sample_id] = sample
     return GenerationCheckpoint(
-        trajectory_id=str(meta["trajectory_id"]),
-        g=int(meta["g"]),
-        samples=tuple(samples),
-        cached_references=tuple(meta.get("reference_ids", ())),
+        trajectory_id=trajectory_id,
+        g=g,
+        samples=tuple(samples.values()),
+        cached_references=tuple(references),
     )
 
 

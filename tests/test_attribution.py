@@ -16,7 +16,6 @@ from planlens.attribution import (
     banzhaf_two_player,
     bundle_to_csv,
     bundle_to_json,
-    estimate_payoff,
     payoffs_from_three_player_values,
     payoffs_from_two_player_values,
     shapley,
@@ -34,6 +33,7 @@ from planlens.feedback import (
     enumerate_coalitions,
     plan_feedback_players,
 )
+from planlens.seeding import derive_seed
 from planlens.trajectory import METRICS, GenerationCheckpoint, GenerationStats
 
 
@@ -320,14 +320,25 @@ def constant_rollout(rate):
 EMPTY_CP = GenerationCheckpoint(trajectory_id="t", g=0, samples=())
 
 
+ONE = TWO[:1]
+
+
+def estimate(rollout, r_rollouts, seed, mask=0):
+    """v(S) and its stderr for one coalition, from a one-player sweep."""
+    (table,) = sweep_characteristic_tables(
+        EMPTY_CP, [GameSpec(players=ONE, metric="overall")], rollout, r_rollouts, seed
+    )
+    return table.values[mask], table.stderr[mask]
+
+
 class TestEstimatePayoff:
     def test_constant_rollout(self):
-        v, se = estimate_payoff(EMPTY_CP, Coalition(0), constant_rollout(0.6), 8, seed=1)
+        v, se = estimate(constant_rollout(0.6), 8, seed=1)
         assert v == pytest.approx(0.6)
         assert se == pytest.approx(0.0)
 
     def test_single_rollout_stderr_undefined(self):
-        v, se = estimate_payoff(EMPTY_CP, Coalition(0), constant_rollout(0.5), 1, seed=1)
+        v, se = estimate(constant_rollout(0.5), 1, seed=1)
         assert v == 0.5
         assert se is None
 
@@ -336,7 +347,7 @@ class TestEstimatePayoff:
             rate = float(random.Random(seed).random() < 0.5)
             return GenerationStats(0, rate, rate, rate, rate, k=1, n_samples=1)
 
-        v, se = estimate_payoff(EMPTY_CP, Coalition(0), rollout, 200, seed=42)
+        v, se = estimate(rollout, 200, seed=42)
         assert 0.4 <= v <= 0.6
         assert se is not None and se > 0
 
@@ -345,8 +356,8 @@ class TestEstimatePayoff:
             rate = random.Random(seed).random()
             return GenerationStats(0, rate, rate, rate, rate, k=1, n_samples=1)
 
-        first = estimate_payoff(EMPTY_CP, Coalition(1), rollout, 16, seed=9)
-        second = estimate_payoff(EMPTY_CP, Coalition(1), rollout, 16, seed=9)
+        first = estimate(rollout, 16, seed=9, mask=1)
+        second = estimate(rollout, 16, seed=9, mask=1)
         assert first == second
 
     def test_all_failures_raise(self):
@@ -354,65 +365,46 @@ class TestEstimatePayoff:
             raise RuntimeError("backend down")
 
         with pytest.raises(EstimationFailedError, match="backend down"):
-            estimate_payoff(EMPTY_CP, Coalition(0), rollout, 3, seed=1)
+            estimate(rollout, 3, seed=1)
 
-    def test_samples_aggregation_labelled(self):
-        tables = sweep_characteristic_tables(
-            EMPTY_CP,
-            [GameSpec(players=TWO, metric="overall")],
-            constant_rollout(0.25),
-            4,
-            seed=0,
-            aggregation="samples",
-        )
-        table = tables[0]
-        assert table.aggregation == "samples"
-        # Binomial plug-in over 4 rollouts x 10 samples.
-        assert table.stderr[0] == pytest.approx(math.sqrt(0.25 * 0.75 / 40))
-
-    def test_sweep_matches_single_estimates(self):
+    def test_failed_rollouts_left_out(self):
         def rollout(checkpoint, coalition, seed):
             rng = random.Random(seed)
             if rng.random() < 0.3:
                 raise RuntimeError("flaky backend")
             rates = sorted((rng.random() for _ in range(3)), reverse=True)
-            return GenerationStats(
-                0, *rates, rates[1], k=3, n_samples=rng.randint(1, 9)
-            )
+            return GenerationStats(0, *rates, rates[1], k=3, n_samples=rng.randint(1, 9))
 
         specs = [GameSpec(players=THREE, metric=m) for m in METRICS]
-        for aggregation in ("rollouts", "samples"):
-            tables = sweep_characteristic_tables(
-                EMPTY_CP, specs, rollout, 7, seed=5, aggregation=aggregation
-            )
-            # Some rollouts failed and were left out of the estimates.
-            assert min(tables[0].n_rollouts.values()) < 7
-            for table in tables:
-                for coalition in enumerate_coalitions(3):
-                    v, se = estimate_payoff(
-                        EMPTY_CP,
-                        coalition,
-                        rollout,
-                        7,
-                        seed=5,
-                        metric=table.spec.metric,
-                        aggregation=aggregation,
-                    )
-                    # Bit for bit, not approximately.
-                    assert repr(table.values[coalition.mask]) == repr(v)
-                    assert repr(table.stderr[coalition.mask]) == repr(se)
+        tables = sweep_characteristic_tables(EMPTY_CP, specs, rollout, 7, seed=5)
+        assert min(tables[0].n_rollouts.values()) < 7
+        for table in tables:
+            for coalition in enumerate_coalitions(3):
+                rates = []
+                for r in range(7):
+                    try:
+                        st = rollout(EMPTY_CP, coalition, derive_seed(5, "rollout", coalition.mask, r))
+                    except RuntimeError:
+                        continue
+                    rates.append(st.rate_for(table.spec.metric))
+                assert table.n_rollouts[coalition.mask] == len(rates)
+                # Bit for bit, not approximately.
+                assert repr(table.values[coalition.mask]) == repr(math.fsum(rates) / len(rates))
 
-    def test_bad_aggregation_rejected_by_sweep_and_estimate(self):
-        spec = GameSpec(players=TWO, metric="pass")
-        rollout = constant_rollout(0.5)
-        with pytest.raises(ValueError, match="aggregation must be"):
-            sweep_characteristic_tables(
-                EMPTY_CP, [spec], rollout, 2, seed=0, aggregation="bogus"
-            )
-        with pytest.raises(ValueError, match="aggregation must be"):
-            estimate_payoff(
-                EMPTY_CP, Coalition(0), rollout, 2, seed=0, aggregation="bogus"
-            )
+    @pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
+    def test_programming_error_propagates(self, error):
+        calls = []
+
+        def rollout(checkpoint, coalition, seed):
+            calls.append(seed)
+            if len(calls) == 2:
+                raise error("bug in the rollout")
+            return GenerationStats(0, 0.5, 0.5, 0.5, 0.5, k=1, n_samples=1)
+
+        # Only agent and pipeline failures (RuntimeError) count as failed
+        # rollouts; any other error is a bug and must not become n < R.
+        with pytest.raises(error, match="bug in the rollout"):
+            estimate(rollout, 3, seed=1)
 
 
 class TestReportAssembly:
@@ -446,6 +438,10 @@ class TestReportAssembly:
         bundle = attribution_report([good, bad])
         assert (0, "pass") in bundle.reports
         assert (1, "fast") in bundle.errors
+
+    def test_unknown_method_is_row_error(self):
+        bundle = attribution_report([self.additive_table(0, "pass")], method="owen")
+        assert bundle.errors == {(0, "pass"): "unknown attribution method 'owen'"}
 
     def test_term_rows_layout(self):
         report = attribution_report([self.additive_table(0, "pass")]).reports[(0, "pass")]

@@ -306,6 +306,38 @@ class TestIntervene:
         err = capsys.readouterr().err
         assert "intervention signature" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "case, line",
+        [
+            ("header-without-trajectory-id", 1),
+            ("repeated-sample-id", 3),
+            ("sample-of-another-generation", 2),
+            ("sample-of-another-trajectory", 2),
+            ("reference-ids-string", 1),
+        ],
+    )
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, checkpoint_file, capsys, case, line):
+        records = [json.loads(ln) for ln in checkpoint_file.read_text().splitlines()]
+        header = records[0]["checkpoint"]
+        if case == "header-without-trajectory-id":
+            del header["trajectory_id"]
+        if case == "repeated-sample-id":
+            records[2]["sample_id"] = records[1]["sample_id"]
+        if case == "sample-of-another-generation":
+            records[1]["generation_index"] = header["g"] + 1
+        if case == "sample-of-another-trajectory":
+            records[1]["trajectory_id"] = "another"
+        if case == "reference-ids-string":
+            header["reference_ids"] = "abc"
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out.csv"
+        code = main(["intervene", "--checkpoint", str(bad), "--coalition", "d", "--rollouts", "1", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"cannot parse checkpoint: line {line}:" in err and "Traceback" not in err
+
     def test_dummy_plan_mode(self, tmp_path, checkpoint_file):
         out = tmp_path / "dummy.csv"
         code = main(
@@ -820,6 +852,36 @@ class TestAttribute:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
+    def test_duplicate_table_is_data_error(self, tmp_path, checkpoint_file, sweep_table, capsys):
+        # A second sweep of the same generation gives a second `pass` table.
+        dup = tmp_path / "dup.csv"
+        assert main(["intervene", "--checkpoint", str(checkpoint_file), "--sweep", "--rollouts", "2",
+                     "--retries", "1", "--seed", "4", "--metrics", "pass", "--out", str(dup)]) == EXIT_OK
+        out = tmp_path / "report"
+        code = main(["attribute", "--tables", str(sweep_table), str(dup), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(sweep_table) in err and str(dup) in err and "metric=pass" in err
+        assert not out.exists()
+
+    def test_repeated_mask_row_is_data_error(self, tmp_path, sweep_table, capsys):
+        lines = sweep_table.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        code = main(["attribute", "--tables", str(bad), "--out", str(tmp_path / "report")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "repeated" in err and "Traceback" not in err
+
+    def test_method_choices_come_from_methods_table(self, tmp_path, sweep_table, monkeypatch):
+        from planlens.attribution import METHODS, banzhaf
+
+        argv = ["attribute", "--tables", str(sweep_table), "--method", "plain", "--out", str(tmp_path / "r")]
+        with pytest.raises(SystemExit):
+            main(argv)
+        monkeypatch.setitem(METHODS, "plain", (banzhaf, None))
+        assert main(argv) == EXIT_OK
+
     def test_shapley_flag(self, tmp_path, sweep_table):
         out = tmp_path / "shapley"
         code = main(
@@ -983,6 +1045,27 @@ class TestCostCommand:
         svg = (tmp_path / "cost_scaling.svg").read_text()
         assert svg.startswith("<svg")
         assert "end-to-end ablation" in svg
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--depth", "0", "depth"),
+            ("--population", "0", "population"),
+            ("--repetitions", "0", "repetitions"),
+            ("--feedback-components", "0", "feedback_components"),
+            ("--checkpoints", "0", "checkpoints"),
+            ("--k-local", "0", "k_local"),
+            ("--feedback-components", "40", "feedback_components"),
+        ],
+        ids=["depth", "population", "repetitions", "feedback-components", "checkpoints", "k-local",
+             "feedback-components-40"],
+    )
+    def test_out_of_range_flag_is_config_error(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "cost"
+        assert main(["cost", flag, value, "--sweep", "1:3", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_sweep_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
