@@ -1109,6 +1109,28 @@ def test_version_flag(capsys):
     assert "planlens" in capsys.readouterr().out
 
 
+# sha256 (first 16 hex digits) of each `--help` text at COLUMNS=80.
+PINNED_HELP = {
+    "": "bb2230e0d74d156a",
+    "freeze": "7378137204b38785",
+    "intervene": "c5c350b8dbbd5ec3",
+    "attribute": "3ead41021e302888",
+    "gate": "c18e2d4821fcccb4",
+    "cost": "f19b40058c0a8eda",
+    "report": "2fe9657a59d68e41",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_HELP), ids=lambda c: c or "planlens")
+def test_help_text_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PINNED_HELP[command]
+
+
 class TestLatencyConfig:
     """`agents.behavior.latency` sets the simulated stage durations of
     `intervene`, over the default latencies for stages it leaves out."""
@@ -1257,6 +1279,16 @@ class TestRunSettings:
         assert (config_of(sweep), config_of(coalition), config_of(cost_dir / "cost_scaling.csv")) == (
             "746235b4eb2e", "948f11c8a34d", "784b8b44531b"
         )
+
+    def test_unset_flags_take_defaults_after_a_call_that_set_them(self, tmp_path, checkpoint_file):
+        argv = ["--coalition", "d", "--rollouts", "1"]
+        set_first = self.intervene(tmp_path, checkpoint_file, "set", [*argv, "--seed", "5", "--mode", "serial"])
+        unset = self.intervene(tmp_path, checkpoint_file, "unset", argv)
+        explicit = self.intervene(
+            tmp_path, checkpoint_file, "explicit", [*argv, "--seed", "0", "--mode", "multi-async"]
+        )
+        assert config_of(unset) == config_of(explicit) != config_of(set_first)
+        assert unset.read_bytes() == explicit.read_bytes()
 
     def test_readme_config_example_names_every_run_setting(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
