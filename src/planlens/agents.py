@@ -19,8 +19,9 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .feedback import Coalition, FeedbackArtifact, Report, Representation
-from .seeding import hash_uniform
+from .feedback import Coalition, FeedbackArtifact, Report, Representation, read_asset
+# `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
+from .seeding import SeedPrefix, hash_uniform  # noqa: F401
 from .trajectory import ExecutionRecord, OutcomeLevel, Sample
 
 logger = logging.getLogger(__name__)
@@ -309,6 +310,11 @@ class MockGenerator(_CallCounter):
         producer = plan.producer_tag if plan is not None else None
         p_c, p_p, p_f = self.behavior.probabilities(report.coalition, producer)
         thresholds = (1.0 - p_c, 1.0 - p_p, 1.0 - p_f)
+        # Attempt a's quality is hash_uniform(seed, "quality", run_seed,
+        # sample, round, a); the labels before the attempt are hashed once.
+        quality_seeds = SeedPrefix(
+            self.behavior.seed, "quality", run_seed, sample.sample_id, round_index
+        )
         out: list[Candidate | GeneratorAttemptError] = []
         for attempt in range(k):
             if (sample.sample_id, attempt) in self.fail_attempts:
@@ -319,14 +325,7 @@ class MockGenerator(_CallCounter):
                     )
                 )
                 continue
-            quality = hash_uniform(
-                self.behavior.seed,
-                "quality",
-                run_seed,
-                sample.sample_id,
-                round_index,
-                attempt,
-            )
+            quality = quality_seeds.derive(attempt) / 2.0**64
             out.append(
                 Candidate(
                     sample_id=sample.sample_id,
@@ -341,6 +340,12 @@ class MockGenerator(_CallCounter):
                 )
             )
         return out
+
+
+# The records of a failed and of a compiled-only attempt carry nothing per
+# candidate; they are immutable, so every grading shares one of each.
+_FAILED = ExecutionRecord(compiled=False, raw_logs=("mock: failed",))
+_COMPILED = ExecutionRecord(compiled=True, validations_passed=False, raw_logs=("mock: compiled",))
 
 
 class MockEvaluator(_CallCounter):
@@ -360,11 +365,9 @@ class MockEvaluator(_CallCounter):
         t_compiled, t_pass, t_fast = candidate.thresholds
         q = candidate.quality
         if q < t_compiled:
-            return ExecutionRecord(compiled=False, raw_logs=("mock: failed",))
+            return _FAILED
         if q < t_pass:
-            return ExecutionRecord(
-                compiled=True, validations_passed=False, raw_logs=("mock: compiled",)
-            )
+            return _COMPILED
         if q < t_fast:
             return ExecutionRecord(
                 compiled=True,
@@ -544,8 +547,7 @@ def load_prompt(role: Role) -> str:
     name = _PROMPT_FILES.get(role)
     if name is None:
         raise KeyError(f"no prompt asset for role {role.value}")
-    ref = resources.files("planlens").joinpath("assets", "prompts", name)
-    return ref.read_text(encoding="utf-8")
+    return read_asset("prompts", name)
 
 
 def prompt_inventory() -> dict[str, str]:

@@ -9,6 +9,7 @@ byte-identical CSV/JSON. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import shutil
@@ -186,6 +187,8 @@ def load_experiment_config(path: str) -> dict:
     _check_keys(data, _CONFIG_SCHEMA)
     if data.get("rollouts", 1) < 1:
         raise ConfigError("config key 'rollouts' must be >= 1")
+    if data.get("metrics") == []:
+        raise ConfigError("config key 'metrics' must name at least one metric")
     check_metrics(data.get("metrics", ()), "config")
     latency = data.get("agents", {}).get("behavior", {}).get("latency", {})
     if not isinstance(latency, dict):
@@ -391,9 +394,11 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         out_path.write_text(
             tables_to_csv(tables, meta=meta_line(settings)), encoding="utf-8"
         )
+        total = 2 ** len(players) * args.rollouts
+        failed = total - sum(tables[0].n_rollouts.values())
         print(
             f"swept {2 ** len(players)} coalitions x {args.rollouts} rollouts "
-            f"-> {out_path}"
+            f"-> {out_path}" + (f" ({failed} of {total} rollouts failed)" if failed else "")
         )
     else:
         intervention = game_intervention(
@@ -632,7 +637,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing never changes it,
+    and each `parse_args` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="planlens",
         description=(
@@ -700,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_attr.add_argument("--tables", nargs="+", required=True)
     p_attr.add_argument("--game", choices=sorted(GAMES), default="components")
-    p_attr.add_argument("--method", choices=sorted(METHODS), default="banzhaf")
+    # The live table, not a copy, so a method added later is a valid choice.
+    p_attr.add_argument("--method", choices=METHODS, default="banzhaf")
     p_attr.add_argument(
         "--clip",
         type=float,

@@ -10,6 +10,7 @@ assignments and a fixed content-free plan template.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import threading
@@ -343,7 +344,15 @@ def randomize_feedback(
     return FeedbackPermutation(dict(zip(ids, donors)), seed)
 
 
-# -- dummy plan control ----------------------------------------------------
+# -- packaged assets and the dummy plan control --------------------------------
+
+
+@functools.cache
+def read_asset(*path: str) -> str:
+    """The text of a packaged asset under planlens/assets, read once per
+    process; a missing asset raises FileNotFoundError and is not cached."""
+    return resources.files("planlens").joinpath("assets", *path).read_text(encoding="utf-8")
+
 
 _DUMMY_PLAN_ASSET = "dummy_plan.md"
 
@@ -355,8 +364,7 @@ class TemplateAssetError(FileNotFoundError):
 def dummy_plan() -> str:
     """The fixed, content-free plan template, byte-identical on every call."""
     try:
-        ref = resources.files("planlens").joinpath("assets", _DUMMY_PLAN_ASSET)
-        return ref.read_text(encoding="utf-8")
+        return read_asset(_DUMMY_PLAN_ASSET)
     except (FileNotFoundError, ModuleNotFoundError) as exc:
         raise TemplateAssetError(
             f"dummy plan template asset {_DUMMY_PLAN_ASSET!r} not found"

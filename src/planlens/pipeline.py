@@ -66,6 +66,11 @@ class ReplayMismatchError(ValueError):
     """Replay archive does not match the submitted checkpoint."""
 
 
+class ReplayArchiveError(ReplayMismatchError):
+    """A replay archive file is missing or unparsable, or its manifest
+    lacks a key."""
+
+
 class PipelineStalledError(RuntimeError):
     """No event progress; carries a diagnostic dump of the run state."""
 
@@ -366,7 +371,7 @@ class LatencyModel:
     """Simulated task duration: mean + tail * Exp(1), keyed by task identity.
 
     The Exp(1) draw is hash_uniform(seed, "latency", run_seed, stage name,
-    sample, round, attempt). The labels up to run_seed, and the per-stage
+    sample, round, attempt). Each stage's labels up to its name, and its
     params, are resolved once per run seed; runs on other threads replace
     that state whole, so a draw never mixes two runs.
     """
@@ -374,7 +379,7 @@ class LatencyModel:
     def __init__(self, seed: int = 0, params: Mapping[str, LatencyParams] | None = None):
         self.seed = seed
         self.params = dict(params or {})
-        # (run_seed, SeedPrefix, stage -> (name, params)) of the latest run seed
+        # (run_seed, stage -> (SeedPrefix, params)) of the latest run seed
         self._run: tuple | None = None
 
     def duration(self, run_seed: int, task: Task) -> float:
@@ -382,10 +387,17 @@ class LatencyModel:
             return 0.0
         run = self._run
         if run is None or run[0] != run_seed:
-            stages = {s: (s.name, self.params.get(s.name.lower(), LatencyParams())) for s in Stage}
-            run = self._run = (run_seed, SeedPrefix(self.seed, "latency", run_seed), stages)
-        name, p = run[2][task.stage]
-        u = run[1].derive(name, task.sample_id, task.round_index, task.attempt) / 2.0**64
+            stages = {
+                s: (
+                    SeedPrefix(self.seed, "latency", run_seed, s.name),
+                    self.params.get(s.name.lower(), LatencyParams()),
+                )
+                for s in Stage
+                if s is not Stage.AGG
+            }
+            run = self._run = (run_seed, stages)
+        prefix, p = run[1][task.stage]
+        u = prefix.derive(task.sample_id, task.round_index, task.attempt) / 2.0**64
         return p.mean + p.tail * -math.log(1.0 - u)
 
 
@@ -827,12 +839,17 @@ def make_rollout_fn(
 
 # -- event trace + replay archives ----------------------------------------------
 
+# Encodes as json.dumps(obj, sort_keys=True) does, without building an
+# encoder per call.
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 def export_trace(result: RunResult, path: str | Path) -> None:
     """Write the ordered event trace as newline-delimited JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in result.trace:
-            fh.write(json.dumps(event.to_json(), sort_keys=True) + "\n")
+    Path(path).write_text(
+        "".join(_JSON.encode(event.to_json()) + "\n" for event in result.trace),
+        encoding="utf-8",
+    )
 
 
 @dataclass(frozen=True)
@@ -863,7 +880,7 @@ def archive_run(result: RunResult, directory: str | Path) -> None:
     index: dict[str, str] = {}
     blobs: dict[str, str] = {}  # stages with equal payloads share one file
     for stage_key, payload in led.archive_entries().items():
-        blob = json.dumps(payload, sort_keys=True)
+        blob = _JSON.encode(payload)
         name = "%016x.json" % derive_seed(0, "entry", blob)
         blobs[name] = blob
         index[stage_key] = name
@@ -886,27 +903,45 @@ def archive_run(result: RunResult, directory: str | Path) -> None:
     )
 
 
+def _read_archive_json(path: Path, kind: type = object):
+    """One archive file's JSON value, which must be a `kind`."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8, not JSON
+        raise ReplayArchiveError(f"cannot read replay archive file {path}: {exc}") from exc
+    if not isinstance(value, kind):
+        raise ReplayArchiveError(f"replay archive file {path} must hold a JSON {kind.__name__}")
+    return value
+
+
 def replay_load(
     directory: str | Path, checkpoint: GenerationCheckpoint
 ) -> ReplayCache:
-    """Load a replay archive, refusing checkpoints it was not recorded on."""
+    """Load a replay archive, refusing checkpoints it was not recorded on.
+    A missing or unparsable manifest, index or entry file, and a manifest
+    without one of its keys, raise ReplayArchiveError naming the file."""
     base = Path(directory)
-    manifest = json.loads((base / "manifest.json").read_text(encoding="utf-8"))
-    recorded = manifest["checkpoint_hash"]
+    manifest_path = base / "manifest.json"
+    manifest = _read_archive_json(manifest_path, dict)
+    keys = ("checkpoint_hash", "intervention_signature", "k", "rounds")
+    missing = [key for key in keys if key not in manifest]
+    if missing:
+        raise ReplayArchiveError(f"replay archive file {manifest_path} lacks {missing}")
+    recorded, signature, k, rounds = (manifest[key] for key in keys)
     actual = checkpoint.checkpoint_hash
     if recorded != actual:
         raise ReplayMismatchError(
             "replay archive checkpoint hash mismatch "
             f"({recorded[:12]} != {actual[:12]}); refusing to mix trajectories"
         )
-    index = json.loads((base / "index.json").read_text(encoding="utf-8"))
+    index = _read_archive_json(base / "index.json", dict)
     payloads = {
-        name: json.loads((base / "entries" / name).read_text(encoding="utf-8"))
+        name: _read_archive_json(base / "entries" / name)
         for name in dict.fromkeys(index.values())
     }
     return ReplayCache(
         recorded, {stage_key: payloads[name] for stage_key, name in index.items()},
-        manifest["intervention_signature"], manifest["k"], manifest["rounds"],
+        signature, k, rounds,
     )
 
 

@@ -7,8 +7,8 @@ across execution modes and event interleavings.
 
 from __future__ import annotations
 
-import hashlib
 import random
+from hashlib import blake2b
 
 _SEP = "\x1f"
 
@@ -20,18 +20,14 @@ def _frame(parts: tuple) -> bytes:
     return (_SEP.join(map(str, parts)) + _SEP).encode("utf-8")
 
 
-def _digest(*parts: object) -> bytes:
-    return hashlib.blake2b(_frame(parts), digest_size=8).digest()
-
-
 def derive_seed(root: int, *labels: object) -> int:
     """Derive a child seed from a root seed and a label path."""
-    return int.from_bytes(_digest(root, *labels), "big")
+    return int.from_bytes(blake2b(_frame((root, *labels)), digest_size=8).digest(), "big")
 
 
 def hash_uniform(root: int, *labels: object) -> float:
     """Uniform draw in [0, 1) determined entirely by (root, labels)."""
-    return int.from_bytes(_digest(root, *labels), "big") / 2.0**64
+    return int.from_bytes(blake2b(_frame((root, *labels)), digest_size=8).digest(), "big") / 2.0**64
 
 
 def rng_for(root: int, *labels: object) -> random.Random:
@@ -49,7 +45,7 @@ class SeedPrefix:
     __slots__ = ("_hasher",)
 
     def __init__(self, root: int, *labels: object):
-        self._hasher = hashlib.blake2b(_frame((root, *labels)), digest_size=8)
+        self._hasher = blake2b(_frame((root, *labels)), digest_size=8)
 
     def derive(self, *labels: object) -> int:
         hasher = self._hasher.copy()

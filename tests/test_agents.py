@@ -323,9 +323,11 @@ class TestHttpChatAgent:
 
 class TestPromptAssets:
     def test_role_keyed_prompts_load(self):
+        inventory = prompt_inventory()
         for role in (Role.SUMMARIZER, Role.PLANNER, Role.GENERATOR):
             text = load_prompt(role)
-            assert text.strip()
+            assert text.strip() and text in inventory.values()
+            assert load_prompt(role) is text  # read once per process
 
     def test_inventory_includes_tool_prompts(self):
         names = set(prompt_inventory())

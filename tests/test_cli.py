@@ -307,6 +307,37 @@ class TestIntervene:
         assert "intervention signature" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda a: (a / "index.json").unlink(), "index.json"),
+            (lambda a: (a / "manifest.json").unlink(), "manifest.json"),
+            (lambda a: (a / "manifest.json").write_text("{not json"), "manifest.json"),
+            (lambda a: (a / "manifest.json").write_text("[]"), "manifest.json"),
+            (
+                lambda a: (a / "manifest.json").write_text(
+                    json.dumps({k: v for k, v in json.loads((a / "manifest.json").read_text()).items() if k != "k"})
+                ),
+                "manifest.json",
+            ),
+            (lambda a: next((a / "entries").iterdir()).unlink(), "entries"),
+            (lambda a: next((a / "entries").iterdir()).write_text('{"kind": '), "entries"),
+        ],
+        ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k",
+             "no-entry-file", "entry-not-json"],
+    )
+    def test_damaged_replay_archive_is_data_error(self, tmp_path, checkpoint_file, capsys, damage, named):
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",
+                "--retries", "1"]
+        archive = tmp_path / "archive"
+        assert main(base + ["--out", str(tmp_path / "x.csv"), "--archive", str(archive)]) == EXIT_OK
+        damage(archive)
+        out = tmp_path / "y.csv"
+        assert main(base + ["--out", str(out), "--replay", str(archive)]) == EXIT_DATA
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(archive) in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "case, line",
         [
             ("header-without-trajectory-id", 1),
@@ -505,6 +536,37 @@ class TestIntervene:
         assert code == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_reports_failed_rollouts(self, tmp_path, checkpoint_file, capsys, monkeypatch):
+        from planlens import cli
+        from planlens.seeding import derive_seed
+
+        failing = {derive_seed(0, "rollout", mask, 0) for mask in (3, 6)}
+        make_rollout_fn = cli.make_rollout_fn
+
+        def flaky_rollout_fn(*args, **kwargs):
+            rollout = make_rollout_fn(*args, **kwargs)
+
+            def flaky(checkpoint, coalition, seed):
+                if seed in failing:
+                    raise RuntimeError("injected agent failure")
+                return rollout(checkpoint, coalition, seed)
+
+            return flaky
+
+        out = tmp_path / "table.csv"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--sweep", "--rollouts", "2",
+                "--retries", "1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        clean = capsys.readouterr().out
+        assert clean == f"swept 8 coalitions x 2 rollouts -> {out}\n"
+        monkeypatch.setattr(cli, "make_rollout_fn", flaky_rollout_fn)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == f"swept 8 coalitions x 2 rollouts -> {out} (2 of 16 rollouts failed)\n"
+        n = {(row["metric"], row["coalition_mask"]): row["n"] for row in read_csv_rows(out)}
+        assert {key for key, value in n.items() if value == "1"} == {
+            (metric, mask) for metric in ("compiled", "pass", "fast") for mask in ("3", "6")
+        }
 
     def test_metrics_rejected_without_sweep(self, tmp_path, checkpoint_file, capsys):
         out = tmp_path / "stats.csv"
@@ -721,6 +783,7 @@ class TestIntervene:
             pytest.param({"k": True}, [], "'k'", id="k-bool"),
             pytest.param({"pipeline": {"concurrency": True}}, [], "pipeline.concurrency", id="concurrency-bool"),
             pytest.param({"rollouts": 0}, [], "'rollouts'", id="config-rollouts-0"),
+            pytest.param({"metrics": []}, ["--sweep", "--rollouts", "1"], "'metrics'", id="sweep-empty-metrics"),
             pytest.param(None, ["--rollouts", "0"], "--rollouts", id="coalition-rollouts-0"),
             pytest.param(None, ["--sweep", "--rollouts", "0"], "--rollouts", id="sweep-rollouts-0"),
         ],
@@ -1107,6 +1170,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "planlens" in capsys.readouterr().out
+
+
+def test_parser_built_once_per_process():
+    from planlens.cli import build_parser
+
+    assert build_parser() is build_parser()
 
 
 # sha256 (first 16 hex digits) of each `--help` text at COLUMNS=80.

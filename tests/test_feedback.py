@@ -199,6 +199,23 @@ class TestDummyPlan:
         assert dummy_plan() == dummy_plan()
         assert "Executive Summary" in dummy_plan()
 
+    def test_asset_read_once_per_process(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from planlens import feedback as fb
+
+        reads, real_files = [], fb.resources.files
+
+        def files(package):
+            reads.append(package)
+            return real_files(package)
+
+        expected = dummy_plan()
+        fb.read_asset.cache_clear()
+        monkeypatch.setattr(fb, "resources", SimpleNamespace(files=files))
+        assert [dummy_plan() for _ in range(3)] == [expected] * 3
+        assert reads == ["planlens"]
+
     def test_missing_template_asset_is_config_error(self, monkeypatch):
         from planlens import feedback as fb
 
