@@ -394,12 +394,10 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         out_path.write_text(
             tables_to_csv(tables, meta=meta_line(settings)), encoding="utf-8"
         )
-        total = 2 ** len(players) * args.rollouts
-        failed = total - sum(tables[0].n_rollouts.values())
-        print(
-            f"swept {2 ** len(players)} coalitions x {args.rollouts} rollouts "
-            f"-> {out_path}" + (f" ({failed} of {total} rollouts failed)" if failed else "")
-        )
+        coalitions = 2 ** len(players)
+        failed = coalitions * args.rollouts - sum(tables[0].n_rollouts.values())
+        note = f" ({failed} of {coalitions * args.rollouts} rollouts failed)" if failed else ""
+        print(f"swept {coalitions} coalitions x {args.rollouts} rollouts -> {out_path}{note}")
     else:
         intervention = game_intervention(
             args.game, coalition, components, representation

@@ -27,7 +27,7 @@ def derive_seed(root: int, *labels: object) -> int:
 
 def hash_uniform(root: int, *labels: object) -> float:
     """Uniform draw in [0, 1) determined entirely by (root, labels)."""
-    return int.from_bytes(blake2b(_frame((root, *labels)), digest_size=8).digest(), "big") / 2.0**64
+    return derive_seed(root, *labels) / 2.0**64
 
 
 def rng_for(root: int, *labels: object) -> random.Random:
