@@ -43,11 +43,11 @@ class DecodingConfig:
 
 @dataclass(frozen=True)
 class AgentRole:
-    """Fixed per-experiment binding of a role to a model and prompt."""
+    """Fixed per-experiment binding of a role to a model and its decoding;
+    the prompt is the role's packaged template (`load_prompt`)."""
 
     role: Role
     model_tag: str = "mock"
-    prompt_template: str = ""
     decoding: DecodingConfig = DecodingConfig()
 
 

@@ -729,12 +729,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate.set_defaults(func=cmd_gate)
 
     p_cost = sub.add_parser("cost", help="inference-volume accounting")
-    p_cost.add_argument("--depth", type=int, default=10)
-    p_cost.add_argument("--population", type=int, default=25)
-    p_cost.add_argument("--repetitions", type=int, default=5)
-    p_cost.add_argument("--feedback-components", type=int, default=3)
-    p_cost.add_argument("--checkpoints", type=int, default=3)
-    p_cost.add_argument("--k-local", type=int, default=3)
+    for f in fields(CostParams):  # depth and population have no model default
+        default = {"depth": 10, "population": 25}.get(f.name, f.default)
+        p_cost.add_argument("--" + f.name.replace("_", "-"), type=int, default=default)
     p_cost.add_argument(
         "--sweep",
         type=_depth_range,

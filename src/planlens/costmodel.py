@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 MAX_FEEDBACK_COMPONENTS = 30  # 2^30 coalitions is already absurd; guard overflow
@@ -107,17 +107,10 @@ def scaling_table(params: CostParams, depths: Sequence[int]) -> list[ScalingRow]
     """Both volumes over a sweep of search depths (uniform population)."""
     if not depths:
         raise ValueError("depth sweep must not be empty")
-    n = params.uniform_population
+    params.uniform_population  # ValueError for a per-generation population
     rows = []
     for depth in depths:
-        row_params = CostParams(
-            depth=depth,
-            population=n,
-            repetitions=params.repetitions,
-            feedback_components=params.feedback_components,
-            checkpoints=params.checkpoints,
-            k_local=params.k_local,
-        )
+        row_params = replace(params, depth=depth)
         rows.append(ScalingRow(depth, b_e2e(row_params), b_pipe(row_params)))
     return rows
 
@@ -131,15 +124,9 @@ def depth_slopes(params: CostParams) -> tuple[int, int]:
 
 def crossover_depth(params: CostParams, ratio: float, max_depth: int = 10**6) -> int | None:
     """Smallest depth at which e2e volume is `ratio` times the pipe volume."""
+    params.uniform_population  # ValueError for a per-generation population
     for depth in range(1, max_depth + 1):
-        row_params = CostParams(
-            depth=depth,
-            population=params.uniform_population,
-            repetitions=params.repetitions,
-            feedback_components=params.feedback_components,
-            checkpoints=params.checkpoints,
-            k_local=params.k_local,
-        )
+        row_params = replace(params, depth=depth)
         if b_e2e(row_params) / b_pipe(row_params) >= ratio:
             return depth
     return None

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -67,12 +66,12 @@ class ReplayMismatchError(ValueError):
 
 
 class ReplayArchiveError(ReplayMismatchError):
-    """A replay archive file is missing or unparsable, or its manifest
-    lacks a key."""
+    """A replay archive file is missing, unparsable or corrupt."""
 
 
 class PipelineStalledError(RuntimeError):
-    """No event progress; carries a diagnostic dump of the run state."""
+    """The run cannot finish although nothing is running: an internal
+    fault. Carries a dump of each sample's progress."""
 
     def __init__(self, message: str, dump: str):
         super().__init__(f"{message}\n{dump}")
@@ -95,10 +94,6 @@ class EventKind(Enum):
     CANDIDATES_GENERATED = "CandidatesGenerated"
     EVAL_COMPLETED = "EvalCompleted"
     AGGREGATED = "Aggregated"
-
-    # Members are singletons, so the identity hash agrees with `==`; Enum's
-    # own `__hash__` is a Python call, paid by `RunLedger.emit` per event.
-    __hash__ = object.__hash__
 
 
 class Stage(IntEnum):
@@ -145,7 +140,6 @@ class PipelineConfig:
     execution_mode: ExecutionMode = ExecutionMode.MULTI_ASYNC
     schedule_seed: int | None = None  # randomizes multi-async tie-breaking
     queue_capacity: int = 256  # bound on the GEN -> EVAL queue
-    watchdog_seconds: float = 60.0
     record_trace: bool = True
 
     def validate(self) -> None:
@@ -200,24 +194,16 @@ def game_intervention(
     full = Coalition.of(*components)
     if game == "components":
         return Intervention(coalition=coalition, representation=representation)
+    plan_mode = PlanMode.SELF if coalition.mask & 2 else PlanMode.NONE
     if game == "plan-feedback":
-        feedback_on = bool(coalition.mask & 1)
-        plan_on = bool(coalition.mask & 2)
         return Intervention(
-            coalition=full if feedback_on else Coalition(0),
+            coalition=full if coalition.mask & 1 else Coalition(0),
             representation=representation,
-            plan_mode=PlanMode.SELF if plan_on else PlanMode.NONE,
+            plan_mode=plan_mode,
         )
     if game == "plan-summary":
-        summary_on = bool(coalition.mask & 1)
-        plan_on = bool(coalition.mask & 2)
-        return Intervention(
-            coalition=full,
-            representation=(
-                Representation.SUMMARIZED if summary_on else Representation.RAW
-            ),
-            plan_mode=PlanMode.SELF if plan_on else PlanMode.NONE,
-        )
+        summary = Representation.SUMMARIZED if coalition.mask & 1 else Representation.RAW
+        return Intervention(coalition=full, representation=summary, plan_mode=plan_mode)
     raise PipelineConfigError(f"unknown game {game!r}")
 
 
@@ -230,10 +216,6 @@ class Task(NamedTuple):
     stage: Stage
     attempt: int  # the EVAL's candidate; -1 for the other stages
     sample_id: str
-
-    def label(self) -> str:
-        attempt = f"#{self.attempt}" if self.stage is Stage.EVAL else ""
-        return f"{self.stage.name} r{self.round_index}{attempt}"
 
 
 @dataclass
@@ -276,21 +258,18 @@ class RunLedger:
         self.replay = replay
         self.rounds: dict[tuple[str, int], _RoundState] = {}
         self.best_outcomes: dict[str, OutcomeLevel] = {}
-        self.events: list[Event] = []
-        self.event_counts: dict[EventKind, int] = {kind: 0 for kind in EventKind}
+        self.events: list[Event] = []  # kept only when tracing
         self.replay_hits = 0
         self.clock = 0.0
         self.max_llm_inflight = 0
         self.max_gen_inflight = 0
         self.max_eval_queue = 0
 
-    def emit(self, kind: EventKind, sample_id: str, payload: Mapping | None) -> None:
-        """Count an event; a traced run also keeps it, with its payload."""
-        self.event_counts[kind] += 1
-        if self.config.record_trace:
-            self.events.append(
-                Event(kind, sample_id, self.run_id, payload, len(self.events), self.clock)
-            )
+    def emit(self, kind: EventKind, sample_id: str, payload: Mapping) -> None:
+        """Keep a traced run's event, with its payload."""
+        self.events.append(
+            Event(kind, sample_id, self.run_id, payload, len(self.events), self.clock)
+        )
 
     def round_state(self, sample_id: str, round_index: int) -> _RoundState:
         return self.rounds.setdefault((sample_id, round_index), _RoundState())
@@ -298,14 +277,13 @@ class RunLedger:
     def stage_key(self, stage: Stage, sample_id: str, round_index: int, attempt: int = -1) -> str:
         """Archive key: derive_seed(0, "stage", checkpoint hash, intervention
         signature, seed, k, rounds, stage name, sample, round, attempt)."""
-        return "%016x" % self._stage_prefix.derive(
-            stage.name, sample_id, round_index, attempt
-        )
+        return "%016x" % self._stage_prefix.derive(stage.name, sample_id, round_index, attempt)
 
     def replay_entry(
         self, stage: Stage, sample_id: str, round_index: int, attempt: int = -1
-    ) -> dict | None:
-        """The replay archive's payload for this stage, if there is one."""
+    ) -> tuple[Path, object] | None:
+        """The replay archive's (entry file, payload) for this stage, if
+        there is one."""
         if self.replay is None:
             return None
         return self.replay.entries.get(self.stage_key(stage, sample_id, round_index, attempt))
@@ -324,17 +302,14 @@ class RunLedger:
                     (state.candidates.values(), state.failures)
                 )
             for attempt, record in state.records.items():
-                entries[self.stage_key(Stage.EVAL, sid, r, attempt)] = _encode_eval(
-                    record
-                )
+                entries[self.stage_key(Stage.EVAL, sid, r, attempt)] = _encode_eval(record)
         return entries
 
-    def dump(self, ready: int, running: list[Task]) -> str:
-        """Each sample's progress, read from its committed stage results,
-        and its tasks in flight."""
+    def dump(self, ready: int) -> str:
+        """Each sample's progress, read from its committed stage results."""
         lines = [
             f"run {self.run_id} clock={self.clock:.3f}",
-            f"ready={ready} running={len(running)} "
+            f"ready={ready} "
             f"aggregated={len(self.best_outcomes)}/{len(self.checkpoint.samples)}",
         ]
         ids = sorted(s.sample_id for s in self.checkpoint.samples)
@@ -348,8 +323,6 @@ class RunLedger:
             )
         for sid, best in self.best_outcomes.items():
             progress[sid] = f"aggregated ({best.name})"
-        for task in running:
-            progress[task.sample_id] += f"; running {task.label()}"
         lines.extend(f"  sample {sid}: {text}" for sid, text in progress.items())
         return "\n".join(lines)
 
@@ -496,22 +469,14 @@ class InterventionPipeline:
                         f"replay archive was recorded under a different {name} "
                         f"({recorded} != {actual})"
                     )
-        effective_seed = self.config.seed if seed is None else seed
+        seed = self.config.seed if seed is None else seed
         with self._lock:
             run_id = f"run-{next(self._run_counter):04d}-{os.getpid()}"
-            ledger = RunLedger(
-                run_id,
-                checkpoint,
-                intervention,
-                self.config,
-                effective_seed,
-                replay,
-            )
+            ledger = RunLedger(run_id, checkpoint, intervention, self.config, seed, replay)
             self._ledgers[run_id] = ledger
-        trace = self.config.record_trace
-        for index, sample in enumerate(checkpoint.samples):
-            payload = {"index": index} if trace else None
-            ledger.emit(EventKind.SAMPLE_LOADED, sample.sample_id, payload)
+        if self.config.record_trace:
+            for index, sample in enumerate(checkpoint.samples):
+                ledger.emit(EventKind.SAMPLE_LOADED, sample.sample_id, {"index": index})
         return run_id
 
     def run_to_completion(self, run_id: str) -> RunResult:
@@ -522,26 +487,27 @@ class InterventionPipeline:
                 f"run {run_id!r} is not a submitted run awaiting completion"
             )
         self._drive(ledger)
-        after = ledger.checkpoint.checkpoint_hash
-        if after != ledger.checkpoint_hash:
-            raise CheckpointMutatedError(
-                f"checkpoint hash changed during run {run_id}"
-            )
-        outcomes = [
-            ledger.best_outcomes[s.sample_id]
-            for s in ledger.checkpoint.samples
-        ]
+        if ledger.checkpoint.checkpoint_hash != ledger.checkpoint_hash:
+            raise CheckpointMutatedError(f"checkpoint hash changed during run {run_id}")
+        samples = ledger.checkpoint.samples
+        outcomes = [ledger.best_outcomes[s.sample_id] for s in samples]
         budget = self.config.k * self.config.rounds
-        programs = sum(
-            len(state.candidates) + len(state.failures)
-            for state in ledger.rounds.values()
-        )
+        rounds = ledger.rounds.values()
+        programs = sum(len(state.candidates) + len(state.failures) for state in rounds)
+        # The events a traced run emits: per sample, per round (ANLZ, GEN), per record.
+        event_counts = {
+            EventKind.SAMPLE_LOADED: len(samples),
+            EventKind.FEEDBACK_BUILT: len(rounds),
+            EventKind.CANDIDATES_GENERATED: len(rounds),
+            EventKind.EVAL_COMPLETED: sum(len(state.records) for state in rounds),
+            EventKind.AGGREGATED: len(samples),
+        }
         return RunResult(
             run_id=run_id,
             stats=stats_from_outcomes(ledger.checkpoint.g, outcomes, budget),
             trace=tuple(ledger.events),
             makespan=ledger.clock,
-            event_counts=dict(ledger.event_counts),
+            event_counts=event_counts,
             max_gen_inflight=ledger.max_gen_inflight,
             max_eval_queue=ledger.max_eval_queue,
             programs=programs,
@@ -574,8 +540,7 @@ class InterventionPipeline:
             heapq.heappush(ready[task.stage], entry)
 
         def stalled(message: str) -> PipelineStalledError:
-            waiting = sum(map(len, ready.values()))
-            return PipelineStalledError(message, led.dump(waiting, [e[2] for e in running]))
+            return PipelineStalledError(message, led.dump(sum(map(len, ready.values()))))
 
         lanes = [(cycle[0], ready[cycle[0]])] if stage_sync else list(ready.items())
         # (finish, start order, task, replayed, product)
@@ -587,7 +552,6 @@ class InterventionPipeline:
         for index, sample in enumerate(led.checkpoint.samples):
             make_ready(Task(index, 0, Stage.ANLZ, -1, sample.sample_id))
         source = self._feedback_source(led.intervention)
-        last_progress = time.monotonic()
 
         while True:
             # A scan visits ready tasks in key order and starts each one
@@ -675,14 +639,6 @@ class InterventionPipeline:
             elif task.stage is Stage.EVAL:
                 eval_inflight -= 1
 
-            now = time.monotonic()
-            if now - last_progress > cfg.watchdog_seconds:
-                raise stalled(
-                    f"no event progress for {now - last_progress:.1f}s "
-                    f"(watchdog {cfg.watchdog_seconds}s)"
-                )
-            last_progress = now
-
         if len(led.best_outcomes) < len(led.checkpoint.samples):
             raise stalled("run incomplete but no tasks remain")
 
@@ -706,8 +662,15 @@ class InterventionPipeline:
             return False, None
         entry = led.replay_entry(stage, sid, r, task.attempt)
         if entry is not None:
+            path, payload = entry
+            try:
+                product = _DECODE[stage](payload)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ReplayArchiveError(
+                    f"replay archive file {path} holds no {stage.name} entry ({exc!r})"
+                ) from exc
             led.replay_hits += 1
-            return True, _DECODE[stage](entry)
+            return True, product
         if stage is Stage.ANLZ:
             intervention = led.intervention
             report = build_report(
@@ -750,8 +713,8 @@ class InterventionPipeline:
     def _commit(
         self, led: RunLedger, task: Task, replayed: bool, product: object
     ) -> list[Task]:
-        """Apply a completed task's product and emit its event; returns the
-        follow-up tasks."""
+        """Apply a completed task's product and, in a traced run, emit its
+        event; returns the follow-up tasks."""
         stage, sid, r = task.stage, task.sample_id, task.round_index
         state = led.round_state(sid, r) if stage is Stage.ANLZ else led.rounds[sid, r]
         outcome = None  # the level an EVAL or AGG event reports
@@ -778,10 +741,8 @@ class InterventionPipeline:
             outcome = max(led.rounds[sid, i].best for i in range(r + 1))
             led.best_outcomes[sid] = outcome
             followups = []
-        payload = None
         if led.config.record_trace:
-            payload = _event_payload(task, replayed, state, outcome)
-        led.emit(_STAGE_EVENT[stage], sid, payload)
+            led.emit(_STAGE_EVENT[stage], sid, _event_payload(task, replayed, state, outcome))
         return followups
 
     def _after_round(self, task: Task) -> Task:
@@ -855,10 +816,12 @@ def export_trace(result: RunResult, path: str | Path) -> None:
 @dataclass(frozen=True)
 class ReplayCache:
     """Preloaded stage results from a prior run, with the checkpoint hash,
-    intervention signature, k and rounds it was recorded under."""
+    intervention signature, k and rounds it was recorded under. `entries`
+    maps a stage key to its entry file and that file's JSON value, which
+    is decoded, and so checked, only when a run replays it."""
 
     checkpoint_hash: str
-    entries: Mapping[str, dict] = field(repr=False)
+    entries: Mapping[str, tuple[Path, object]] = field(repr=False)
     intervention_signature: str
     k: int
     rounds: int
@@ -866,9 +829,10 @@ class ReplayCache:
     def filter(self, kinds: Iterable[str]) -> "ReplayCache":
         """Keep only the given stage kinds (e.g. {"anlz"})."""
         wanted = set(kinds)
-        return replace(
-            self, entries={k: v for k, v in self.entries.items() if v.get("kind") in wanted}
-        )
+        return replace(self, entries={
+            key: entry for key, entry in self.entries.items()
+            if isinstance(entry[1], dict) and entry[1].get("kind") in wanted
+        })
 
 
 def archive_run(result: RunResult, directory: str | Path) -> None:
@@ -914,19 +878,31 @@ def _read_archive_json(path: Path, kind: type = object):
     return value
 
 
+def _require_type(path: Path, what: str, value: object, kind: type) -> None:
+    """A value read from an archive file must be a `kind`; a bool is no int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ReplayArchiveError(
+            f"replay archive file {path}: {what} must be of type {kind.__name__}, not {value!r}"
+        )
+
+
 def replay_load(
     directory: str | Path, checkpoint: GenerationCheckpoint
 ) -> ReplayCache:
     """Load a replay archive, refusing checkpoints it was not recorded on.
-    A missing or unparsable manifest, index or entry file, and a manifest
-    without one of its keys, raise ReplayArchiveError naming the file."""
+    A missing or unparsable manifest, index or entry file, a manifest
+    without one of its keys or with a value of the wrong type, and an
+    index value that is not a file name, raise ReplayArchiveError naming
+    the file."""
     base = Path(directory)
     manifest_path = base / "manifest.json"
     manifest = _read_archive_json(manifest_path, dict)
-    keys = ("checkpoint_hash", "intervention_signature", "k", "rounds")
+    keys = {"checkpoint_hash": str, "intervention_signature": str, "k": int, "rounds": int}
     missing = [key for key in keys if key not in manifest]
     if missing:
         raise ReplayArchiveError(f"replay archive file {manifest_path} lacks {missing}")
+    for key, kind in keys.items():
+        _require_type(manifest_path, key, manifest[key], kind)
     recorded, signature, k, rounds = (manifest[key] for key in keys)
     actual = checkpoint.checkpoint_hash
     if recorded != actual:
@@ -934,11 +910,14 @@ def replay_load(
             "replay archive checkpoint hash mismatch "
             f"({recorded[:12]} != {actual[:12]}); refusing to mix trajectories"
         )
-    index = _read_archive_json(base / "index.json", dict)
-    payloads = {
-        name: _read_archive_json(base / "entries" / name)
-        for name in dict.fromkeys(index.values())
-    }
+    index_path = base / "index.json"
+    index = _read_archive_json(index_path, dict)
+    for name in index.values():
+        _require_type(index_path, "an entry file name", name, str)
+    payloads = {}
+    for name in dict.fromkeys(index.values()):
+        path = base / "entries" / name
+        payloads[name] = (path, _read_archive_json(path))
     return ReplayCache(
         recorded, {stage_key: payloads[name] for stage_key, name in index.items()},
         signature, k, rounds,
@@ -951,9 +930,7 @@ def _report_from_json(data: Mapping) -> Report:
         comp = item["component"]
         artifacts.append(
             FeedbackArtifact(
-                component=FeedbackComponent(
-                    int(comp["id"]), comp["name"], comp.get("short", "")
-                ),
+                component=FeedbackComponent(int(comp["id"]), comp["name"], comp.get("short", "")),
                 representation=Representation(item["representation"]),
                 payload=item["payload"],
                 source_sample=item["source_sample"],
@@ -991,7 +968,8 @@ def _report_to_json(report: Report) -> dict:
 # -- archive codec ---------------------------------------------------------------
 # One archive payload per ANLZ, GEN and EVAL stage. Each encoder takes the
 # product the stage's work returns and its decoder gives that product back;
-# `RunLedger.archive_entries` encodes and `_execute` decodes on replay.
+# `RunLedger.archive_entries` encodes and `_execute` decodes on replay,
+# turning a decoder's error on a corrupt entry into ReplayArchiveError.
 
 
 def _encode_anlz(product: tuple[Report, PlanArtifact | None]) -> dict:
@@ -1029,7 +1007,9 @@ def _encode_eval(record: ExecutionRecord) -> dict:
 
 
 def _decode_eval(entry: Mapping) -> ExecutionRecord:
-    return ExecutionRecord.from_json(entry["record"])
+    record = ExecutionRecord.from_json(entry["record"])
+    classify_execution(record)  # MalformedRecordError if it breaks the level invariants
+    return record
 
 
 _DECODE = {Stage.ANLZ: _decode_anlz, Stage.GEN: _decode_gen, Stage.EVAL: _decode_eval}

@@ -94,6 +94,19 @@ class TestFreeze:
         assert code == EXIT_DATA
 
 
+def edit_json(path, edit):
+    """Rewrite a JSON file with `edit` applied to its value."""
+    value = json.loads(path.read_text())
+    edit(value)
+    path.write_text(json.dumps(value))
+
+
+def entry_file(archive, kind):
+    """The file of one stage entry of this kind in a replay archive."""
+    files = sorted((archive / "entries").iterdir())
+    return next(f for f in files if json.loads(f.read_text())["kind"] == kind)
+
+
 def read_csv_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     return list(csv.DictReader(lines))
@@ -321,9 +334,22 @@ class TestIntervene:
             ),
             (lambda a: next((a / "entries").iterdir()).unlink(), "entries"),
             (lambda a: next((a / "entries").iterdir()).write_text('{"kind": '), "entries"),
+            (lambda a: edit_json(a / "index.json", lambda i: i.update({min(i): 5})), "index.json"),
+            (lambda a: edit_json(a / "manifest.json", lambda m: m.update(checkpoint_hash=5)), "manifest.json"),
+            (lambda a: edit_json(a / "manifest.json", lambda m: m.update(intervention_signature=None)),
+             "manifest.json"),
+            (lambda a: edit_json(a / "manifest.json", lambda m: m.update(k="2")), "manifest.json"),
+            (lambda a: edit_json(a / "manifest.json", lambda m: m.update(rounds=True)), "manifest.json"),
+            (lambda a: entry_file(a, "gen").write_text('{"kind": "eval"}'), "entries"),
+            (lambda a: entry_file(a, "gen").write_text("[]"), "entries"),
+            (lambda a: edit_json(entry_file(a, "eval"), lambda e: e["record"].update(compiled=False,
+                                                                                   validations_passed=True)),
+             "entries"),
         ],
         ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k",
-             "no-entry-file", "entry-not-json"],
+             "no-entry-file", "entry-not-json", "index-value-int", "checkpoint-hash-int",
+             "signature-null", "k-string", "rounds-bool", "gen-entry-of-eval-kind", "gen-entry-list",
+             "eval-record-passed-not-compiled"],
     )
     def test_damaged_replay_archive_is_data_error(self, tmp_path, checkpoint_file, capsys, damage, named):
         base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",

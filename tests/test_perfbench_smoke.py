@@ -27,7 +27,7 @@ def load_inputs():
     return module
 
 
-@pytest.mark.parametrize("workload", ["sweep", "cli-replay"])
+@pytest.mark.parametrize("workload", ["sweep", "wide", "cli-replay"])
 def test_traced_worker_runs_clean(workload, tmp_path, monkeypatch):
     # Leave no bytecode cache inside perfbench/.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)

@@ -1,4 +1,3 @@
-import enum
 import gc
 import hashlib
 import itertools
@@ -547,57 +546,38 @@ class TestRounds:
 
 
 class TestDiagnostics:
-    def test_watchdog_fires_on_stalled_agent(self):
-        cp = build_checkpoint(2)
+    def test_real_time_sets_no_limit_on_a_run(self, monkeypatch):
+        # Agent calls may take any real time: only HttpChatAgent's own
+        # timeout and retries bound them, never the run loop.
+        cp = build_checkpoint(6)
+        expected, _ = run_once(build_pipe(cp), cp)  # the default PipelineConfig
+        now = itertools.count(0.0, 100.0)
+        monkeypatch.setattr(time, "monotonic", lambda: next(now))
+        result, _ = run_once(build_pipe(cp), cp)
+        assert result.stats == expected.stats
 
-        class SlowEvaluator:
-            calls = 0
-
-            def evaluate(self, candidate):
-                time.sleep(0.15)
-                from planlens.trajectory import ExecutionRecord
-
-                return ExecutionRecord(compiled=False)
-
-        bundle = mock_bundle()
-        bundle = type(bundle)(
-            summarizer=bundle.summarizer,
-            planner=bundle.planner,
-            generator=bundle.generator,
-            evaluator=SlowEvaluator(),
-        )
-        config = PipelineConfig(k=1, seed=1, watchdog_seconds=0.05)
-        source = synthetic_artifact_source(cp, default_components())
-        pipe = InterventionPipeline(bundle, source, config=config)
-        run_id = pipe.submit(cp, Intervention(coalition=FULL))
-        with pytest.raises(PipelineStalledError, match="watchdog"):
-            pipe.run_to_completion(run_id)
-
-    def test_stall_dump_reads_progress_from_the_ledger(self):
+    def test_stall_dump_reads_progress_from_the_ledger(self, monkeypatch):
+        # A run that drops each EVAL's follow-up never ends its rounds: an
+        # internal fault, reported once nothing is left to run.
         cp = build_checkpoint(3)
+        pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=1))
+        commit = pipe._commit
 
-        class SlowEvaluator:
-            def evaluate(self, candidate):
-                time.sleep(0.3)
-                from planlens.trajectory import ExecutionRecord
+        def commit_without_round_end(led, task, replayed, product):
+            followups = commit(led, task, replayed, product)
+            return [] if task.stage is Stage.EVAL else followups
 
-                return ExecutionRecord(compiled=False)
-
-        bundle = replace(mock_bundle(), evaluator=SlowEvaluator())
-        config = PipelineConfig(k=2, seed=1, watchdog_seconds=0.2)
-        source = synthetic_artifact_source(cp, default_components())
-        pipe = InterventionPipeline(bundle, source, config=config)
+        monkeypatch.setattr(pipe, "_commit", commit_without_round_end)
         run_id = pipe.submit(cp, Intervention(coalition=FULL))
-        with pytest.raises(PipelineStalledError) as caught:
+        with pytest.raises(PipelineStalledError, match="run incomplete but no tasks remain") as caught:
             pipe.run_to_completion(run_id)
         header, counts, *samples = caught.value.dump.splitlines()
         assert header.startswith(f"run {run_id} clock=")
+        assert counts == "ready=0 aggregated=0/3"
         assert [line.split(":")[0] for line in samples] == [
             f"  sample {sid}" for sid in cp.sample_ids()
         ]
-        running = int(counts.split("running=")[1].split()[0])
-        assert running == caught.value.dump.count("; running ")
-        assert "evaluated 0/2; running EVAL r0#" in caught.value.dump
+        assert all(": generated r0, evaluated " in line for line in samples)
 
     def test_trace_export_schema(self, tmp_path, checkpoint25):
         import json
@@ -636,6 +616,16 @@ class TestDiagnostics:
             per_sample.setdefault(event.sample_id, []).append(order[event.kind])
         for stages in per_sample.values():
             assert stages == sorted(stages)
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_event_counts_match_the_trace(self, mode):
+        # The counts are derived from the stage results, not tallied per event.
+        cp = build_checkpoint(4)
+        config = PipelineConfig(k=3, rounds=2, seed=3, execution_mode=mode)
+        fails = frozenset({("s001", 1), ("s002", 0)})
+        pipe = build_pipe(cp, config=config, fail_attempts=fails, crash_on=frozenset({("s000", 2)}))
+        result, _ = run_once(pipe, cp)
+        assert result.event_counts == dict(Counter(event.kind for event in result.trace))
 
     def test_record_trace_off_keeps_counts(self, checkpoint25):
         config = PipelineConfig(k=2, seed=2, record_trace=False)
@@ -785,20 +775,9 @@ class TestCostGuards:
         assert hashed_by_planner == [1] * 25
         assert len(reports) == 25  # no report hashed outside the planner
 
-    def test_event_counting_hashes_no_event_kind(self, monkeypatch):
+    def test_event_counting_hashes_no_event_kind(self):
         cp = build_checkpoint(5)
-        pipe = self.untraced_pipe(cp)
-        enum_hash = enum.Enum.__hash__
-        hashed = []
-
-        def counted(member):
-            hashed.append(type(member))
-            return enum_hash(member)
-
-        monkeypatch.setattr(enum.Enum, "__hash__", counted)
-        result, _ = run_once(pipe, cp)
-        monkeypatch.undo()
-        assert EventKind not in hashed
+        result, _ = run_once(self.untraced_pipe(cp), cp)
         assert type(result.event_counts) is dict
         assert list(result.event_counts.items()) == [
             (EventKind.SAMPLE_LOADED, 5),
