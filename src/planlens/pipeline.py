@@ -1,12 +1,14 @@
-"""Sample-centric, event-driven execution of feedback interventions.
+"""Sample-centric execution of feedback interventions.
 
 A run replays one frozen generation checkpoint under one intervention
 (coalition x representation x plan handling). Samples advance
 independently: feedback construction triggers prompting, prompting fans
 out to k evaluations, and evaluations fan in to an online, commutative
-aggregation. Scheduling is an explicit simulated-clock event loop with
-three policies (serial, stage-sync barriers, multi-async), so schedule
-permutations are first-class and order independence is testable rather
+aggregation. The stage work runs in sample order. Its schedule is a
+separate timing layer: a simulated-clock event loop with three policies
+(serial, stage-sync barriers, multi-async) over the recorded tasks, run
+once, when a result's timing or trace is first read. Schedule
+permutations are first-class, and order independence is testable rather
 than assumed.
 """
 
@@ -17,10 +19,11 @@ import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .agents import (
     AgentBundle,
@@ -221,13 +224,13 @@ class Task(NamedTuple):
 @dataclass
 class _RoundState:
     """One (sample, round)'s stage results, as the stages produced them, and
-    its fan-in: the round ends when every candidate has a record, and `best`
-    is the max of its EVAL levels, in any order (failed attempts are FAILED)."""
+    their fan-in: `best` is the max of its EVAL levels, in any order (failed
+    attempts are FAILED)."""
 
     report: Report | None = None
     plan: PlanArtifact | None = None
-    candidates: dict[int, Candidate] = field(default_factory=dict)
-    failures: list[tuple[int, str]] | None = None  # None until GEN completes
+    candidates: dict[int, Candidate] = field(default_factory=dict)  # by attempt
+    failures: list[tuple[int, str]] = field(default_factory=list)
     records: dict[int, ExecutionRecord] = field(default_factory=dict)
     best: OutcomeLevel = OutcomeLevel.FAILED
 
@@ -258,86 +261,85 @@ class RunLedger:
         self.replay = replay
         self.rounds: dict[tuple[str, int], _RoundState] = {}
         self.best_outcomes: dict[str, OutcomeLevel] = {}
-        self.events: list[Event] = []  # kept only when tracing
-        self.replay_hits = 0
+        self.replayed: set[Task] = set()  # tasks whose product came from `replay`
+        # The schedule's; `InterventionPipeline._schedule` fills them.
+        self.events: tuple[Event, ...] = ()  # kept only when tracing
         self.clock = 0.0
-        self.max_llm_inflight = 0
-        self.max_gen_inflight = 0
-        self.max_eval_queue = 0
+        self.max_llm_inflight = self.max_gen_inflight = self.max_eval_queue = 0
 
-    def emit(self, kind: EventKind, sample_id: str, payload: Mapping) -> None:
-        """Keep a traced run's event, with its payload."""
-        self.events.append(
-            Event(kind, sample_id, self.run_id, payload, len(self.events), self.clock)
-        )
-
-    def round_state(self, sample_id: str, round_index: int) -> _RoundState:
-        return self.rounds.setdefault((sample_id, round_index), _RoundState())
+    @property
+    def replay_hits(self) -> int:
+        return len(self.replayed)
 
     def stage_key(self, stage: Stage, sample_id: str, round_index: int, attempt: int = -1) -> str:
         """Archive key: derive_seed(0, "stage", checkpoint hash, intervention
         signature, seed, k, rounds, stage name, sample, round, attempt)."""
         return "%016x" % self._stage_prefix.derive(stage.name, sample_id, round_index, attempt)
 
-    def replay_entry(
-        self, stage: Stage, sample_id: str, round_index: int, attempt: int = -1
-    ) -> tuple[Path, object] | None:
-        """The replay archive's (entry file, payload) for this stage, if
-        there is one."""
-        if self.replay is None:
-            return None
-        return self.replay.entries.get(self.stage_key(stage, sample_id, round_index, attempt))
-
     def archive_entries(self) -> dict[str, dict]:
-        """Stage key -> archive payload for every completed stage, replayed
+        """Stage key -> archive payload for every stage of the run, replayed
         stages included; `archive_run` writes these."""
         entries: dict[str, dict] = {}
         for (sid, r), state in self.rounds.items():
-            if state.report is not None:
-                entries[self.stage_key(Stage.ANLZ, sid, r)] = _encode_anlz(
-                    (state.report, state.plan)
-                )
-            if state.failures is not None:
-                entries[self.stage_key(Stage.GEN, sid, r)] = _encode_gen(
-                    (state.candidates.values(), state.failures)
-                )
+            entries[self.stage_key(Stage.ANLZ, sid, r)] = _encode_anlz((state.report, state.plan))
+            entries[self.stage_key(Stage.GEN, sid, r)] = _encode_gen(
+                (state.candidates.values(), state.failures)
+            )
             for attempt, record in state.records.items():
                 entries[self.stage_key(Stage.EVAL, sid, r, attempt)] = _encode_eval(record)
         return entries
 
-    def dump(self, ready: int) -> str:
-        """Each sample's progress, read from its committed stage results."""
+    def dump(self, ready: int, last: list[Task | None], evals_left: list[int]) -> str:
+        """Each sample's progress in the schedule, in checkpoint order: its
+        last completed task and its current round's completed EVALs."""
+        aggregated = sum(task is not None and task.stage is Stage.AGG for task in last)
         lines = [
             f"run {self.run_id} clock={self.clock:.3f}",
-            f"ready={ready} "
-            f"aggregated={len(self.best_outcomes)}/{len(self.checkpoint.samples)}",
+            f"ready={ready} aggregated={aggregated}/{len(self.checkpoint.samples)}",
         ]
-        ids = sorted(s.sample_id for s in self.checkpoint.samples)
-        progress = dict.fromkeys(ids, "loaded")
-        for (sid, r), state in self.rounds.items():  # a sample's rounds in order
-            done = f"{len(state.records)}/{len(state.candidates)}"
-            progress[sid] = (
-                f"analyzed r{r}"
-                if state.failures is None
-                else f"generated r{r}, evaluated {done}"
-            )
-        for sid, best in self.best_outcomes.items():
-            progress[sid] = f"aggregated ({best.name})"
-        lines.extend(f"  sample {sid}: {text}" for sid, text in progress.items())
+        for index, sample in enumerate(self.checkpoint.samples):
+            sid, task = sample.sample_id, last[index]
+            if task is None:
+                text = "loaded"
+            elif task.stage is Stage.ANLZ:
+                text = f"analyzed r{task.round_index}"
+            elif task.stage is Stage.AGG:
+                text = f"aggregated ({self.best_outcomes[sid].name})"
+            else:
+                r = task.round_index
+                attempts = len(self.rounds[sid, r].candidates)
+                text = f"generated r{r}, evaluated {attempts - evals_left[index]}/{attempts}"
+            lines.append(f"  sample {sid}: {text}")
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class RunResult:
+    """A finished run. Its stats and counts are known when it completes; its
+    simulated schedule (trace, makespan, high-water marks) is computed from
+    the recorded tasks once, when one of them is first read, under a lock
+    of this result's own, so the schedules of other results run meanwhile."""
+
     run_id: str
     stats: GenerationStats
-    trace: tuple[Event, ...]
-    makespan: float
     event_counts: Mapping[EventKind, int]
-    max_gen_inflight: int
-    max_eval_queue: int
     programs: int
-    ledger: RunLedger = field(repr=False, compare=False)  # freed with the result
+    ledger: RunLedger = field(repr=False)  # freed with the result
+    _schedule: Callable[[], None] | None = field(repr=False)  # None once it ran
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def _timed(self) -> RunLedger:
+        if self._schedule is not None:
+            with self._lock:
+                if self._schedule is not None:
+                    self._schedule()
+                    self._schedule = None
+        return self.ledger
+
+    trace = property(lambda self: self._timed().events)
+    makespan = property(lambda self: self._timed().clock)
+    max_gen_inflight = property(lambda self: self._timed().max_gen_inflight)
+    max_eval_queue = property(lambda self: self._timed().max_eval_queue)
 
 
 class LatencyModel:
@@ -425,8 +427,6 @@ class InterventionPipeline:
         config: PipelineConfig | None = None,
         latency_model: LatencyModel | None = None,
     ):
-        import threading
-
         self.agents = agents
         self.artifact_source = artifact_source
         self.players = players or default_components()
@@ -474,9 +474,6 @@ class InterventionPipeline:
             run_id = f"run-{next(self._run_counter):04d}-{os.getpid()}"
             ledger = RunLedger(run_id, checkpoint, intervention, self.config, seed, replay)
             self._ledgers[run_id] = ledger
-        if self.config.record_trace:
-            for index, sample in enumerate(checkpoint.samples):
-                ledger.emit(EventKind.SAMPLE_LOADED, sample.sample_id, {"index": index})
         return run_id
 
     def run_to_completion(self, run_id: str) -> RunResult:
@@ -486,7 +483,7 @@ class InterventionPipeline:
             raise PipelineConfigError(
                 f"run {run_id!r} is not a submitted run awaiting completion"
             )
-        self._drive(ledger)
+        self._run_samples(ledger)
         if ledger.checkpoint.checkpoint_hash != ledger.checkpoint_hash:
             raise CheckpointMutatedError(f"checkpoint hash changed during run {run_id}")
         samples = ledger.checkpoint.samples
@@ -502,28 +499,119 @@ class InterventionPipeline:
             EventKind.EVAL_COMPLETED: sum(len(state.records) for state in rounds),
             EventKind.AGGREGATED: len(samples),
         }
+        latency_model = self.latency_model  # even if replaced before timing is read
         return RunResult(
             run_id=run_id,
             stats=stats_from_outcomes(ledger.checkpoint.g, outcomes, budget),
-            trace=tuple(ledger.events),
-            makespan=ledger.clock,
             event_counts=event_counts,
-            max_gen_inflight=ledger.max_gen_inflight,
-            max_eval_queue=ledger.max_eval_queue,
             programs=programs,
             ledger=ledger,
+            _schedule=lambda: self._schedule(ledger, latency_model),
         )
 
-    # -- scheduling ------------------------------------------------------------
+    # -- dataflow ----------------------------------------------------------------
 
-    def _drive(self, led: RunLedger) -> None:
-        cfg = self.config
+    def _run_samples(self, led: RunLedger) -> None:
+        """Do each sample's stage work in sample order: per round ANLZ, GEN and
+        one EVAL per candidate, then AGG. The products go to the round states
+        and `best_outcomes`; no order of the stages can change them."""
+        source = self._feedback_source(led.intervention)
+        for index, sample in enumerate(led.checkpoint.samples):
+            sid = sample.sample_id
+            best = OutcomeLevel.FAILED
+            for r in range(self.config.rounds):
+                state = led.rounds[sid, r] = _RoundState()
+                state.report, state.plan = self._execute(led, source, Stage.ANLZ, index, r)
+                candidates, state.failures = self._execute(led, source, Stage.GEN, index, r)
+                state.candidates = {cand.attempt: cand for cand in candidates}
+                for attempt in state.candidates:
+                    record = self._execute(led, source, Stage.EVAL, index, r, attempt)
+                    state.records[attempt] = record
+                    state.best = max(state.best, classify_execution(record))
+                best = max(best, state.best)
+            led.best_outcomes[sid] = best
+
+    def _feedback_source(self, intervention: Intervention) -> ArtifactSource:
+        """The artifact source a run's ANLZ stages build reports from."""
+        source: ArtifactSource = self.artifact_source
+        if intervention.permutation:
+            source = PermutedArtifactSource(source, intervention.permutation)
+        return _RepresentationSource(source, self.agents.summarizer, self._summary_cache)
+
+    def _execute(
+        self, led: RunLedger, source: ArtifactSource, stage: Stage, index: int, r: int, attempt=-1
+    ) -> object:
+        """Produce sample `index`'s round-`r` ANLZ, GEN or EVAL product: decode
+        it from the replay archive, noting its `Task` in `led.replayed`, or do
+        its work (agent calls)."""
+        sample = led.checkpoint.samples[index]
+        sid = sample.sample_id
+        replay = led.replay  # the archive's (entry file, payload) by stage key
+        entry = replay and replay.entries.get(led.stage_key(stage, sid, r, attempt))
+        if entry:
+            path, payload = entry
+            try:
+                product = _DECODE[stage](payload, self.config.k)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ReplayArchiveError(
+                    f"replay archive file {path} holds no {stage.name} entry ({exc!r})"
+                ) from exc
+            led.replayed.add(Task(index, r, stage, attempt, sid))
+            return product
+        if stage is Stage.ANLZ:
+            intervention = led.intervention
+            report = build_report(
+                sid, intervention.coalition, intervention.representation, source, self.players
+            )
+            plan: PlanArtifact | None = None
+            if intervention.plan_mode is PlanMode.SELF:
+                plan = self.agents.planner.plan(report)
+            elif intervention.plan_mode is PlanMode.DUMMY:
+                plan = PlanArtifact(
+                    text=dummy_plan(),
+                    producer_tag="dummy-plan",
+                    generation_context_hash=report.content_hash,
+                )
+            if plan is not None:
+                report = replace(report, plan_slot=plan.text)
+            return report, plan
+        state = led.rounds[sid, r]
+        if stage is Stage.GEN:
+            outputs = self.agents.generator.generate(
+                sample, state.report, state.plan,
+                self.config.k, run_seed=led.seed, round_index=r,
+            )
+            candidates, failures = [], []
+            for j, item in enumerate(outputs):
+                if isinstance(item, GeneratorAttemptError):
+                    failures.append((j, str(item)))
+                else:
+                    candidates.append(item)
+            return candidates, failures
+        try:
+            return self.agents.evaluator.evaluate(state.candidates[attempt])
+        except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
+            return crash_record(str(exc))
+
+    # -- timing layer ------------------------------------------------------------
+
+    def _schedule(self, led: RunLedger, latency: LatencyModel) -> None:
+        """Simulate the run's schedule over its recorded tasks and fill the
+        ledger's clock, high-water marks and, when tracing, events. A task
+        start draws its latency; a completion makes its follow-ups ready."""
+        cfg = led.config
         stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
         serial = cfg.execution_mode is ExecutionMode.SERIAL
+        led.clock, led.max_llm_inflight, led.max_gen_inflight, led.max_eval_queue = 0.0, 0, 0, 0
+        events = [
+            Event(EventKind.SAMPLE_LOADED, s.sample_id, led.run_id, {"index": i}, i, 0.0)
+            for i, s in enumerate(led.checkpoint.samples)
+            if cfg.record_trace
+        ]
         # Keyed by the run's seed, not its id: the id holds the process id.
-        schedule_rng = None
-        if cfg.schedule_seed is not None:
-            schedule_rng = rng_for(cfg.schedule_seed, "schedule", led.seed)
+        schedule_rng = (
+            None if cfg.schedule_seed is None else rng_for(cfg.schedule_seed, "schedule", led.seed)
+        )
         # Ready tasks: one heap per stage, whose entries are the tasks or,
         # under schedule_seed, (random priority drawn once when the task
         # becomes ready, task). The EVAL heap is the GEN -> EVAL queue.
@@ -534,24 +622,26 @@ class InterventionPipeline:
         # stages ran, so a stage's heap never holds two rounds here.
         cycle = [Stage.ANLZ, Stage.GEN, Stage.EVAL] * cfg.rounds + [Stage.AGG]
         wave = 0
+        # Progress by sample: its last completed task, and the EVALs of its
+        # current round still to complete (its rounds run one after another).
+        last: list[Task | None] = [None] * len(led.checkpoint.samples)
+        evals_left = [0] * len(led.checkpoint.samples)
+        replayed = led.replayed
 
         def make_ready(task: Task) -> None:
             entry = task if schedule_rng is None else (schedule_rng.random(), task)
             heapq.heappush(ready[task.stage], entry)
 
         def stalled(message: str) -> PipelineStalledError:
-            return PipelineStalledError(message, led.dump(sum(map(len, ready.values()))))
+            dump = led.dump(sum(map(len, ready.values())), last, evals_left)
+            return PipelineStalledError(message, dump)
 
         lanes = [(cycle[0], ready[cycle[0]])] if stage_sync else list(ready.items())
-        # (finish, start order, task, replayed, product)
-        running: list[tuple] = []
+        running: list[tuple] = []  # (finish, start order, task)
         start_order = itertools.count()
-        llm_inflight = 0
-        gen_inflight = 0
-        eval_inflight = 0
+        llm_inflight = gen_inflight = eval_inflight = 0
         for index, sample in enumerate(led.checkpoint.samples):
             make_ready(Task(index, 0, Stage.ANLZ, -1, sample.sample_id))
-        source = self._feedback_source(led.intervention)
 
         while True:
             # A scan visits ready tasks in key order and starts each one
@@ -575,13 +665,8 @@ class InterventionPipeline:
                     stage_sync
                     or len(eval_queue) + (gen_inflight + 1) * cfg.k <= cfg.queue_capacity
                 )
-                is_open = (
-                    None,
-                    llm_open,  # ANLZ
-                    gen_open,  # GEN
-                    eval_inflight < cfg.eval_concurrency,  # EVAL
-                    True,  # AGG
-                )
+                # By stage: ANLZ, GEN, EVAL, AGG.
+                is_open = (None, llm_open, gen_open, eval_inflight < cfg.eval_concurrency, True)
                 best = None
                 for stage, heap in lanes:
                     if not heap or not is_open[stage]:
@@ -604,14 +689,9 @@ class InterventionPipeline:
                         gen_inflight += 1
                         if gen_inflight > led.max_gen_inflight:
                             led.max_gen_inflight = gen_inflight
-                # The agent call happens at task start; its results become
-                # visible to the rest of the run only at completion time.
-                replayed, product = self._execute(led, task, source)
-                duration = (
-                    0.0 if replayed else self.latency_model.duration(led.seed, task)
-                )
-                finish = led.clock + duration
-                heapq.heappush(running, (finish, next(start_order), task, replayed, product))
+                timeless = replayed and task in replayed  # a replayed task takes no time
+                duration = 0.0 if timeless else latency.duration(led.seed, task)
+                heapq.heappush(running, (led.clock + duration, next(start_order), task))
             for heap, passed_over in aside:
                 heapq.heappush(heap, passed_over)
 
@@ -624,12 +704,14 @@ class InterventionPipeline:
                     continue
                 raise stalled("ready tasks cannot acquire resources")
 
-            finish, _, task, replayed, product = heapq.heappop(running)
+            finish, _, task = heapq.heappop(running)
             if finish > led.clock:
                 led.clock = finish
-            followups = self._commit(led, task, replayed, product)
-            for followup in followups:
+            last[task.sample_index] = task
+            for followup in self._followups(led, task, evals_left):
                 make_ready(followup)
+            if cfg.record_trace:
+                events.append(_stage_event(led, task, len(events)))
             if task.stage in (Stage.ANLZ, Stage.GEN):
                 llm_inflight -= 1
                 if task.stage is Stage.GEN:
@@ -639,137 +721,52 @@ class InterventionPipeline:
             elif task.stage is Stage.EVAL:
                 eval_inflight -= 1
 
-        if len(led.best_outcomes) < len(led.checkpoint.samples):
+        if any(task is None or task.stage is not Stage.AGG for task in last):
             raise stalled("run incomplete but no tasks remain")
+        led.events = tuple(events)
 
-    # -- task effects ------------------------------------------------------------
-
-    def _feedback_source(self, intervention: Intervention) -> ArtifactSource:
-        """The artifact source a run's ANLZ stages build reports from."""
-        source: ArtifactSource = self.artifact_source
-        if intervention.permutation:
-            source = PermutedArtifactSource(source, intervention.permutation)
-        return _RepresentationSource(source, self.agents.summarizer, self._summary_cache)
-
-    def _execute(
-        self, led: RunLedger, task: Task, source: ArtifactSource
-    ) -> tuple[bool, object]:
-        """Start a task: decode its product from the replay archive, or do
-        its work (agent calls). Returns (replayed, product); no ledger
-        state transitions."""
-        stage, sid, r = task.stage, task.sample_id, task.round_index
+    def _followups(self, led: RunLedger, task: Task, evals_left: list[int]) -> list[Task]:
+        """The tasks that `task`'s completion makes ready, read from the
+        recorded results: after GEN, the round's candidate attempts; after a
+        round's last EVAL, or a GEN without candidates, the next round's
+        ANLZ or the sample's AGG. Keeps `evals_left` by sample index."""
+        stage, i, sid, r = task.stage, task.sample_index, task.sample_id, task.round_index
+        if stage is Stage.ANLZ:
+            return [Task(i, r, Stage.GEN, -1, sid)]
         if stage is Stage.AGG:
-            return False, None
-        entry = led.replay_entry(stage, sid, r, task.attempt)
-        if entry is not None:
-            path, payload = entry
-            try:
-                product = _DECODE[stage](payload)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ReplayArchiveError(
-                    f"replay archive file {path} holds no {stage.name} entry ({exc!r})"
-                ) from exc
-            led.replay_hits += 1
-            return True, product
-        if stage is Stage.ANLZ:
-            intervention = led.intervention
-            report = build_report(
-                sid, intervention.coalition, intervention.representation, source, self.players
-            )
-            plan: PlanArtifact | None = None
-            if intervention.plan_mode is PlanMode.SELF:
-                plan = self.agents.planner.plan(report)
-            elif intervention.plan_mode is PlanMode.DUMMY:
-                plan = PlanArtifact(
-                    text=dummy_plan(),
-                    producer_tag="dummy-plan",
-                    generation_context_hash=report.content_hash,
-                )
-            if plan is not None:
-                report = replace(report, plan_slot=plan.text)
-            return False, (report, plan)
-        state = led.rounds[sid, r]
+            return []
         if stage is Stage.GEN:
-            outputs = self.agents.generator.generate(
-                led.checkpoint.samples[task.sample_index],
-                state.report,
-                state.plan,
-                self.config.k,
-                run_seed=led.seed,
-                round_index=r,
-            )
-            candidates, failures = [], []
-            for attempt, item in enumerate(outputs):
-                if isinstance(item, GeneratorAttemptError):
-                    failures.append((attempt, str(item)))
-                else:
-                    candidates.append(item)
-            return False, (candidates, failures)
-        try:
-            return False, self.agents.evaluator.evaluate(state.candidates[task.attempt])
-        except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
-            return False, crash_record(str(exc))
-
-    def _commit(
-        self, led: RunLedger, task: Task, replayed: bool, product: object
-    ) -> list[Task]:
-        """Apply a completed task's product and, in a traced run, emit its
-        event; returns the follow-up tasks."""
-        stage, sid, r = task.stage, task.sample_id, task.round_index
-        state = led.round_state(sid, r) if stage is Stage.ANLZ else led.rounds[sid, r]
-        outcome = None  # the level an EVAL or AGG event reports
-        if stage is Stage.ANLZ:
-            state.report, state.plan = product
-            followups = [Task(task.sample_index, r, Stage.GEN, -1, sid)]
-        elif stage is Stage.GEN:
-            candidates, failures = product
-            for cand in candidates:
-                state.candidates[cand.attempt] = cand
-            state.failures = failures
-            followups = [
-                Task(task.sample_index, r, Stage.EVAL, cand.attempt, sid)
-                for cand in candidates
-            ] or [self._after_round(task)]
-        elif stage is Stage.EVAL:
-            state.records[task.attempt] = product
-            outcome = classify_execution(product)
-            if outcome > state.best:
-                state.best = outcome
-            round_done = len(state.records) == len(state.candidates)
-            followups = [self._after_round(task)] if round_done else []
+            attempts = led.rounds[sid, r].candidates
+            evals_left[i] = len(attempts)
+            if attempts:
+                return [Task(i, r, Stage.EVAL, attempt, sid) for attempt in attempts]
         else:
-            outcome = max(led.rounds[sid, i].best for i in range(r + 1))
-            led.best_outcomes[sid] = outcome
-            followups = []
-        if led.config.record_trace:
-            led.emit(_STAGE_EVENT[stage], sid, _event_payload(task, replayed, state, outcome))
-        return followups
-
-    def _after_round(self, task: Task) -> Task:
-        next_round = task.round_index + 1
-        if next_round < self.config.rounds:
-            return Task(task.sample_index, next_round, Stage.ANLZ, -1, task.sample_id)
-        return Task(task.sample_index, task.round_index, Stage.AGG, -1, task.sample_id)
+            evals_left[i] -= 1
+            if evals_left[i]:
+                return []
+        if r + 1 < self.config.rounds:
+            return [Task(i, r + 1, Stage.ANLZ, -1, sid)]
+        return [Task(i, r, Stage.AGG, -1, sid)]
 
 
-def _event_payload(
-    task: Task, replayed: bool, state: _RoundState, outcome: OutcomeLevel | None
-) -> dict:
-    """A stage event's trace payload, from the stage results just committed."""
-    payload: dict = {"round": task.round_index}
-    if task.stage is Stage.ANLZ:
-        payload["report_hash"] = state.report.content_hash
-    elif task.stage is Stage.GEN:
-        payload["n_candidates"] = len(state.candidates)
-        payload["n_failed"] = len(state.failures)
-    elif task.stage is Stage.EVAL:
-        payload["attempt"] = task.attempt
-        payload["level"] = outcome.name
+def _stage_event(led: RunLedger, task: Task, logical_time: int) -> Event:
+    """A task's trace event at completion; the payload is read from the recorded results."""
+    sid, r = task.sample_id, task.round_index
+    payload: dict = {"round": r}
+    if task.stage is Stage.AGG:
+        payload["best"] = led.best_outcomes[sid].name
     else:
-        payload["best"] = outcome.name
-        return payload
-    payload["replayed"] = replayed
-    return payload
+        state = led.rounds[sid, r]
+        if task.stage is Stage.ANLZ:
+            payload["report_hash"] = state.report.content_hash
+        elif task.stage is Stage.GEN:
+            payload["n_candidates"] = len(state.candidates)
+            payload["n_failed"] = len(state.failures)
+        else:
+            payload["attempt"] = task.attempt
+            payload["level"] = classify_execution(state.records[task.attempt]).name
+        payload["replayed"] = task in led.replayed
+    return Event(_STAGE_EVENT[task.stage], sid, led.run_id, payload, logical_time, led.clock)
 
 
 # -- rollout glue --------------------------------------------------------------
@@ -967,9 +964,10 @@ def _report_to_json(report: Report) -> dict:
 
 # -- archive codec ---------------------------------------------------------------
 # One archive payload per ANLZ, GEN and EVAL stage. Each encoder takes the
-# product the stage's work returns and its decoder gives that product back;
-# `RunLedger.archive_entries` encodes and `_execute` decodes on replay,
-# turning a decoder's error on a corrupt entry into ReplayArchiveError.
+# product the stage's work returns and its decoder, given the run's k, gives
+# that product back; `RunLedger.archive_entries` encodes and `_execute`
+# decodes on replay, turning a decoder's error on a corrupt entry into
+# ReplayArchiveError.
 
 
 def _encode_anlz(product: tuple[Report, PlanArtifact | None]) -> dict:
@@ -981,7 +979,7 @@ def _encode_anlz(product: tuple[Report, PlanArtifact | None]) -> dict:
     }
 
 
-def _decode_anlz(entry: Mapping) -> tuple[Report, PlanArtifact | None]:
+def _decode_anlz(entry: Mapping, k: int) -> tuple[Report, PlanArtifact | None]:
     plan = entry.get("plan")
     return _report_from_json(entry["report"]), PlanArtifact(**plan) if plan else None
 
@@ -995,18 +993,20 @@ def _encode_gen(product: tuple[Iterable[Candidate], list[tuple[int, str]]]) -> d
     }
 
 
-def _decode_gen(entry: Mapping) -> tuple[list[Candidate], list[tuple[int, str]]]:
-    return (
-        [Candidate.from_json(c) for c in entry["candidates"]],
-        [(int(a), str(n)) for a, n in entry.get("failures", [])],
-    )
+def _decode_gen(entry: Mapping, k: int) -> tuple[list[Candidate], list[tuple[int, str]]]:
+    candidates = [Candidate.from_json(c) for c in entry["candidates"]]
+    failures = [(int(a), str(n)) for a, n in entry.get("failures", [])]
+    attempts = [c.attempt for c in candidates] + [a for a, _ in failures]
+    if len(set(attempts)) < len(attempts) or not all(0 <= a < k for a in attempts):
+        raise ValueError(f"attempts {attempts} are not distinct ones of 0..{k - 1}")
+    return candidates, failures
 
 
 def _encode_eval(record: ExecutionRecord) -> dict:
     return {"kind": "eval", "record": record.to_json()}
 
 
-def _decode_eval(entry: Mapping) -> ExecutionRecord:
+def _decode_eval(entry: Mapping, k: int) -> ExecutionRecord:
     record = ExecutionRecord.from_json(entry["record"])
     classify_execution(record)  # MalformedRecordError if it breaks the level invariants
     return record

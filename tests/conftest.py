@@ -1,9 +1,11 @@
 import hashlib
 import json
 import threading
+from collections import Counter
 
 import pytest
 
+import planlens.pipeline as pipeline_mod
 from planlens.agents import MockBehavior, MockSummarizer, mock_bundle
 from planlens.cli import synthetic_artifact_source
 from planlens.feedback import default_components
@@ -100,6 +102,25 @@ def record_computations(monkeypatch, cls, name="content_hash"):
         replacement.__set_name__(cls, name)
     monkeypatch.setattr(cls, name, replacement)
     return computed
+
+
+def count_schedule_work(monkeypatch):
+    """Count the timing layer's per-task work from here on: latency draws
+    (`LatencyModel.duration` calls) and trace events built."""
+    work = Counter()
+    duration, event = pipeline_mod.LatencyModel.duration, pipeline_mod.Event
+
+    def counted_duration(model, run_seed, task):
+        work["duration"] += 1
+        return duration(model, run_seed, task)
+
+    def counted_event(*args):
+        work["Event"] += 1
+        return event(*args)
+
+    monkeypatch.setattr(pipeline_mod.LatencyModel, "duration", counted_duration)
+    monkeypatch.setattr(pipeline_mod, "Event", counted_event)
+    return work
 
 
 def event_digest(trace):

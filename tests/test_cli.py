@@ -3,10 +3,12 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from conftest import count_schedule_work
 from planlens.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, RUN_SETTINGS, load_experiment_config, main
 from planlens.trajectory import ExecutionRecord, Sample, TrajectoryStore
 
@@ -113,6 +115,14 @@ def read_csv_rows(path):
 
 
 class TestIntervene:
+    def test_sweep_simulates_no_schedule(self, tmp_path, checkpoint_file, monkeypatch):
+        # A sweep reads only each rollout's stats: no latency draw, no event.
+        work = count_schedule_work(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        args = ["intervene", "--checkpoint", str(checkpoint_file), "--sweep", "--rollouts", "2"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert out.exists() and work == Counter()
+
     def test_single_coalition_rollouts(self, tmp_path, checkpoint_file, capsys):
         out = tmp_path / "stats.csv"
         code = main(
@@ -345,11 +355,15 @@ class TestIntervene:
             (lambda a: edit_json(entry_file(a, "eval"), lambda e: e["record"].update(compiled=False,
                                                                                    validations_passed=True)),
              "entries"),
+            (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"][0].update(attempt=9)),
+             "entries"),
+            (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"].append(e["candidates"][0])),
+             "entries"),
         ],
         ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k",
              "no-entry-file", "entry-not-json", "index-value-int", "checkpoint-hash-int",
              "signature-null", "k-string", "rounds-bool", "gen-entry-of-eval-kind", "gen-entry-list",
-             "eval-record-passed-not-compiled"],
+             "eval-record-passed-not-compiled", "gen-attempt-out-of-range", "gen-attempt-twice"],
     )
     def test_damaged_replay_archive_is_data_error(self, tmp_path, checkpoint_file, capsys, damage, named):
         base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",

@@ -27,7 +27,16 @@ def load_inputs():
     return module
 
 
-@pytest.mark.parametrize("workload", ["sweep", "wide", "cli-replay"])
+# Per workload, a layer its traced run must have reached: gate never runs the pipeline.
+REACHED = {
+    "sweep": "pipeline.stages",
+    "wide": "pipeline.stages",
+    "cli-replay": "pipeline.stages",
+    "gate": "gating.gate.calls",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REACHED))
 def test_traced_worker_runs_clean(workload, tmp_path, monkeypatch):
     # Leave no bytecode cache inside perfbench/.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -58,4 +67,4 @@ def test_traced_worker_runs_clean(workload, tmp_path, monkeypatch):
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["problems"]
-    assert result["layers"]["pipeline.stages"] > 0
+    assert result["layers"][REACHED[workload]] > 0

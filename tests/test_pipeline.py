@@ -19,6 +19,7 @@ from conftest import (
     HeldSummarizer,
     build_checkpoint,
     build_pipe,
+    count_schedule_work,
     event_digest,
     record_computations,
     run_in_threads,
@@ -557,27 +558,29 @@ class TestDiagnostics:
         assert result.stats == expected.stats
 
     def test_stall_dump_reads_progress_from_the_ledger(self, monkeypatch):
-        # A run that drops each EVAL's follow-up never ends its rounds: an
-        # internal fault, reported once nothing is left to run.
+        # A schedule that drops each round's last EVAL follow-up never ends
+        # its rounds: an internal fault, reported once nothing is left to run.
         cp = build_checkpoint(3)
         pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=1))
-        commit = pipe._commit
+        followups = pipe._followups
 
-        def commit_without_round_end(led, task, replayed, product):
-            followups = commit(led, task, replayed, product)
-            return [] if task.stage is Stage.EVAL else followups
+        def followups_without_round_end(led, task, evaluated):
+            tasks = followups(led, task, evaluated)
+            return [] if task.stage is Stage.EVAL else tasks
 
-        monkeypatch.setattr(pipe, "_commit", commit_without_round_end)
+        monkeypatch.setattr(pipe, "_followups", followups_without_round_end)
         run_id = pipe.submit(cp, Intervention(coalition=FULL))
+        result = pipe.run_to_completion(run_id)  # the stage work itself completes
         with pytest.raises(PipelineStalledError, match="run incomplete but no tasks remain") as caught:
-            pipe.run_to_completion(run_id)
+            result.makespan
         header, counts, *samples = caught.value.dump.splitlines()
         assert header.startswith(f"run {run_id} clock=")
         assert counts == "ready=0 aggregated=0/3"
         assert [line.split(":")[0] for line in samples] == [
             f"  sample {sid}" for sid in cp.sample_ids()
         ]
-        assert all(": generated r0, evaluated " in line for line in samples)
+        # What the schedule completed: every EVAL, and so no AGG.
+        assert all(line.endswith(": generated r0, evaluated 2/2") for line in samples)
 
     def test_trace_export_schema(self, tmp_path, checkpoint25):
         import json
@@ -774,6 +777,49 @@ class TestCostGuards:
         assert result.trace == ()
         assert hashed_by_planner == [1] * 25
         assert len(reports) == 25  # no report hashed outside the planner
+
+    def test_rollout_simulates_no_schedule(self, monkeypatch):
+        # A rollout reads only stats: even in a traced pipeline it draws no
+        # latency and builds no event. Reading a result's timing does both.
+        cp = build_checkpoint(5)
+        pipe = build_pipe(cp)  # the default config records a trace
+        work = count_schedule_work(monkeypatch)
+        make_rollout_fn(pipe)(cp, FULL, 0)
+        assert work == Counter()
+        result, _ = run_once(pipe, cp)
+        assert work == Counter()
+        assert result.makespan > 0
+        assert work["duration"] > 0 and work["Event"] == len(result.trace) > 0
+
+    def test_concurrent_timing_reads_schedule_once(self, monkeypatch):
+        cp = build_checkpoint(6)
+        pipe = build_pipe(cp)
+        result, _ = run_once(pipe, cp)
+        schedule = pipe._schedule
+        scheduled = []
+
+        def slow_schedule(led, latency_model):
+            scheduled.append(led.run_id)
+            time.sleep(0.05)  # the other reader arrives meanwhile
+            schedule(led, latency_model)
+
+        monkeypatch.setattr(pipe, "_schedule", slow_schedule)
+        both_reading = threading.Barrier(2)
+        reads = []
+
+        def read():
+            both_reading.wait()
+            reads.append((result.makespan, result.max_gen_inflight, result.trace))
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert scheduled == [result.run_id]
+        assert len(reads) == 2 and reads[0] == reads[1]
+        assert reads[0][0] > 0 and len(reads[0][2]) == sum(result.event_counts.values())
 
     def test_event_counting_hashes_no_event_kind(self):
         cp = build_checkpoint(5)
