@@ -92,6 +92,14 @@ class LatencyParams:
     tail: float = 0.5
 
 
+# Every pipeline's simulated stage latencies, unless its behaviour sets its own.
+DEFAULT_LATENCIES = {
+    "anlz": LatencyParams(mean=2.0, tail=2.0),
+    "gen": LatencyParams(mean=4.0, tail=3.0),
+    "eval": LatencyParams(mean=1.0, tail=1.0),
+}
+
+
 @dataclass(frozen=True)
 class MockBehavior:
     """Causal table driving every mock draw.
@@ -99,7 +107,8 @@ class MockBehavior:
     base_rates are per-attempt probabilities P(outcome >= level); effects
     shift them per coalition; producer_effects shift them per plan
     producer tag. The level chain p_fast <= p_pass <= p_compiled is
-    enforced by clamping (with a warning) after all deltas apply.
+    enforced by clamping (with a warning) after all deltas apply. latency
+    sets the stage durations of every pipeline that runs this behaviour.
     """
 
     seed: int = 0
@@ -143,6 +152,19 @@ class MockBehavior:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MockBehavior":
+        """Read an experiment config's `agents.behavior`. A `latency` entry
+        must be a stage with numeric `mean` and `tail` >= 0, or ValueError names it."""
+        latency = data.get("latency", {})
+        if not isinstance(latency, Mapping):
+            raise ValueError(f"agents.behavior.latency must be an object, not {latency!r}")
+        for stage, params in latency.items():
+            if stage not in DEFAULT_LATENCIES:
+                raise ValueError(
+                    f"agents.behavior.latency stage {stage!r} must be one of {sorted(DEFAULT_LATENCIES)}"
+                )
+            values = [params.get(key) if isinstance(params, Mapping) else None for key in ("mean", "tail")]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in values):
+                raise ValueError(f"agents.behavior.latency.{stage} needs numeric 'mean' and 'tail' >= 0")
         effects = tuple(
             Effect(int(e["requires"]), OutcomeLevel.parse(e["level"]), float(e["delta"]))
             for e in data.get("effects", ())
@@ -158,10 +180,6 @@ class MockBehavior:
             )
             for tag, entries in data.get("producer_effects", {}).items()
         }
-        latency = {
-            stage: LatencyParams(float(p.get("mean", 1.0)), float(p.get("tail", 0.5)))
-            for stage, p in data.get("latency", {}).items()
-        }
         return cls(
             seed=int(data.get("seed", 0)),
             base_compiled=float(data.get("base_compiled", 0.6)),
@@ -169,7 +187,9 @@ class MockBehavior:
             base_fast=float(data.get("base_fast", 0.15)),
             effects=effects,
             producer_effects=producer,
-            latency=latency,
+            latency={
+                stage: LatencyParams(float(p["mean"]), float(p["tail"])) for stage, p in latency.items()
+            },
         )
 
 
@@ -482,52 +502,42 @@ class HttpChatAgent:
         raise RetryableAgentError(str(last_error), self.max_retries)
 
 
-class HttpSummarizer(_CallCounter):
+class _HttpRole(_CallCounter):
+    """A role answered by a chat backend: the role's prompt asset is the
+    system message and each request one user message."""
+
     def __init__(self, client: HttpChatAgent):
         super().__init__()
         self.client = client
         self.model_tag = client.role.model_tag
 
+    def _ask(self, role: Role, text: str) -> str:
+        system = {"role": "system", "content": load_prompt(role)}
+        return self.client.complete([system, {"role": "user", "content": text}])
+
+
+class HttpSummarizer(_HttpRole):
     def summarize(self, artifacts: Sequence[FeedbackArtifact]):
+        self.begin()
         out = []
-        template = load_prompt(Role.SUMMARIZER)
         for art in artifacts:
             self.bump()
-            content = self.client.complete(
-                [
-                    {"role": "system", "content": template},
-                    {"role": "user", "content": art.payload},
-                ]
-            )
             out.append(
                 FeedbackArtifact(
                     component=art.component,
                     representation=Representation.SUMMARIZED,
-                    payload=content,
+                    payload=self._ask(Role.SUMMARIZER, art.payload),
                     source_sample=art.source_sample,
                 )
             )
         return tuple(out)
 
 
-class HttpPlanner(_CallCounter):
-    def __init__(self, client: HttpChatAgent):
-        super().__init__()
-        self.client = client
-        self.model_tag = client.role.model_tag
-
+class HttpPlanner(_HttpRole):
     def plan(self, report: Report) -> PlanArtifact:
         self.bump()
-        template = load_prompt(Role.PLANNER)
-        body = "\n\n".join(a.payload for a in report.artifacts)
-        content = self.client.complete(
-            [
-                {"role": "system", "content": template},
-                {"role": "user", "content": body},
-            ]
-        )
         return PlanArtifact(
-            text=content,
+            text=self._ask(Role.PLANNER, "\n\n".join(a.payload for a in report.artifacts)),
             producer_tag=self.model_tag,
             generation_context_hash=report.content_hash,
         )

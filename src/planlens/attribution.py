@@ -301,6 +301,12 @@ def attribute(table: CharacteristicTable, method: str = "banzhaf") -> Attributio
     )
 
 
+def rollout_seed(seed: int, coalition: Coalition, r: int) -> int:
+    """The run seed of rollout r of a coalition, in a sweep and in
+    `intervene --coalition` alike."""
+    return derive_seed(seed, "rollout", coalition.mask, r)
+
+
 def sweep_characteristic_tables(
     checkpoint: GenerationCheckpoint,
     specs: Sequence[GameSpec],
@@ -331,9 +337,8 @@ def sweep_characteristic_tables(
         stats_list: list[GenerationStats] = []
         failure: RuntimeError | None = None
         for r in range(r_rollouts):
-            rollout_seed = derive_seed(seed, "rollout", coalition.mask, r)
             try:
-                stats_list.append(rollout_fn(checkpoint, coalition, rollout_seed))
+                stats_list.append(rollout_fn(checkpoint, coalition, rollout_seed(seed, coalition, r)))
             except RuntimeError as exc:
                 failure = exc
         if not stats_list:

@@ -26,12 +26,9 @@ from .agents import (
     HttpPlanner,
     HttpSummarizer,
     MockBehavior,
-    MockEvaluator,
-    MockGenerator,
-    MockPlanner,
-    MockSummarizer,
     Role,
     mock_artifact_payload,
+    mock_bundle,
 )
 from .attribution import (
     METHODS,
@@ -41,6 +38,7 @@ from .attribution import (
     attribution_report,
     bundle_to_csv,
     bundle_to_json,
+    rollout_seed,
     sweep_characteristic_tables,
     tables_from_csv,
     tables_to_csv,
@@ -54,17 +52,15 @@ from .feedback import (
     MissingFeedbackError,
     Representation,
     default_components,
-    plan_feedback_players,
-    plan_summary_players,
     randomize_feedback,
 )
 from .gating import DotSyntaxError, GateConfig, decisions_to_json, gate, parse_dot, similarity
-from .seeding import derive_seed
+# `derive_seed` stays importable here: perfbench/tracing.py wraps it by name.
+from .seeding import derive_seed  # noqa: F401
 from .pipeline import (
-    DEFAULT_LATENCIES,
+    GAMES,
     ExecutionMode,
     InterventionPipeline,
-    LatencyModel,
     PipelineConfig,
     PipelineConfigError,
     PipelineStalledError,
@@ -98,13 +94,6 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
-
-
-GAMES = {
-    "components": default_components,
-    "plan-feedback": plan_feedback_players,
-    "plan-summary": plan_summary_players,
-}
 
 
 def config_hash(settings: Mapping[str, Any]) -> str:
@@ -190,44 +179,26 @@ def load_experiment_config(path: str) -> dict:
     if data.get("metrics") == []:
         raise ConfigError("config key 'metrics' must name at least one metric")
     check_metrics(data.get("metrics", ()), "config")
-    latency = data.get("agents", {}).get("behavior", {}).get("latency", {})
-    if not isinstance(latency, dict):
-        raise ConfigError("config key 'agents.behavior.latency' must be dict")
-    for stage, params in latency.items():
-        if stage not in DEFAULT_LATENCIES:
-            raise ConfigError(
-                f"agents.behavior.latency stage {stage!r} must be one of "
-                f"{sorted(DEFAULT_LATENCIES)}"
-            )
-        if not isinstance(params, dict) or not {"mean", "tail"} <= params.keys():
-            raise ConfigError(
-                f"agents.behavior.latency.{stage} needs both 'mean' and 'tail'"
-            )
     return data
 
 
 def build_agents(agent_config: Mapping[str, Any]) -> AgentBundle:
-    backend = agent_config.get("backend", "mock")
     try:
-        behavior = MockBehavior.from_json(agent_config.get("behavior", {}))
+        agents = mock_bundle(MockBehavior.from_json(agent_config.get("behavior", {})))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"agents.behavior is malformed: {exc!r}") from exc
-    generator = MockGenerator(behavior)
-    evaluator = MockEvaluator()
-    if backend == "http":
-        # Real backends plug in at the summarizer/planner seam; program
-        # generation+execution adapters stay external to this tool.
-        try:
-            summarizer = HttpSummarizer(
-                HttpChatAgent(AgentRole(Role.SUMMARIZER, model_tag="summarizer"))
-            )
-            planner = HttpPlanner(
-                HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"))
-            )
-        except ValueError as exc:  # no backend URL configured
-            raise ConfigError(f"http backend: {exc}") from exc
-        return AgentBundle(summarizer, planner, generator, evaluator)
-    return AgentBundle(MockSummarizer(), MockPlanner(), generator, evaluator)
+    if agent_config.get("backend", "mock") != "http":
+        return agents
+    # Real backends plug in at the summarizer/planner seam; program
+    # generation+execution adapters stay external to this tool.
+    try:
+        return replace(
+            agents,
+            summarizer=HttpSummarizer(HttpChatAgent(AgentRole(Role.SUMMARIZER, model_tag="summarizer"))),
+            planner=HttpPlanner(HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"))),
+        )
+    except ValueError as exc:  # no backend URL configured
+        raise ConfigError(f"http backend: {exc}") from exc
 
 
 def synthetic_artifact_source(checkpoint, players) -> InMemoryArtifactSource:
@@ -284,6 +255,15 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         scope = config.get(section, {}) if section else config
         if getattr(args, dest) is None:
             setattr(args, dest, scope.get(key, default))
+    agent_config = dict(config.get("agents", {}))
+    if args.backend is not None:
+        configured = agent_config.setdefault("backend", args.backend)
+        if configured != args.backend:
+            raise ConfigError(
+                f"--backend {args.backend} conflicts with agents.backend "
+                f"{configured!r} in {args.config}"
+            )
+    agents = build_agents(agent_config)
 
     try:
         checkpoint = load_checkpoint(args.checkpoint)
@@ -341,24 +321,12 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         "randomize_feedback": args.randomize_feedback,
         "plan_mode": args.plan_mode,
         "replay": args.replay,
-    }
-
-    agent_config = dict(config.get("agents", {}))
-    if args.backend is not None:
-        configured = agent_config.setdefault("backend", args.backend)
-        if configured != args.backend:
-            raise ConfigError(
-                f"--backend {args.backend} conflicts with agents.backend "
-                f"{configured!r} in {args.config}"
-            )
-    agents = build_agents(agent_config)
-    settings["agents"] = {
-        "backend": agent_config.get("backend", "mock"),
-        "behavior": asdict(agents.generator.behavior),
+        "agents": {
+            "backend": agent_config.get("backend", "mock"),
+            "behavior": asdict(agents.generator.behavior),
+        },
     }
     source = synthetic_artifact_source(checkpoint, components)
-    # The behaviour's latencies override the defaults stage by stage.
-    latency = {**DEFAULT_LATENCIES, **agents.generator.behavior.latency}
     pipe = InterventionPipeline(
         agents,
         source,
@@ -372,7 +340,6 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             execution_mode=ExecutionMode(args.mode),
             record_trace=args.trace is not None,
         ),
-        latency_model=LatencyModel(seed=args.seed, params=latency),
     )
 
     permutation = None
@@ -414,9 +381,8 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         stats_rows = []
         last_result = None
         for r in range(args.rollouts):
-            rollout_seed = derive_seed(args.seed, "rollout", coalition.mask, r)
             run_id = pipe.submit(
-                checkpoint, intervention, seed=rollout_seed, replay=replay_cache
+                checkpoint, intervention, seed=rollout_seed(args.seed, coalition, r), replay=replay_cache
             )
             last_result = pipe.run_to_completion(run_id)
             stats_rows.append(last_result.stats)

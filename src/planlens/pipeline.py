@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .agents import (
+    DEFAULT_LATENCIES,
     AgentBundle,
     Candidate,
     GeneratorAttemptError,
@@ -45,6 +46,8 @@ from .feedback import (
     build_report,
     default_components,
     dummy_plan,
+    plan_feedback_players,
+    plan_summary_players,
 )
 # `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
 from .seeding import SeedPrefix, derive_seed, hash_uniform, rng_for  # noqa: F401
@@ -178,6 +181,14 @@ class Intervention:
         mode = (self.coalition.mask, self.representation.value, self.plan_mode.value)
         # None fills the retired injected-plan slot so stage keys and archives still match.
         return str((*mode, None, perm))
+
+
+# Game name -> player set; `game_intervention` maps each game's coalitions.
+GAMES = {
+    "components": default_components,
+    "plan-feedback": plan_feedback_players,
+    "plan-summary": plan_summary_players,
+}
 
 
 def game_intervention(
@@ -376,13 +387,6 @@ class LatencyModel:
         return p.mean + p.tail * -math.log(1.0 - u)
 
 
-DEFAULT_LATENCIES = {
-    "anlz": LatencyParams(mean=2.0, tail=2.0),
-    "gen": LatencyParams(mean=4.0, tail=3.0),
-    "eval": LatencyParams(mean=1.0, tail=1.0),
-}
-
-
 class _RepresentationSource:
     """Serves the requested representation, derived from the one read of
     the raw artifact: formatted output is a local deterministic transform;
@@ -425,15 +429,16 @@ class InterventionPipeline:
         artifact_source: ArtifactSource,
         players: tuple[FeedbackComponent, ...] | None = None,
         config: PipelineConfig | None = None,
-        latency_model: LatencyModel | None = None,
     ):
         self.agents = agents
         self.artifact_source = artifact_source
         self.players = players or default_components()
         self.config = config or PipelineConfig()
         self.config.validate()
-        self.latency_model = latency_model or LatencyModel(
-            seed=self.config.seed, params=DEFAULT_LATENCIES
+        # The generator's behaviour overrides the default latencies stage by stage.
+        self.latency_model = LatencyModel(
+            seed=self.config.seed,
+            params={**DEFAULT_LATENCIES, **agents.generator.behavior.latency},
         )
         self._ledgers: dict[str, RunLedger] = {}  # submitted, not yet driven
         self._lock = threading.Lock()
@@ -888,19 +893,24 @@ def replay_load(
 ) -> ReplayCache:
     """Load a replay archive, refusing checkpoints it was not recorded on.
     A missing or unparsable manifest, index or entry file, a manifest
-    without one of its keys or with a value of the wrong type, and an
-    index value that is not a file name, raise ReplayArchiveError naming
-    the file."""
+    without one of its keys, with a value of the wrong type or of another
+    format version, and an index value that is not a file name, raise
+    ReplayArchiveError naming the file."""
     base = Path(directory)
     manifest_path = base / "manifest.json"
     manifest = _read_archive_json(manifest_path, dict)
-    keys = {"checkpoint_hash": str, "intervention_signature": str, "k": int, "rounds": int}
+    keys = {"format_version": int, "checkpoint_hash": str, "intervention_signature": str,
+            "k": int, "rounds": int}
     missing = [key for key in keys if key not in manifest]
     if missing:
         raise ReplayArchiveError(f"replay archive file {manifest_path} lacks {missing}")
     for key, kind in keys.items():
         _require_type(manifest_path, key, manifest[key], kind)
-    recorded, signature, k, rounds = (manifest[key] for key in keys)
+    version, recorded, signature, k, rounds = (manifest[key] for key in keys)
+    if version != ARCHIVE_FORMAT_VERSION:
+        raise ReplayArchiveError(
+            f"replay archive file {manifest_path} has format_version {version}, not {ARCHIVE_FORMAT_VERSION}"
+        )
     actual = checkpoint.checkpoint_hash
     if recorded != actual:
         raise ReplayMismatchError(

@@ -354,6 +354,8 @@ class TrajectoryStore:
                     data = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise StoreFormatError(str(exc), lineno) from exc
+                if not isinstance(data, dict):
+                    raise StoreFormatError("record is not a JSON object", lineno)
                 if "trajectory_id" not in data:
                     raise StoreFormatError("record lacks trajectory_id", lineno)
                 if store is None:

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -11,6 +12,7 @@ from planlens.agents import (
     Effect,
     GeneratorAttemptError,
     HttpChatAgent,
+    HttpSummarizer,
     MockBehavior,
     MockEvaluator,
     MockGenerator,
@@ -203,6 +205,25 @@ class TestMockGenerator:
         assert behavior.producer_effects["strong"][0].delta == 0.2
         assert behavior.latency["gen"].mean == 2.0
 
+    @pytest.mark.parametrize(
+        "latency, named",
+        [
+            ({"gne": {"mean": 1.0, "tail": 1.0}}, "'gne'"),
+            ({"gen": {"mean": 1.0}}, "latency.gen"),
+            ({"eval": {"tail": 1.0}}, "latency.eval"),
+            ({"anlz": {"mean": "1", "tail": 1.0}}, "latency.anlz"),
+            ({"gen": {"mean": True, "tail": 1.0}}, "latency.gen"),
+            ({"gen": [1.0, 1.0]}, "latency.gen"),
+            ({"gen": {"mean": -50.0, "tail": 0.0}}, "latency.gen"),
+            ([], "latency"),
+        ],
+        ids=["unknown-stage", "no-tail", "no-mean", "mean-str", "mean-bool", "entry-list", "mean-negative",
+             "latency-list"],
+    )
+    def test_behavior_json_rejects_bad_latency(self, latency, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            MockBehavior.from_json({"latency": latency})
+
 
 class TestMockEvaluator:
     def make_candidate(self, quality, thresholds=(0.4, 0.6, 0.85)):
@@ -319,6 +340,16 @@ class TestHttpChatAgent:
         )
         with pytest.raises(RetryableAgentError, match="after 2 attempts"):
             agent.complete([])
+
+    def test_summarizer_counts_like_the_mock(self, chat_server):
+        arts = report_for(Coalition.of(D, A)).artifacts
+        http = HttpSummarizer(HttpChatAgent(AgentRole(Role.SUMMARIZER, model_tag="s"), base_url=chat_server))
+        mock = MockSummarizer()
+        for summarizer in (http, mock):
+            summarizer.summarize(arts)
+            summarizer.summarize(arts[:1])
+        assert (http.invocations, http.calls) == (mock.invocations, mock.calls) == (2, 3)
+        assert len(_ChatHandler.seen) == 3
 
 
 class TestPromptAssets:

@@ -9,8 +9,20 @@ from pathlib import Path
 import pytest
 
 from conftest import count_schedule_work
-from planlens.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, RUN_SETTINGS, load_experiment_config, main
-from planlens.trajectory import ExecutionRecord, Sample, TrajectoryStore
+from planlens.agents import MockBehavior, mock_bundle
+from planlens.attribution import rollout_seed
+from planlens.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    RUN_SETTINGS,
+    load_experiment_config,
+    main,
+    synthetic_artifact_source,
+)
+from planlens.feedback import Coalition, default_components
+from planlens.pipeline import Intervention, InterventionPipeline, PipelineConfig, export_trace
+from planlens.trajectory import ExecutionRecord, Sample, TrajectoryStore, load_checkpoint
 
 # (events, final simulated time, digest) of the default 8-sample `--coalition d` trace.
 PINNED_DEFAULT_TRACE = (48, 26.976224820540175, "b4688a2aee6a779a")
@@ -94,6 +106,14 @@ class TestFreeze:
             ["freeze", "--trajectory", str(tmp_path / "none.ndjson"), "-g", "0", "--out", str(tmp_path)]
         )
         assert code == EXIT_DATA
+
+    def test_number_line_is_data_error(self, tmp_path, trajectory_file, capsys):
+        lines = trajectory_file.read_text().splitlines()
+        trajectory_file.write_text("\n".join(lines[:2] + ["5"] + lines[2:]) + "\n")
+        code = main(["freeze", "--trajectory", str(trajectory_file), "-g", "0", "--out", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 3" in err and "Traceback" not in err
 
 
 def edit_json(path, edit):
@@ -359,11 +379,14 @@ class TestIntervene:
              "entries"),
             (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"].append(e["candidates"][0])),
              "entries"),
+            (lambda a: edit_json(a / "manifest.json", lambda m: m.update(format_version=99)), "manifest.json"),
+            (lambda a: edit_json(a / "manifest.json", lambda m: m.pop("format_version")), "manifest.json"),
         ],
         ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k",
              "no-entry-file", "entry-not-json", "index-value-int", "checkpoint-hash-int",
              "signature-null", "k-string", "rounds-bool", "gen-entry-of-eval-kind", "gen-entry-list",
-             "eval-record-passed-not-compiled", "gen-attempt-out-of-range", "gen-attempt-twice"],
+             "eval-record-passed-not-compiled", "gen-attempt-out-of-range", "gen-attempt-twice",
+             "format-version-99", "no-format-version"],
     )
     def test_damaged_replay_archive_is_data_error(self, tmp_path, checkpoint_file, capsys, damage, named):
         base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",
@@ -1320,6 +1343,49 @@ class TestLatencyConfig:
             json.dumps(plain, sort_keys=True).encode("utf-8")
         ).hexdigest()
         assert (len(plain), plain[-1]["wall_time"], digest[:16]) == PINNED_DEFAULT_TRACE
+
+
+class TestBehaviorLatency:
+    """A behaviour's latency is read and applied by the library alone, so
+    the CLI and a library pipeline on one behaviour run the same schedule."""
+
+    BEHAVIOR = {"seed": 0, "latency": {"gen": {"mean": 500.0, "tail": 0.0}}}
+
+    def test_library_trace_equals_intervene_trace(self, tmp_path, checkpoint_file):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"agents": {"behavior": self.BEHAVIOR}}))
+        cli_trace = tmp_path / "cli.ndjson"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--config", str(config_path), "--coalition",
+                "d", "--rollouts", "1", "--retries", "2", "--seed", "3", "--out", str(tmp_path / "x.csv"),
+                "--trace", str(cli_trace)]
+        assert main(argv) == EXIT_OK
+        checkpoint = load_checkpoint(str(checkpoint_file))
+        players = default_components()
+        pipe = InterventionPipeline(
+            mock_bundle(MockBehavior.from_json(self.BEHAVIOR)),
+            synthetic_artifact_source(checkpoint, players),
+            config=PipelineConfig(k=2, seed=3),
+        )
+        coalition = Coalition.parse("d", players)
+        run_id = pipe.submit(checkpoint, Intervention(coalition), seed=rollout_seed(3, coalition, 0))
+        result = pipe.run_to_completion(run_id)
+        assert result.makespan >= 500.0
+        export_trace(result, tmp_path / "library.ndjson")
+        # Both pipelines' first run, in one process: the run ids match too.
+        assert (tmp_path / "library.ndjson").read_text() == cli_trace.read_text()
+
+    @pytest.mark.parametrize(
+        "behavior",
+        [{"latency": {"gne": {"mean": 1.0, "tail": 1.0}}}, {"effects": [{"level": "pass"}]}],
+        ids=["unknown-latency-stage", "effect-missing-keys"],
+    )
+    def test_bad_behavior_fails_before_the_checkpoint_is_read(self, tmp_path, capsys, behavior):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"agents": {"behavior": behavior}}))
+        argv = ["intervene", "--checkpoint", str(tmp_path / "missing.ndjson"), "--config", str(config_path),
+                "--coalition", "d", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_CONFIG
+        assert "agents.behavior" in capsys.readouterr().err
 
 
 def config_of(path):

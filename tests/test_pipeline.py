@@ -24,7 +24,7 @@ from conftest import (
     record_computations,
     run_in_threads,
 )
-from planlens.agents import MockBehavior, mock_bundle
+from planlens.agents import LatencyParams, MockBehavior, mock_bundle
 from planlens.cli import synthetic_artifact_source
 from planlens.feedback import (
     Coalition,
@@ -287,6 +287,15 @@ class TestModes:
         pipe = build_pipe(cp, config=config)
         result, _ = run_once(pipe, cp)
         assert result.max_gen_inflight <= 1
+
+
+def test_behavior_latency_sets_library_makespan():
+    cp = build_checkpoint(4)
+    slow = MockBehavior(seed=1, latency={"gen": LatencyParams(500.0, 0.0)})
+    result, _ = run_once(build_pipe(cp, behavior=slow), cp)
+    default, _ = run_once(build_pipe(cp), cp)
+    assert result.makespan >= 500.0 > default.makespan
+    assert result.stats == default.stats  # latency moves the clock, never an outcome
 
 
 class TestIsolation:

@@ -276,6 +276,13 @@ class TestStore:
         with pytest.raises(StoreFormatError, match="line 2"):
             TrajectoryStore.load(str(path))
 
+    @pytest.mark.parametrize("line", ["5", "[]", '"t"', "null"])
+    def test_non_object_line_is_format_error(self, tmp_path, line):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"trajectory_id": "t", "sample_id": "a", "generation_index": 0}\n' + line + "\n")
+        with pytest.raises(StoreFormatError, match="line 2: record is not a JSON object"):
+            TrajectoryStore.load(str(path))
+
 
 class TestCheckpointFiles:
     def test_checkpoint_roundtrip(self, tmp_path):
