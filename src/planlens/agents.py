@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .feedback import Coalition, FeedbackArtifact, Report, Representation, read_asset
 # `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
 from .seeding import SeedPrefix, hash_uniform  # noqa: F401
-from .trajectory import ExecutionRecord, OutcomeLevel, Sample
+from .trajectory import ExecutionRecord, ListOf, OutcomeLevel, Required, Sample, check_json
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +100,20 @@ DEFAULT_LATENCIES = {
 }
 
 
+_EFFECT = {"requires": Required(int), "level": Required(str), "delta": Required(float)}
+# An experiment config's `agents.behavior`; a producer effect may leave out
+# `requires` (0: it applies under every coalition).
+BEHAVIOR_SCHEMA = {
+    "seed": int,
+    "base_compiled": float,
+    "base_pass": float,
+    "base_fast": float,
+    "effects": ListOf(_EFFECT),
+    "producer_effects": {str: ListOf({**_EFFECT, "requires": int})},
+    "latency": {stage: {"mean": Required(float), "tail": Required(float)} for stage in DEFAULT_LATENCIES},
+}
+
+
 @dataclass(frozen=True)
 class MockBehavior:
     """Causal table driving every mock draw.
@@ -152,44 +166,23 @@ class MockBehavior:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MockBehavior":
-        """Read an experiment config's `agents.behavior`. A `latency` entry
-        must be a stage with numeric `mean` and `tail` >= 0, or ValueError names it."""
-        latency = data.get("latency", {})
-        if not isinstance(latency, Mapping):
-            raise ValueError(f"agents.behavior.latency must be an object, not {latency!r}")
-        for stage, params in latency.items():
-            if stage not in DEFAULT_LATENCIES:
-                raise ValueError(
-                    f"agents.behavior.latency stage {stage!r} must be one of {sorted(DEFAULT_LATENCIES)}"
-                )
-            values = [params.get(key) if isinstance(params, Mapping) else None for key in ("mean", "tail")]
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in values):
-                raise ValueError(f"agents.behavior.latency.{stage} needs numeric 'mean' and 'tail' >= 0")
-        effects = tuple(
-            Effect(int(e["requires"]), OutcomeLevel.parse(e["level"]), float(e["delta"]))
-            for e in data.get("effects", ())
-        )
-        producer = {
-            tag: tuple(
-                Effect(
-                    int(e.get("requires", 0)),
-                    OutcomeLevel.parse(e["level"]),
-                    float(e["delta"]),
-                )
-                for e in entries
-            )
-            for tag, entries in data.get("producer_effects", {}).items()
-        }
+        """Read an experiment config's `agents.behavior`; ValueError names a
+        key outside BEHAVIOR_SCHEMA, a value of the wrong type or a negative
+        latency."""
+        check_json(data, BEHAVIOR_SCHEMA, "agents.behavior")
+        latency = {stage: LatencyParams(**p) for stage, p in data.get("latency", {}).items()}
+        for stage, p in latency.items():
+            if p.mean < 0 or p.tail < 0:
+                raise ValueError(f"agents.behavior.latency.{stage} needs 'mean' and 'tail' >= 0")
+
+        def effects(entries):
+            return tuple(Effect(e.get("requires", 0), OutcomeLevel.parse(e["level"]), e["delta"]) for e in entries)
+
         return cls(
-            seed=int(data.get("seed", 0)),
-            base_compiled=float(data.get("base_compiled", 0.6)),
-            base_pass=float(data.get("base_pass", 0.35)),
-            base_fast=float(data.get("base_fast", 0.15)),
-            effects=effects,
-            producer_effects=producer,
-            latency={
-                stage: LatencyParams(float(p["mean"]), float(p["tail"])) for stage, p in latency.items()
-            },
+            **{key: data[key] for key in ("seed", "base_compiled", "base_pass", "base_fast") if key in data},
+            effects=effects(data.get("effects", ())),
+            producer_effects={tag: effects(entries) for tag, entries in data.get("producer_effects", {}).items()},
+            latency=latency,
         )
 
 

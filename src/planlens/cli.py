@@ -16,10 +16,11 @@ import shutil
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from . import __version__
 from .agents import (
+    BEHAVIOR_SCHEMA,
     AgentBundle,
     AgentRole,
     HttpChatAgent,
@@ -75,8 +76,10 @@ from .pipeline import (
 from .trajectory import (
     METRICS,
     GenerationNotFoundError,
+    ListOf,
     StoreFormatError,
     TrajectoryStore,
+    check_json,
     load_checkpoint,
     save_checkpoint,
     stats_to_csv,
@@ -130,37 +133,13 @@ def _section_schema(section: str) -> dict:
     return {key: choices or type(default) for _, sec, key, default, choices, _ in RUN_SETTINGS if sec == section}
 
 
-# The config schema: a key maps to its type, to the strings it allows, or,
-# for a section, to the section's own schema.
+# The experiment config document (see `check_json` for the schema shapes).
 _CONFIG_SCHEMA = {
     **_section_schema(""),
-    "metrics": list,
+    "metrics": ListOf(list(METRICS)),
     "pipeline": _section_schema("pipeline"),
-    "agents": {"backend": BACKENDS, "behavior": dict},
+    "agents": {"backend": BACKENDS, "behavior": BEHAVIOR_SCHEMA},
 }
-
-
-def check_metrics(metrics: Iterable[str], where: str) -> None:
-    for metric in metrics:
-        if metric not in METRICS:
-            raise ConfigError(f"unknown metric {metric!r} in {where}")
-
-
-def _check_keys(data: Mapping[str, Any], schema: Mapping[str, Any], prefix: str = "") -> None:
-    """Reject keys outside the schema and values of the wrong type; a
-    boolean is not an int here, although Python counts it as one."""
-    for key, value in data.items():
-        name = prefix + key
-        if key not in schema:
-            raise ConfigError(f"unknown config key {name!r}")
-        kind = schema[key]
-        expected = dict if isinstance(kind, dict) else str if isinstance(kind, list) else kind
-        if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-            raise ConfigError(f"config key {name!r} must be {expected.__name__}")
-        if isinstance(kind, list) and value not in kind:
-            raise ConfigError(f"config key {name!r} must be one of {kind}")
-        if isinstance(kind, dict):
-            _check_keys(value, kind, name + ".")
 
 
 def load_experiment_config(path: str) -> dict:
@@ -171,21 +150,21 @@ def load_experiment_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    _check_keys(data, _CONFIG_SCHEMA)
+    try:
+        check_json(data, _CONFIG_SCHEMA, "config")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if data.get("rollouts", 1) < 1:
         raise ConfigError("config key 'rollouts' must be >= 1")
     if data.get("metrics") == []:
         raise ConfigError("config key 'metrics' must name at least one metric")
-    check_metrics(data.get("metrics", ()), "config")
     return data
 
 
 def build_agents(agent_config: Mapping[str, Any]) -> AgentBundle:
     try:
         agents = mock_bundle(MockBehavior.from_json(agent_config.get("behavior", {})))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # KeyError: an effect level that is no OutcomeLevel
         raise ConfigError(f"agents.behavior is malformed: {exc!r}") from exc
     if agent_config.get("backend", "mock") != "http":
         return agents
@@ -308,7 +287,10 @@ def cmd_intervene(args: argparse.Namespace) -> int:
     metrics = ["compiled", "pass", "fast"]
     if args.metrics:
         metrics = args.metrics.split(",")
-        check_metrics(metrics, "--metrics")
+        try:
+            check_json(metrics, _CONFIG_SCHEMA["metrics"], "--metrics")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     elif args.sweep:
         metrics = config.get("metrics", metrics)
     settings = {

@@ -82,13 +82,41 @@ _NODE_RE = re.compile(
 _EDGE_SPLIT_RE = re.compile(r"\s*->\s*")
 _LABEL_RE = re.compile(r'label\s*=\s*("(?P<quoted>[^"]*)"|(?P<bare>[A-Za-z0-9_.]+))')
 _IDENT_RE = re.compile(r'^("([^"]*)"|[A-Za-z0-9_.]+)$')
+# A quoted string holding a character that the statement syntax reads.
+_QUOTED_SYNTAX_RE = re.compile(r'"[^"]*[;/{}\[\]=-][^"]*"')
 
 
-def _strip_quotes(token: str) -> str:
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    return token
+def _mask_quoted(line: str, lineno: int) -> tuple[str, list[str]]:
+    """Cut a `//` comment and put each quoted string's index in place of
+    its text ('"0"', '"1"', ...), so that `;`, `--`, `//` and the like
+    inside quotes read as text; returns the masked line and the texts."""
+    pieces = line.split('"')  # odd pieces are quoted
+    if "//" in line:
+        for i in range(0, len(pieces), 2):
+            if "//" in pieces[i]:
+                pieces[i] = pieces[i].split("//")[0]
+                del pieces[i + 1:]
+                break
+    if len(pieces) % 2 == 0:
+        raise DotSyntaxError("unterminated quoted string", lineno)
+    literals = pieces[1::2]
+    pieces[1::2] = map(str, range(len(literals)))
+    return '"'.join(pieces), literals
+
+
+def _literal(token: str, literals: list[str] | None) -> str:
+    """An id or label as written: the text inside quotes, read back from
+    `literals` when the line was masked."""
+    if not token.startswith('"'):
+        return token
+    return token[1:-1] if literals is None else literals[int(token[1:-1])]
+
+
+def _unmask(text: str, literals: list[str] | None) -> str:
+    """A masked statement as written, for error messages."""
+    if not literals:
+        return text
+    return re.sub(r'"(\d+)"', lambda m: f'"{literals[int(m[1])]}"', text)
 
 
 def parse_dot(text: str) -> CfgGraph:
@@ -96,7 +124,8 @@ def parse_dot(text: str) -> CfgGraph:
 
     Supported statements: ``id;``, ``id [label="..."];`` and edge chains
     ``a -> b -> c;``. Undirected graphs (``graph`` / ``--``) are
-    rejected. Duplicate edges collapse to one.
+    rejected. Duplicate edges collapse to one. Quoted ids and labels are
+    text, whatever characters they hold (``;``, ``--``, ``//``, ...).
     """
     # Insertion-ordered dicts used as ordered sets: O(1) per endpoint.
     node_order: dict[str, None] = {}
@@ -108,7 +137,11 @@ def parse_dot(text: str) -> CfgGraph:
     opened = False
     closed = False
     for lineno, raw in enumerate(lines, start=1):
-        # Strip // comments, then split multiple statements on ';'.
+        # Strip // comments, then split multiple statements on ';'. Quoted
+        # text that these would misread is masked first.
+        literals = None
+        if '"' in raw and _QUOTED_SYNTAX_RE.search(raw):
+            raw, literals = _mask_quoted(raw, lineno)
         line = raw.split("//")[0].strip()
         if not line:
             continue
@@ -124,7 +157,7 @@ def parse_dot(text: str) -> CfgGraph:
             brace = header.find("{")
             if brace == -1:
                 continue
-            graph_name = header[len("digraph"):brace].strip().strip('"')
+            graph_name = _literal(header[len("digraph"):brace].strip(), literals)
             line = header[brace + 1 :].strip()
             if not line:
                 continue
@@ -155,9 +188,9 @@ def parse_dot(text: str) -> CfgGraph:
                     part = part.strip()
                     if not _IDENT_RE.match(part):
                         raise DotSyntaxError(
-                            f"bad edge endpoint {part!r}", lineno
+                            f"bad edge endpoint {_unmask(part, literals)!r}", lineno
                         )
-                    ids.append(_strip_quotes(part))
+                    ids.append(_literal(part, literals))
                 for src, dst in zip(ids, ids[1:]):
                     node_order.setdefault(src)
                     node_order.setdefault(dst)
@@ -165,10 +198,12 @@ def parse_dot(text: str) -> CfgGraph:
                 continue
             match = _NODE_RE.match(stmt)
             if not match:
-                raise DotSyntaxError(f"cannot parse statement {stmt!r}", lineno)
+                raise DotSyntaxError(f"cannot parse statement {_unmask(stmt, literals)!r}", lineno)
             nid = match.group("qid")
             if nid is None:
                 nid = match.group("id")
+            elif literals is not None:
+                nid = literals[int(nid)]
             if nid.lower() in ("node", "edge", "subgraph"):
                 raise DotSyntaxError(
                     f"{nid!r} statements are not supported", lineno
@@ -181,6 +216,8 @@ def parse_dot(text: str) -> CfgGraph:
                     label = label_match.group("quoted")
                     if label is None:
                         label = label_match.group("bare")
+                    elif literals is not None:
+                        label = literals[int(label)]
                     explicit_labels[nid] = label
     if not opened:
         raise DotSyntaxError("no digraph found", max(1, len(lines)))

@@ -56,6 +56,8 @@ from .trajectory import (
     GenerationCheckpoint,
     GenerationStats,
     OutcomeLevel,
+    Required,
+    check_json,
     classify_execution,
     stats_from_outcomes,
 )
@@ -869,65 +871,51 @@ def archive_run(result: RunResult, directory: str | Path) -> None:
     )
 
 
-def _read_archive_json(path: Path, kind: type = object):
-    """One archive file's JSON value, which must be a `kind`."""
+# The replay archive's manifest and index files, as `archive_run` writes them.
+_MANIFEST_SCHEMA = {
+    "format_version": Required([ARCHIVE_FORMAT_VERSION]),
+    "run_id": str,
+    "checkpoint_hash": Required(str),
+    "intervention_signature": Required(str),
+    "seed": int,
+    "k": Required(int),
+    "rounds": Required(int),
+}
+_INDEX_SCHEMA = {str: str}  # stage key -> entry file name
+
+
+def _read_archive_json(path: Path, schema: dict | None = None):
+    """One archive file's JSON value, checked against `schema` if given."""
     try:
         value = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8, not JSON
+        return value if schema is None else check_json(value, schema, path.name)
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8, not JSON, not the schema
         raise ReplayArchiveError(f"cannot read replay archive file {path}: {exc}") from exc
-    if not isinstance(value, kind):
-        raise ReplayArchiveError(f"replay archive file {path} must hold a JSON {kind.__name__}")
-    return value
-
-
-def _require_type(path: Path, what: str, value: object, kind: type) -> None:
-    """A value read from an archive file must be a `kind`; a bool is no int."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ReplayArchiveError(
-            f"replay archive file {path}: {what} must be of type {kind.__name__}, not {value!r}"
-        )
 
 
 def replay_load(
     directory: str | Path, checkpoint: GenerationCheckpoint
 ) -> ReplayCache:
     """Load a replay archive, refusing checkpoints it was not recorded on.
-    A missing or unparsable manifest, index or entry file, a manifest
-    without one of its keys, with a value of the wrong type or of another
-    format version, and an index value that is not a file name, raise
-    ReplayArchiveError naming the file."""
+    A missing or unparsable manifest, index or entry file, and a manifest
+    (another format version included) or index that does not match its
+    schema raise ReplayArchiveError naming the file."""
     base = Path(directory)
-    manifest_path = base / "manifest.json"
-    manifest = _read_archive_json(manifest_path, dict)
-    keys = {"format_version": int, "checkpoint_hash": str, "intervention_signature": str,
-            "k": int, "rounds": int}
-    missing = [key for key in keys if key not in manifest]
-    if missing:
-        raise ReplayArchiveError(f"replay archive file {manifest_path} lacks {missing}")
-    for key, kind in keys.items():
-        _require_type(manifest_path, key, manifest[key], kind)
-    version, recorded, signature, k, rounds = (manifest[key] for key in keys)
-    if version != ARCHIVE_FORMAT_VERSION:
-        raise ReplayArchiveError(
-            f"replay archive file {manifest_path} has format_version {version}, not {ARCHIVE_FORMAT_VERSION}"
-        )
-    actual = checkpoint.checkpoint_hash
+    manifest = _read_archive_json(base / "manifest.json", _MANIFEST_SCHEMA)
+    recorded, actual = manifest["checkpoint_hash"], checkpoint.checkpoint_hash
     if recorded != actual:
         raise ReplayMismatchError(
             "replay archive checkpoint hash mismatch "
             f"({recorded[:12]} != {actual[:12]}); refusing to mix trajectories"
         )
-    index_path = base / "index.json"
-    index = _read_archive_json(index_path, dict)
-    for name in index.values():
-        _require_type(index_path, "an entry file name", name, str)
+    index = _read_archive_json(base / "index.json", _INDEX_SCHEMA)
     payloads = {}
     for name in dict.fromkeys(index.values()):
         path = base / "entries" / name
         payloads[name] = (path, _read_archive_json(path))
     return ReplayCache(
         recorded, {stage_key: payloads[name] for stage_key, name in index.items()},
-        signature, k, rounds,
+        manifest["intervention_signature"], manifest["k"], manifest["rounds"],
     )
 
 

@@ -18,9 +18,70 @@ import json
 import threading
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 FAST_SPEEDUP_THRESHOLD = 1.0  # strictly greater counts as fast; ties do not
+
+NoneType = type(None)
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer", float: "number",
+               bool: "boolean", NoneType: "null"}
+
+
+class ListOf(NamedTuple):
+    """Schema of a JSON array whose every item matches `item`."""
+
+    item: Any
+
+
+class Required(NamedTuple):
+    """Schema of an object key that must be present."""
+
+    schema: Any
+
+
+def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
+    """Return `value` if it matches `schema`, else raise ValueError naming
+    the document `where` and the dotted key `path` inside it.
+
+    A schema is a JSON type or a tuple of them, matched exactly (a bool is
+    not an int) except that an int is accepted where a float is expected;
+    a list of allowed values; a `ListOf`; or a dict of key -> schema that
+    refuses any other key, where the key `str` stands for any key and a
+    `Required` schema marks a key that must be present.
+    """
+    if type(value) is schema:
+        return value
+    kind = type(schema)
+    if kind is dict and type(value) is dict:
+        for key, item in value.items():
+            sub = schema.get(key) or schema.get(str)
+            if sub is None:
+                dotted = f"{path}.{key}" if path else key
+                raise ValueError(f"unknown {where} key {dotted!r} ({key!r} is not one of {sorted(schema)})")
+            if type(sub) is Required:
+                sub = sub.schema
+            if type(item) is not sub and not (type(sub) is tuple and type(item) in sub):
+                check_json(item, sub, where, f"{path}.{key}" if path else key)
+        if len(value) < len(schema):  # else every key of the schema is present
+            for key, sub in schema.items():
+                if type(sub) is Required and key not in value:
+                    raise ValueError(f"{where} key {path!r} lacks key {key!r}" if path else f"{where} lacks key {key!r}")
+        return value
+    if kind is ListOf and type(value) is list:
+        for i, item in enumerate(value):
+            if type(item) is not schema.item:
+                check_json(item, schema.item, where, f"{path}[{i}]")
+        return value
+    name = f"{where} key {path!r}" if path else where
+    if kind is list:
+        if any(value == allowed and type(value) is type(allowed) for allowed in schema):
+            return value
+        raise ValueError(f"{name} must be one of {schema}, not {value!r:.80}")
+    kinds = schema if kind is tuple else {dict: (dict,), ListOf: (list,)}.get(kind, (schema,))
+    if type(value) in kinds or (type(value) is int and float in kinds):
+        return value
+    expected = " or ".join(_JSON_NAMES[k] for k in kinds)
+    raise ValueError(f"{name} is not a JSON {expected}: {value!r:.80}")
 
 
 class MalformedRecordError(ValueError):
@@ -55,6 +116,25 @@ class OutcomeLevel(IntEnum):
 # Metric names accepted wherever a generation-level rate is selected.
 METRICS = ("compiled", "pass", "fast", "overall")
 
+# One execution record, and one sample record of a trajectory or checkpoint
+# file (each sample's `executions` items are execution records).
+EXECUTION_SCHEMA = {
+    "compiled": Required(bool),
+    "validations_passed": bool,
+    "speedup_vs_baseline": (float, NoneType),
+    "wall_time": (float, NoneType),
+    "raw_logs": ListOf(str),
+}
+SAMPLE_SCHEMA = {
+    "trajectory_id": str,
+    "sample_id": Required(str),
+    "generation_index": Required(int),
+    "parent_id": (str, NoneType),
+    "program_text": str,
+    "executions": list,
+    "metadata": dict,
+}
+
 
 @dataclass(frozen=True)
 class ExecutionRecord:
@@ -82,13 +162,10 @@ class ExecutionRecord:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ExecutionRecord":
-        return cls(
-            compiled=bool(data["compiled"]),
-            validations_passed=bool(data.get("validations_passed", False)),
-            speedup_vs_baseline=data.get("speedup_vs_baseline"),
-            wall_time=data.get("wall_time"),
-            raw_logs=tuple(data.get("raw_logs", ())),
-        )
+        """Read a record; ValueError names a key outside EXECUTION_SCHEMA
+        or a value of the wrong type."""
+        check_json(data, EXECUTION_SCHEMA, "execution record")
+        return cls(**{**data, "raw_logs": tuple(data.get("raw_logs", ()))})
 
 
 def classify_execution(rec: ExecutionRecord) -> OutcomeLevel:
@@ -142,9 +219,12 @@ class Sample:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Sample":
+        """Read a sample record; ValueError names a key outside
+        SAMPLE_SCHEMA or EXECUTION_SCHEMA or a value of the wrong type."""
+        check_json(data, SAMPLE_SCHEMA, "record")
         return cls(
-            sample_id=str(data["sample_id"]),
-            generation_index=int(data["generation_index"]),
+            sample_id=data["sample_id"],
+            generation_index=data["generation_index"],
             parent_id=data.get("parent_id"),
             program_text=data.get("program_text", ""),
             executions=tuple(
@@ -352,25 +432,31 @@ class TrajectoryStore:
                     continue
                 try:
                     data = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    sample = Sample.from_json(data)
+                except ValueError as exc:  # not JSON, or not a sample record
                     raise StoreFormatError(str(exc), lineno) from exc
-                if not isinstance(data, dict):
-                    raise StoreFormatError("record is not a JSON object", lineno)
                 if "trajectory_id" not in data:
                     raise StoreFormatError("record lacks trajectory_id", lineno)
                 if store is None:
-                    store = cls(str(data["trajectory_id"]), retry_budget)
+                    store = cls(data["trajectory_id"], retry_budget)
                 elif data["trajectory_id"] != store.trajectory_id:
                     raise StoreFormatError(
                         f"trajectory_id mismatch {data['trajectory_id']!r}", lineno
                     )
                 try:
-                    store.append(Sample.from_json(data))
-                except (KeyError, TypeError, ValueError) as exc:
+                    store.append(sample)
+                except ValueError as exc:
                     raise StoreFormatError(str(exc), lineno) from exc
         if store is None:
             store = cls("empty", retry_budget)
         return store
+
+
+# The first line of a `save_checkpoint` file; sample records follow it.
+CHECKPOINT_HEADER_SCHEMA = {
+    "checkpoint": Required({"trajectory_id": Required(str), "g": Required(int), "reference_ids": ListOf(str)}),
+    "meta": dict,
+}
 
 
 def save_checkpoint(
@@ -405,26 +491,16 @@ def load_checkpoint(path: str) -> GenerationCheckpoint:
     if not lines:
         raise StoreFormatError("empty checkpoint file", 1)
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = check_json(json.loads(lines[0]), CHECKPOINT_HEADER_SCHEMA, "checkpoint header")["checkpoint"]
+    except ValueError as exc:
         raise StoreFormatError(str(exc), 1) from exc
-    meta = header.get("checkpoint") if isinstance(header, dict) else None
-    if not isinstance(meta, dict):
-        raise StoreFormatError("missing checkpoint header record", 1)
-    trajectory_id, g = meta.get("trajectory_id"), meta.get("g")
-    references = meta.get("reference_ids", [])
-    if not isinstance(trajectory_id, str):
-        raise StoreFormatError("checkpoint header needs a string trajectory_id", 1)
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise StoreFormatError("checkpoint header needs an integer g", 1)
-    if not isinstance(references, list) or not all(isinstance(r, str) for r in references):
-        raise StoreFormatError("checkpoint reference_ids must be a list of strings", 1)
+    trajectory_id, g = header["trajectory_id"], header["g"]
     samples: dict[str, Sample] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             data = json.loads(line)
             sample = Sample.from_json(data)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise StoreFormatError(str(exc), lineno) from exc
         if data.get("trajectory_id", trajectory_id) != trajectory_id:
             raise StoreFormatError(
@@ -443,7 +519,7 @@ def load_checkpoint(path: str) -> GenerationCheckpoint:
         trajectory_id=trajectory_id,
         g=g,
         samples=tuple(samples.values()),
-        cached_references=tuple(references),
+        cached_references=tuple(header.get("reference_ids", ())),
     )
 
 

@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -114,6 +117,24 @@ class TestFreeze:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "line 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "record, named",
+        [
+            ({"executions": [{"compiled": "false", "validations_passed": "false"}]}, "'compiled'"),
+            ({"generation_index": 2.7}, "'generation_index'"),
+        ],
+        ids=["string-booleans", "generation-index-float"],
+    )
+    def test_mistyped_record_is_data_error(self, tmp_path, capsys, record, named):
+        # Coerced, the first record would read as a passing one and the second as generation 2.
+        trajectory = tmp_path / "t.ndjson"
+        trajectory.write_text(json.dumps({"trajectory_id": "t", "sample_id": "a", "generation_index": 0, **record}))
+        out = tmp_path / "x"
+        assert main(["freeze", "--trajectory", str(trajectory), "-g", "0", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 1:" in err and named in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def edit_json(path, edit):
@@ -431,6 +452,19 @@ class TestIntervene:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"cannot parse checkpoint: line {line}:" in err and "Traceback" not in err
+
+    def test_mistyped_checkpoint_record_is_data_error(self, tmp_path, checkpoint_file, capsys):
+        lines = checkpoint_file.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["executions"] = [{"compiled": "false", "validations_passed": "false"}]
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]) + "\n")
+        out = tmp_path / "out.csv"
+        code = main(["intervene", "--checkpoint", str(bad), "--coalition", "d", "--rollouts", "1", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "cannot parse checkpoint: line 3:" in err and "'compiled'" in err and "Traceback" not in err
 
     def test_dummy_plan_mode(self, tmp_path, checkpoint_file):
         out = tmp_path / "dummy.csv"
@@ -833,6 +867,23 @@ class TestIntervene:
             ),
             pytest.param({"agents": {"bakend": "http"}}, [], "agents.bakend", id="unknown-agents-key"),
             pytest.param(
+                {"agents": {"behavior": {"base_complied": 1.0}}}, [], "agents.behavior.base_complied",
+                id="unknown-behavior-key",
+            ),
+            pytest.param({"agents": {"behavior": {"seed": 2.7}}}, [], "agents.behavior.seed", id="behavior-seed-float"),
+            pytest.param(
+                {"agents": {"behavior": {"effects": [{"requires": 1.9, "level": "pass", "delta": 0.1}]}}},
+                [],
+                "agents.behavior.effects[0].requires",
+                id="effect-requires-float",
+            ),
+            pytest.param(
+                {"agents": {"behavior": {"producer_effects": {"p": [{"level": "pass", "delta": "0.1"}]}}}},
+                [],
+                "agents.behavior.producer_effects.p[0].delta",
+                id="producer-effect-delta-str",
+            ),
+            pytest.param(
                 {"pipeline": {"queue_capacity": 8}}, [], "pipeline.queue_capacity", id="unknown-pipeline-key"
             ),
             pytest.param({"pipeline": {"mode": "async"}}, [], "pipeline.mode", id="pipeline-mode"),
@@ -1233,6 +1284,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "planlens" in capsys.readouterr().out
+
+
+def test_module_runs_the_cli_without_an_install():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "planlens", "--version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("planlens ")
 
 
 def test_parser_built_once_per_process():

@@ -94,6 +94,23 @@ class TestParseDot:
         assert g.source == "cfg"
         assert g.n_edges == 1
 
+    @pytest.mark.parametrize("label", ["i--", "x; y", "http://x"], ids=["dashes", "semicolon", "slashes"])
+    def test_quoted_label_is_text(self, label):
+        g = parse_dot(f'digraph {{\n  a [label="{label}"];\n  a -> b;\n}}')
+        assert g.labels() == {"a": label, "b": "0"}
+        assert g.edges == (("a", "b"),)
+
+    def test_quoted_ids_and_name_are_text(self):
+        text = 'digraph "g; 1" {\n  "x->y" -> "a[0]" [label="e"]; // a "quoted" comment\n  "x->y" [label="}{"];\n}'
+        g = parse_dot(text)
+        assert g.source == "g; 1"
+        assert g.edges == (("x->y", "a[0]"),)
+        assert g.labels() == {"x->y": "}{", "a[0]": "0"}
+
+    def test_unterminated_quote_rejected_with_line(self):
+        with pytest.raises(DotSyntaxError, match="line 2: unterminated"):
+            parse_dot('digraph {\n  "a;b" -> "c;\n}')
+
 
 # Hand WL iteration for the path-vs-triangle oracle, h=1, uniform labels:
 #   path a->b->c successor label multisets: a:{n}, b:{n}, c:{}
