@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .feedback import Coalition, FeedbackArtifact, Report, Representation, read_asset
 # `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
 from .seeding import SeedPrefix, hash_uniform  # noqa: F401
-from .trajectory import ExecutionRecord, ListOf, OutcomeLevel, Required, Sample, check_json
+from .trajectory import ExecutionRecord, ListOf, NoneType, OutcomeLevel, Required, Sample, check_json
 
 logger = logging.getLogger(__name__)
 
@@ -186,6 +186,17 @@ class MockBehavior:
         )
 
 
+# One candidate, as `Candidate.to_json` writes it.
+CANDIDATE_SCHEMA = {
+    "sample_id": Required(str),
+    "attempt": Required(int),
+    "text": str,
+    "quality": Required(float),
+    "thresholds": Required(ListOf(float)),
+    "plan_tag": (str, NoneType),
+}
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One generated program attempt plus its mock grading thresholds."""
@@ -209,11 +220,16 @@ class Candidate:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Candidate":
+        """Read a candidate; ValueError names a key outside CANDIDATE_SCHEMA,
+        a value of the wrong type, or thresholds that are not three numbers."""
+        check_json(data, CANDIDATE_SCHEMA, "candidate")
+        if len(data["thresholds"]) != 3:
+            raise ValueError(f"candidate key 'thresholds' holds {len(data['thresholds'])} numbers, not 3")
         return cls(
-            sample_id=str(data["sample_id"]),
-            attempt=int(data["attempt"]),
+            sample_id=data["sample_id"],
+            attempt=data["attempt"],
             text=data.get("text", ""),
-            quality=float(data["quality"]),
+            quality=data["quality"],
             thresholds=tuple(data["thresholds"]),
             plan_tag=data.get("plan_tag"),
         )
@@ -268,6 +284,10 @@ class MockSummarizer(_CallCounter):
 
 class MockPlanner(_CallCounter):
     """Emits a plan whose text encodes the coalition mask for traceability."""
+
+    # Its plan is a function of its report, so a pipeline may compute each
+    # report's plan once and reuse it; a planner without this is asked anew.
+    deterministic = True
 
     def __init__(self, model_tag: str = "mock-planner"):
         super().__init__()

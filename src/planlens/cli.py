@@ -81,6 +81,7 @@ from .trajectory import (
     TrajectoryStore,
     check_json,
     load_checkpoint,
+    parse_json,
     save_checkpoint,
     stats_to_csv,
 )
@@ -145,10 +146,10 @@ _CONFIG_SCHEMA = {
 def load_experiment_config(path: str) -> dict:
     """Load and schema-check the JSON experiment document."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = parse_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
         check_json(data, _CONFIG_SCHEMA, "config")

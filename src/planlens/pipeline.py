@@ -14,6 +14,7 @@ than assumed.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -55,10 +56,13 @@ from .trajectory import (
     ExecutionRecord,
     GenerationCheckpoint,
     GenerationStats,
+    ListOf,
+    NoneType,
     OutcomeLevel,
     Required,
     check_json,
     classify_execution,
+    parse_json,
     stats_from_outcomes,
 )
 
@@ -160,9 +164,7 @@ class PipelineConfig:
         if self.rounds < 1:
             raise PipelineConfigError("rounds must be >= 1")
         if self.queue_capacity < self.k:
-            raise PipelineConfigError(
-                "queue_capacity must be >= k or prompting can never start"
-            )
+            raise PipelineConfigError("queue_capacity must be >= k or prompting can never start")
 
 
 class PlanMode(Enum):
@@ -212,11 +214,8 @@ def game_intervention(
         return Intervention(coalition=coalition, representation=representation)
     plan_mode = PlanMode.SELF if coalition.mask & 2 else PlanMode.NONE
     if game == "plan-feedback":
-        return Intervention(
-            coalition=full if coalition.mask & 1 else Coalition(0),
-            representation=representation,
-            plan_mode=plan_mode,
-        )
+        feedback = full if coalition.mask & 1 else Coalition(0)
+        return Intervention(coalition=feedback, representation=representation, plan_mode=plan_mode)
     if game == "plan-summary":
         summary = Representation.SUMMARIZED if coalition.mask & 1 else Representation.RAW
         return Intervention(coalition=full, representation=summary, plan_mode=plan_mode)
@@ -304,7 +303,8 @@ class RunLedger:
 
     def dump(self, ready: int, last: list[Task | None], evals_left: list[int]) -> str:
         """Each sample's progress in the schedule, in checkpoint order: its
-        last completed task and its current round's completed EVALs."""
+        last completed task and, out of its current round's recorded EVALs,
+        how many completed."""
         aggregated = sum(task is not None and task.stage is Stage.AGG for task in last)
         lines = [
             f"run {self.run_id} clock={self.clock:.3f}",
@@ -320,8 +320,9 @@ class RunLedger:
                 text = f"aggregated ({self.best_outcomes[sid].name})"
             else:
                 r = task.round_index
-                attempts = len(self.rounds[sid, r].candidates)
-                text = f"generated r{r}, evaluated {attempts - evals_left[index]}/{attempts}"
+                state = self.rounds[sid, r]
+                done = len(state.candidates) - evals_left[index]
+                text = f"generated r{r}, evaluated {done}/{len(state.records)}"
             lines.append(f"  sample {sid}: {text}")
         return "\n".join(lines)
 
@@ -445,6 +446,8 @@ class InterventionPipeline:
         self._ledgers: dict[str, RunLedger] = {}  # submitted, not yet driven
         self._lock = threading.Lock()
         self._summary_cache = Memo()
+        # (sample id, intervention signature) -> ANLZ product; see `_execute`.
+        self._anlz_cache = Memo()
         self._run_counter = itertools.count()
 
     # -- run lifecycle -------------------------------------------------------
@@ -460,8 +463,7 @@ class InterventionPipeline:
         max_mask = (1 << len(self.players)) - 1
         if intervention.coalition.mask > max_mask:
             raise PipelineConfigError(
-                f"coalition mask {intervention.coalition.mask} exceeds the "
-                f"{len(self.players)}-player game"
+                f"coalition mask {intervention.coalition.mask} exceeds the {len(self.players)}-player game"
             )
         if replay is not None:
             # An archive recorded under other settings matches no stage key.
@@ -483,13 +485,21 @@ class InterventionPipeline:
             self._ledgers[run_id] = ledger
         return run_id
 
-    def run_to_completion(self, run_id: str) -> RunResult:
+    def _take(self, run_id: str) -> RunLedger:
         with self._lock:
             ledger = self._ledgers.pop(run_id, None)
         if ledger is None:
             raise PipelineConfigError(
                 f"run {run_id!r} is not a submitted run awaiting completion"
             )
+        return ledger
+
+    def cancel(self, run_id: str) -> None:
+        """Drop a submitted run that will not be driven, freeing its ledger."""
+        self._take(run_id)
+
+    def run_to_completion(self, run_id: str) -> RunResult:
+        ledger = self._take(run_id)
         self._run_samples(ledger)
         if ledger.checkpoint.checkpoint_hash != ledger.checkpoint_hash:
             raise CheckpointMutatedError(f"checkpoint hash changed during run {run_id}")
@@ -507,14 +517,8 @@ class InterventionPipeline:
             EventKind.AGGREGATED: len(samples),
         }
         latency_model = self.latency_model  # even if replaced before timing is read
-        return RunResult(
-            run_id=run_id,
-            stats=stats_from_outcomes(ledger.checkpoint.g, outcomes, budget),
-            event_counts=event_counts,
-            programs=programs,
-            ledger=ledger,
-            _schedule=lambda: self._schedule(ledger, latency_model),
-        )
+        stats = stats_from_outcomes(ledger.checkpoint.g, outcomes, budget)
+        return RunResult(run_id, stats, event_counts, programs, ledger, lambda: self._schedule(ledger, latency_model))
 
     # -- dataflow ----------------------------------------------------------------
 
@@ -558,7 +562,8 @@ class InterventionPipeline:
         if entry:
             path, payload = entry
             try:
-                product = _DECODE[stage](payload, self.config.k)
+                checked = check_json(payload, _ENTRY_SCHEMA[stage], f"{stage.name} entry")
+                product = _DECODE[stage](checked, self.config.k)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ReplayArchiveError(
                     f"replay archive file {path} holds no {stage.name} entry ({exc!r})"
@@ -566,89 +571,84 @@ class InterventionPipeline:
             led.replayed.add(Task(index, r, stage, attempt, sid))
             return product
         if stage is Stage.ANLZ:
-            intervention = led.intervention
-            report = build_report(
-                sid, intervention.coalition, intervention.representation, source, self.players
-            )
-            plan: PlanArtifact | None = None
-            if intervention.plan_mode is PlanMode.SELF:
-                plan = self.agents.planner.plan(report)
-            elif intervention.plan_mode is PlanMode.DUMMY:
-                plan = PlanArtifact(
-                    text=dummy_plan(),
-                    producer_tag="dummy-plan",
-                    generation_context_hash=report.content_hash,
-                )
-            if plan is not None:
-                report = replace(report, plan_slot=plan.text)
-            return report, plan
+            # A frozen sample's ANLZ product depends only on the intervention,
+            # so it is computed once per pipeline, unless a planner that does
+            # not declare itself deterministic plans on it.
+            analyze = functools.partial(self._analyze, sid, led.intervention, source)
+            planned = led.intervention.plan_mode is PlanMode.SELF
+            if planned and not getattr(self.agents.planner, "deterministic", False):
+                return analyze()
+            return self._anlz_cache.get((sid, led.intervention_signature), analyze)
         state = led.rounds[sid, r]
         if stage is Stage.GEN:
             outputs = self.agents.generator.generate(
                 sample, state.report, state.plan,
                 self.config.k, run_seed=led.seed, round_index=r,
             )
-            candidates, failures = [], []
-            for j, item in enumerate(outputs):
-                if isinstance(item, GeneratorAttemptError):
-                    failures.append((j, str(item)))
-                else:
-                    candidates.append(item)
-            return candidates, failures
+            failures = [(j, str(e)) for j, e in enumerate(outputs) if isinstance(e, GeneratorAttemptError)]
+            return [c for c in outputs if not isinstance(c, GeneratorAttemptError)], failures
         try:
             return self.agents.evaluator.evaluate(state.candidates[attempt])
         except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
             return crash_record(str(exc))
+
+    def _analyze(
+        self, sid: str, intervention: Intervention, source: ArtifactSource
+    ) -> tuple[Report, PlanArtifact | None]:
+        """One sample's ANLZ work: its report and, by plan mode, its plan."""
+        report = build_report(sid, intervention.coalition, intervention.representation, source, self.players)
+        plan: PlanArtifact | None = None
+        if intervention.plan_mode is PlanMode.SELF:
+            plan = self.agents.planner.plan(report)
+        elif intervention.plan_mode is PlanMode.DUMMY:
+            plan = PlanArtifact(dummy_plan(), "dummy-plan", report.content_hash)
+        if plan is not None:
+            report = replace(report, plan_slot=plan.text)
+        return report, plan
 
     # -- timing layer ------------------------------------------------------------
 
     def _schedule(self, led: RunLedger, latency: LatencyModel) -> None:
         """Simulate the run's schedule over its recorded tasks and fill the
         ledger's clock, high-water marks and, when tracing, events. A task
-        start draws its latency; a completion makes its follow-ups ready."""
+        start draws its latency. A completion makes its follow-ups ready:
+        after ANLZ the GEN; after GEN one EVAL per recorded EVAL; once the
+        round's EVALs, one per candidate, completed (at once if it has no
+        candidates), the next round's ANLZ or the sample's AGG."""
         cfg = led.config
+        ANLZ, GEN, EVAL, AGG = Stage
+        heappush, heappop = heapq.heappush, heapq.heappop
+        duration, seed, rounds, k = latency.duration, led.seed, cfg.rounds, cfg.k
         stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
         serial = cfg.execution_mode is ExecutionMode.SERIAL
-        led.clock, led.max_llm_inflight, led.max_gen_inflight, led.max_eval_queue = 0.0, 0, 0, 0
-        events = [
-            Event(EventKind.SAMPLE_LOADED, s.sample_id, led.run_id, {"index": i}, i, 0.0)
-            for i, s in enumerate(led.checkpoint.samples)
-            if cfg.record_trace
-        ]
+        trace, samples, led_rounds = cfg.record_trace, led.checkpoint.samples, led.rounds
+        loaded = EventKind.SAMPLE_LOADED
+        events = [Event(loaded, s.sample_id, led.run_id, {"index": i}, i, 0.0) for i, s in enumerate(samples) if trace]
         # Keyed by the run's seed, not its id: the id holds the process id.
-        schedule_rng = (
-            None if cfg.schedule_seed is None else rng_for(cfg.schedule_seed, "schedule", led.seed)
-        )
-        # Ready tasks: one heap per stage, whose entries are the tasks or,
-        # under schedule_seed, (random priority drawn once when the task
-        # becomes ready, task). The EVAL heap is the GEN -> EVAL queue.
-        ready: dict[Stage, list] = {stage: [] for stage in Stage}
-        eval_queue = ready[Stage.EVAL]
+        draw = None if cfg.schedule_seed is None else rng_for(cfg.schedule_seed, "schedule", led.seed).random
+        # Ready tasks: one heap per stage, indexed by the stage's value, whose
+        # entries are the tasks or, under schedule_seed, (random priority
+        # drawn once when the task becomes ready, task). The EVAL heap is the
+        # GEN -> EVAL queue.
+        ready: list[list] = [[] for _ in range(len(Stage) + 1)]
+        eval_queue = ready[EVAL]
         # Stage-sync starts only the current stage of this cycle. A sample's
         # next-round tasks become ready only after its current round's
         # stages ran, so a stage's heap never holds two rounds here.
-        cycle = [Stage.ANLZ, Stage.GEN, Stage.EVAL] * cfg.rounds + [Stage.AGG]
+        cycle = [ANLZ, GEN, EVAL] * rounds + [AGG]
         wave = 0
         # Progress by sample: its last completed task, and the EVALs of its
         # current round still to complete (its rounds run one after another).
-        last: list[Task | None] = [None] * len(led.checkpoint.samples)
-        evals_left = [0] * len(led.checkpoint.samples)
+        last: list[Task | None] = [None] * len(samples)
+        evals_left = [0] * len(samples)
         replayed = led.replayed
-
-        def make_ready(task: Task) -> None:
-            entry = task if schedule_rng is None else (schedule_rng.random(), task)
-            heapq.heappush(ready[task.stage], entry)
-
-        def stalled(message: str) -> PipelineStalledError:
-            dump = led.dump(sum(map(len, ready.values())), last, evals_left)
-            return PipelineStalledError(message, dump)
-
-        lanes = [(cycle[0], ready[cycle[0]])] if stage_sync else list(ready.items())
+        lanes = [(ANLZ, ready[ANLZ])] if stage_sync else [(stage, ready[stage]) for stage in Stage]
         running: list[tuple] = []  # (finish, start order, task)
-        start_order = itertools.count()
-        llm_inflight = gen_inflight = eval_inflight = 0
-        for index, sample in enumerate(led.checkpoint.samples):
-            make_ready(Task(index, 0, Stage.ANLZ, -1, sample.sample_id))
+        clock, started, stall = 0.0, 0, None
+        llm_inflight = gen_inflight = eval_inflight = max_llm = max_gen = max_queue = 0
+        for index, sample in enumerate(samples):
+            task = Task(index, 0, ANLZ, -1, sample.sample_id)
+            heappush(ready[ANLZ], task if draw is None else (draw(), task))
 
         while True:
             # A scan visits ready tasks in key order and starts each one
@@ -669,8 +669,7 @@ class InterventionPipeline:
                 # already serializes the stages and blocking producers
                 # would deadlock against it.
                 gen_open = llm_open and (
-                    stage_sync
-                    or len(eval_queue) + (gen_inflight + 1) * cfg.k <= cfg.queue_capacity
+                    stage_sync or len(eval_queue) + (gen_inflight + 1) * k <= cfg.queue_capacity
                 )
                 # By stage: ANLZ, GEN, EVAL, AGG.
                 is_open = (None, llm_open, gen_open, eval_inflight < cfg.eval_concurrency, True)
@@ -679,85 +678,83 @@ class InterventionPipeline:
                     if not heap or not is_open[stage]:
                         continue
                     while heap and heap[0] <= cursor:
-                        aside.append((heap, heapq.heappop(heap)))
+                        aside.append((heap, heappop(heap)))
                     if heap and (best is None or heap[0] < best[0]):
                         best = heap
                 if best is None:
                     break
-                cursor = heapq.heappop(best)
-                task = cursor if schedule_rng is None else cursor[1]
-                if task.stage is Stage.EVAL:
+                cursor = heappop(best)
+                task = cursor if draw is None else cursor[1]
+                stage = task[2]
+                if stage is EVAL:
                     eval_inflight += 1
-                elif task.stage is not Stage.AGG:
+                elif stage is not AGG:
                     llm_inflight += 1
-                    if llm_inflight > led.max_llm_inflight:
-                        led.max_llm_inflight = llm_inflight
-                    if task.stage is Stage.GEN:
+                    if llm_inflight > max_llm:
+                        max_llm = llm_inflight
+                    if stage is GEN:
                         gen_inflight += 1
-                        if gen_inflight > led.max_gen_inflight:
-                            led.max_gen_inflight = gen_inflight
-                timeless = replayed and task in replayed  # a replayed task takes no time
-                duration = 0.0 if timeless else latency.duration(led.seed, task)
-                heapq.heappush(running, (led.clock + duration, next(start_order), task))
+                        if gen_inflight > max_gen:
+                            max_gen = gen_inflight
+                started += 1
+                # A replayed task takes no time.
+                finish = clock if replayed and task in replayed else clock + duration(seed, task)
+                heappush(running, (finish, started, task))
             for heap, passed_over in aside:
-                heapq.heappush(heap, passed_over)
+                heappush(heap, passed_over)
 
             if not running:
-                if not any(ready.values()):
+                if not any(ready):
                     break
                 if stage_sync and not lanes[0][1] and wave + 1 < len(cycle):
                     wave += 1
                     lanes = [(cycle[wave], ready[cycle[wave]])]
                     continue
-                raise stalled("ready tasks cannot acquire resources")
+                stall = "ready tasks cannot acquire resources"
+                break
 
-            finish, _, task = heapq.heappop(running)
-            if finish > led.clock:
-                led.clock = finish
-            last[task.sample_index] = task
-            for followup in self._followups(led, task, evals_left):
-                make_ready(followup)
-            if cfg.record_trace:
-                events.append(_stage_event(led, task, len(events)))
-            if task.stage in (Stage.ANLZ, Stage.GEN):
+            finish, _, task = heappop(running)
+            if finish > clock:
+                clock = finish
+            i, r, stage, _, sid = task
+            last[i] = task
+            if trace:
+                events.append(_stage_event(led, task, len(events), clock))
+            if stage is AGG:
+                continue
+            if stage is ANLZ:
                 llm_inflight -= 1
-                if task.stage is Stage.GEN:
+                followup = Task(i, r, GEN, -1, sid)
+            else:
+                if stage is GEN:
+                    llm_inflight -= 1
                     gen_inflight -= 1
-                    if len(eval_queue) > led.max_eval_queue:
-                        led.max_eval_queue = len(eval_queue)
-            elif task.stage is Stage.EVAL:
-                eval_inflight -= 1
+                    state = led_rounds[sid, r]
+                    for attempt in state.records:
+                        followup = Task(i, r, EVAL, attempt, sid)
+                        heappush(eval_queue, followup if draw is None else (draw(), followup))
+                    if len(eval_queue) > max_queue:
+                        max_queue = len(eval_queue)
+                    evals_left[i] = len(state.candidates)
+                else:
+                    eval_inflight -= 1
+                    evals_left[i] -= 1
+                if evals_left[i]:
+                    continue
+                followup = Task(i, r + 1, ANLZ, -1, sid) if r + 1 < rounds else Task(i, r, AGG, -1, sid)
+            heappush(ready[followup[2]], followup if draw is None else (draw(), followup))
 
-        if any(task is None or task.stage is not Stage.AGG for task in last):
-            raise stalled("run incomplete but no tasks remain")
+        led.clock, led.max_llm_inflight, led.max_gen_inflight, led.max_eval_queue = clock, max_llm, max_gen, max_queue
+        if stall is None and any(task is None or task.stage is not AGG for task in last):
+            stall = "run incomplete but no tasks remain"
+        if stall is not None:
+            raise PipelineStalledError(stall, led.dump(sum(map(len, ready)), last, evals_left))
         led.events = tuple(events)
 
-    def _followups(self, led: RunLedger, task: Task, evals_left: list[int]) -> list[Task]:
-        """The tasks that `task`'s completion makes ready, read from the
-        recorded results: after GEN, the round's candidate attempts; after a
-        round's last EVAL, or a GEN without candidates, the next round's
-        ANLZ or the sample's AGG. Keeps `evals_left` by sample index."""
-        stage, i, sid, r = task.stage, task.sample_index, task.sample_id, task.round_index
-        if stage is Stage.ANLZ:
-            return [Task(i, r, Stage.GEN, -1, sid)]
-        if stage is Stage.AGG:
-            return []
-        if stage is Stage.GEN:
-            attempts = led.rounds[sid, r].candidates
-            evals_left[i] = len(attempts)
-            if attempts:
-                return [Task(i, r, Stage.EVAL, attempt, sid) for attempt in attempts]
-        else:
-            evals_left[i] -= 1
-            if evals_left[i]:
-                return []
-        if r + 1 < self.config.rounds:
-            return [Task(i, r + 1, Stage.ANLZ, -1, sid)]
-        return [Task(i, r, Stage.AGG, -1, sid)]
 
-
-def _stage_event(led: RunLedger, task: Task, logical_time: int) -> Event:
-    """A task's trace event at completion; the payload is read from the recorded results."""
+def _stage_event(led: RunLedger, task: Task, logical_time: int, wall_time: float) -> Event:
+    """A task's trace event at completion, at simulated time `wall_time`; the
+    payload is read from the recorded results."""
     sid, r = task.sample_id, task.round_index
     payload: dict = {"round": r}
     if task.stage is Stage.AGG:
@@ -773,7 +770,7 @@ def _stage_event(led: RunLedger, task: Task, logical_time: int) -> Event:
             payload["attempt"] = task.attempt
             payload["level"] = classify_execution(state.records[task.attempt]).name
         payload["replayed"] = task in led.replayed
-    return Event(_STAGE_EVENT[task.stage], sid, led.run_id, payload, logical_time, led.clock)
+    return Event(_STAGE_EVENT[task.stage], sid, led.run_id, payload, logical_time, wall_time)
 
 
 # -- rollout glue --------------------------------------------------------------
@@ -887,7 +884,7 @@ _INDEX_SCHEMA = {str: str}  # stage key -> entry file name
 def _read_archive_json(path: Path, schema: dict | None = None):
     """One archive file's JSON value, checked against `schema` if given."""
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
+        value = parse_json(path.read_text(encoding="utf-8"))
         return value if schema is None else check_json(value, schema, path.name)
     except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8, not JSON, not the schema
         raise ReplayArchiveError(f"cannot read replay archive file {path}: {exc}") from exc
@@ -920,43 +917,29 @@ def replay_load(
 
 
 def _report_from_json(data: Mapping) -> Report:
-    artifacts = []
-    for item in data["artifacts"]:
-        comp = item["component"]
-        artifacts.append(
-            FeedbackArtifact(
-                component=FeedbackComponent(int(comp["id"]), comp["name"], comp.get("short", "")),
-                representation=Representation(item["representation"]),
-                payload=item["payload"],
-                source_sample=item["source_sample"],
-            )
+    artifacts = tuple(
+        FeedbackArtifact(
+            FeedbackComponent(a["component"]["id"], a["component"]["name"], a["component"].get("short", "")),
+            Representation(a["representation"]), a["payload"], a["source_sample"],
         )
-    return Report(
-        sample_id=data["sample_id"],
-        coalition=Coalition(int(data["coalition_mask"])),
-        artifacts=tuple(artifacts),
-        plan_slot=data.get("plan_slot"),
+        for a in data["artifacts"]
     )
+    return Report(data["sample_id"], Coalition(data["coalition_mask"]), artifacts, data.get("plan_slot"))
 
 
 def _report_to_json(report: Report) -> dict:
+    artifacts = [
+        {
+            "component": {"id": a.component.id, "name": a.component.name, "short": a.component.short},
+            "representation": a.representation.value,
+            "payload": a.payload,
+            "source_sample": a.source_sample,
+        }
+        for a in report.artifacts
+    ]
     return {
-        "sample_id": report.sample_id,
-        "coalition_mask": report.coalition.mask,
-        "plan_slot": report.plan_slot,
-        "artifacts": [
-            {
-                "component": {
-                    "id": a.component.id,
-                    "name": a.component.name,
-                    "short": a.component.short,
-                },
-                "representation": a.representation.value,
-                "payload": a.payload,
-                "source_sample": a.source_sample,
-            }
-            for a in report.artifacts
-        ],
+        "sample_id": report.sample_id, "coalition_mask": report.coalition.mask,
+        "plan_slot": report.plan_slot, "artifacts": artifacts,
     }
 
 
@@ -964,36 +947,52 @@ def _report_to_json(report: Report) -> dict:
 # One archive payload per ANLZ, GEN and EVAL stage. Each encoder takes the
 # product the stage's work returns and its decoder, given the run's k, gives
 # that product back; `RunLedger.archive_entries` encodes and `_execute`
-# decodes on replay, turning a decoder's error on a corrupt entry into
-# ReplayArchiveError.
+# checks an entry against its stage's schema and decodes it on replay,
+# turning the checker's or a decoder's error into ReplayArchiveError.
+
+_ARTIFACT_SCHEMA = {
+    "component": Required({"id": Required(int), "name": Required(str), "short": str}),
+    "representation": Required([r.value for r in Representation]),
+    "payload": Required(str),
+    "source_sample": Required(str),
+}
+_REPORT_SCHEMA = {
+    "sample_id": Required(str),
+    "coalition_mask": Required(int),
+    "plan_slot": (str, NoneType),
+    "artifacts": Required(ListOf(_ARTIFACT_SCHEMA)),
+}
+_PLAN_SCHEMA = {"text": Required(str), "producer_tag": Required(str), "generation_context_hash": str}
+# A GEN entry's candidates and an EVAL entry's record are checked by their `from_json`.
+_ENTRY_SCHEMA = {
+    Stage.ANLZ: {"kind": Required(["anlz"]), "report": Required(_REPORT_SCHEMA), "plan": (dict, NoneType)},
+    Stage.GEN: {"kind": Required(["gen"]), "candidates": Required(list), "failures": ListOf(list)},
+    Stage.EVAL: {"kind": Required(["eval"]), "record": Required(dict)},
+}
 
 
 def _encode_anlz(product: tuple[Report, PlanArtifact | None]) -> dict:
     report, plan = product
-    return {
-        "kind": "anlz",
-        "report": _report_to_json(report),
-        "plan": asdict(plan) if plan else None,
-    }
+    return {"kind": "anlz", "report": _report_to_json(report), "plan": asdict(plan) if plan else None}
 
 
 def _decode_anlz(entry: Mapping, k: int) -> tuple[Report, PlanArtifact | None]:
     plan = entry.get("plan")
-    return _report_from_json(entry["report"]), PlanArtifact(**plan) if plan else None
+    if plan is not None:
+        plan = PlanArtifact(**check_json(plan, _PLAN_SCHEMA, "ANLZ entry plan"))
+    return _report_from_json(entry["report"]), plan
 
 
 def _encode_gen(product: tuple[Iterable[Candidate], list[tuple[int, str]]]) -> dict:
     candidates, failures = product
-    return {
-        "kind": "gen",
-        "candidates": [c.to_json() for c in candidates],
-        "failures": [[a, n] for a, n in failures],
-    }
+    return {"kind": "gen", "candidates": [c.to_json() for c in candidates], "failures": [[a, n] for a, n in failures]}
 
 
 def _decode_gen(entry: Mapping, k: int) -> tuple[list[Candidate], list[tuple[int, str]]]:
     candidates = [Candidate.from_json(c) for c in entry["candidates"]]
-    failures = [(int(a), str(n)) for a, n in entry.get("failures", [])]
+    failures = [(a, n) for a, n in entry.get("failures", [])]
+    if not all(type(a) is int and type(n) is str for a, n in failures):
+        raise ValueError(f"failures {failures} are not [attempt, note] pairs")
     attempts = [c.attempt for c in candidates] + [a for a, _ in failures]
     if len(set(attempts)) < len(attempts) or not all(0 <= a < k for a in attempts):
         raise ValueError(f"attempts {attempts} are not distinct ones of 0..{k - 1}")

@@ -72,16 +72,27 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
             if type(item) is not schema.item:
                 check_json(item, schema.item, where, f"{path}[{i}]")
         return value
-    name = f"{where} key {path!r}" if path else where
     if kind is list:
-        if any(value == allowed and type(value) is type(allowed) for allowed in schema):
-            return value
+        for allowed in schema:
+            if value == allowed and type(value) is type(allowed):
+                return value
+        name = f"{where} key {path!r}" if path else where
         raise ValueError(f"{name} must be one of {schema}, not {value!r:.80}")
     kinds = schema if kind is tuple else {dict: (dict,), ListOf: (list,)}.get(kind, (schema,))
     if type(value) in kinds or (type(value) is int and float in kinds):
         return value
+    name = f"{where} key {path!r}" if path else where
     expected = " or ".join(_JSON_NAMES[k] for k in kinds)
     raise ValueError(f"{name} is not a JSON {expected}: {value!r:.80}")
+
+
+def parse_json(text: str) -> Any:
+    """`json.loads` for outside text. A document nested too deeply to parse
+    raises ValueError, as malformed JSON does, not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON document is nested too deeply to read") from exc
 
 
 class MalformedRecordError(ValueError):
@@ -431,7 +442,7 @@ class TrajectoryStore:
                 if not line:
                     continue
                 try:
-                    data = json.loads(line)
+                    data = parse_json(line)
                     sample = Sample.from_json(data)
                 except ValueError as exc:  # not JSON, or not a sample record
                     raise StoreFormatError(str(exc), lineno) from exc
@@ -491,14 +502,14 @@ def load_checkpoint(path: str) -> GenerationCheckpoint:
     if not lines:
         raise StoreFormatError("empty checkpoint file", 1)
     try:
-        header = check_json(json.loads(lines[0]), CHECKPOINT_HEADER_SCHEMA, "checkpoint header")["checkpoint"]
+        header = check_json(parse_json(lines[0]), CHECKPOINT_HEADER_SCHEMA, "checkpoint header")["checkpoint"]
     except ValueError as exc:
         raise StoreFormatError(str(exc), 1) from exc
     trajectory_id, g = header["trajectory_id"], header["g"]
     samples: dict[str, Sample] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            data = json.loads(line)
+            data = parse_json(line)
             sample = Sample.from_json(data)
         except ValueError as exc:
             raise StoreFormatError(str(exc), lineno) from exc

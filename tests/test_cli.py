@@ -155,6 +155,43 @@ def read_csv_rows(path):
     return list(csv.DictReader(lines))
 
 
+# A JSON document nested deeper than the parser can follow.
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+class TestDeeplyNestedJson:
+    """Each reader of outside JSON refuses a too deeply nested document with
+    its usual error, naming the file or line, not with a traceback (replay
+    archive files: `test_damaged_replay_archive_is_data_error`)."""
+
+    def test_config_is_configuration_error(self, tmp_path, checkpoint_file, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text(DEEP_JSON)
+        out = tmp_path / "x.csv"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(config) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_trajectory_line_is_data_error(self, tmp_path, trajectory_file, capsys):
+        lines = trajectory_file.read_text().splitlines()
+        trajectory_file.write_text("\n".join(lines[:1] + [DEEP_JSON] + lines[1:]) + "\n")
+        assert main(["freeze", "--trajectory", str(trajectory_file), "-g", "0", "--out", str(tmp_path / "x")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 2:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_checkpoint_line_is_data_error(self, tmp_path, checkpoint_file, capsys, line):
+        lines = checkpoint_file.read_text().splitlines()
+        lines[line - 1] = DEEP_JSON
+        checkpoint_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"cannot parse checkpoint: line {line}:" in err and "Traceback" not in err
+
+
 class TestIntervene:
     def test_sweep_simulates_no_schedule(self, tmp_path, checkpoint_file, monkeypatch):
         # A sweep reads only each rollout's stats: no latency draw, no event.
@@ -385,6 +422,7 @@ class TestIntervene:
             ),
             (lambda a: next((a / "entries").iterdir()).unlink(), "entries"),
             (lambda a: next((a / "entries").iterdir()).write_text('{"kind": '), "entries"),
+            (lambda a: next((a / "entries").iterdir()).write_text(DEEP_JSON), "entries"),
             (lambda a: edit_json(a / "index.json", lambda i: i.update({min(i): 5})), "index.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(checkpoint_hash=5)), "manifest.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(intervention_signature=None)),
@@ -400,13 +438,18 @@ class TestIntervene:
              "entries"),
             (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"].append(e["candidates"][0])),
              "entries"),
+            (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"][0].update(attempt="0", quality="0.5")),
+             "entries"),
+            (lambda a: edit_json(entry_file(a, "anlz"), lambda e: e["report"].update(coalition_mask="3")),
+             "entries"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(format_version=99)), "manifest.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.pop("format_version")), "manifest.json"),
         ],
         ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k",
-             "no-entry-file", "entry-not-json", "index-value-int", "checkpoint-hash-int",
-             "signature-null", "k-string", "rounds-bool", "gen-entry-of-eval-kind", "gen-entry-list",
+             "no-entry-file", "entry-not-json", "entry-nested-too-deeply", "index-value-int",
+             "checkpoint-hash-int", "signature-null", "k-string", "rounds-bool", "gen-entry-of-eval-kind", "gen-entry-list",
              "eval-record-passed-not-compiled", "gen-attempt-out-of-range", "gen-attempt-twice",
+             "gen-attempt-and-quality-strings", "anlz-mask-string",
              "format-version-99", "no-format-version"],
     )
     def test_damaged_replay_archive_is_data_error(self, tmp_path, checkpoint_file, capsys, damage, named):

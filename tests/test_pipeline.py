@@ -12,6 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planlens.pipeline as pipeline_mod
 import planlens.trajectory as trajectory_mod
@@ -24,14 +26,33 @@ from conftest import (
     record_computations,
     run_in_threads,
 )
-from planlens.agents import LatencyParams, MockBehavior, mock_bundle
+from planlens.agents import (
+    HttpPlanner,
+    LatencyParams,
+    MockBehavior,
+    MockPlanner,
+    MockSummarizer,
+    PlanArtifact,
+    mock_bundle,
+)
+from planlens.attribution import (
+    GameSpec,
+    attribution_report,
+    bundle_to_json,
+    sweep_characteristic_tables,
+    tables_to_csv,
+)
 from planlens.cli import synthetic_artifact_source
 from planlens.feedback import (
     Coalition,
     FeedbackArtifact,
+    Memo,
+    PermutedArtifactSource,
     Report,
     Representation,
+    build_report,
     default_components,
+    dummy_plan,
 )
 from planlens.pipeline import (
     DEFAULT_LATENCIES,
@@ -103,6 +124,16 @@ class TestSubmit:
         pipe = InterventionPipeline(bundle, source)
         with pytest.raises(ValueError, match="planner"):
             pipe.submit(checkpoint25, Intervention())
+
+    def test_cancel_frees_a_submitted_run(self, checkpoint25):
+        pipe = build_pipe(checkpoint25)
+        run_id = pipe.submit(checkpoint25, Intervention())
+        assert len(pipe._ledgers) == 1
+        pipe.cancel(run_id)
+        assert len(pipe._ledgers) == 0
+        for call in (pipe.cancel, pipe.run_to_completion):
+            with pytest.raises(PipelineConfigError, match=run_id):
+                call(run_id)
 
     def test_config_validation(self):
         with pytest.raises(PipelineConfigError, match="queue_capacity"):
@@ -566,20 +597,16 @@ class TestDiagnostics:
         result, _ = run_once(build_pipe(cp), cp)
         assert result.stats == expected.stats
 
-    def test_stall_dump_reads_progress_from_the_ledger(self, monkeypatch):
-        # A schedule that drops each round's last EVAL follow-up never ends
-        # its rounds: an internal fault, reported once nothing is left to run.
+    def test_stall_dump_reads_progress_from_the_ledger(self):
+        # A round whose GEN recorded a candidate that no EVAL graded waits
+        # for that EVAL forever: an internal fault, reported once nothing is
+        # left to run.
         cp = build_checkpoint(3)
         pipe = build_pipe(cp, config=PipelineConfig(k=2, seed=1))
-        followups = pipe._followups
-
-        def followups_without_round_end(led, task, evaluated):
-            tasks = followups(led, task, evaluated)
-            return [] if task.stage is Stage.EVAL else tasks
-
-        monkeypatch.setattr(pipe, "_followups", followups_without_round_end)
         run_id = pipe.submit(cp, Intervention(coalition=FULL))
         result = pipe.run_to_completion(run_id)  # the stage work itself completes
+        for state in result.ledger.rounds.values():  # read by the schedule, run below
+            state.candidates[2] = replace(state.candidates[0], attempt=2)
         with pytest.raises(PipelineStalledError, match="run incomplete but no tasks remain") as caught:
             result.makespan
         header, counts, *samples = caught.value.dump.splitlines()
@@ -709,6 +736,89 @@ class TestRelease:
             assert not thread.is_alive()
         kinds = sorted(type(outcome).__name__ for outcome in outcomes)
         assert kinds == ["PipelineConfigError", "RunResult"]
+
+
+class UndeclaredPlanner:
+    """Plans as the mock planner does but, like HttpPlanner, does not declare
+    its plans a function of its report."""
+
+    def __init__(self):
+        self._inner = MockPlanner()
+        self.calls = 0
+
+    def plan(self, report):
+        self.calls += 1
+        return self._inner.plan(report)
+
+
+class TestAnlzMemo:
+    """A pipeline does each sample's ANLZ work once per intervention, unless
+    a planner that does not declare itself deterministic plans on it."""
+
+    def sweep(self, planner=None, samples=5, rollouts=4):
+        cp = build_checkpoint(samples)
+        pipe = build_pipe(cp, config=PipelineConfig(k=3, seed=0, record_trace=False))
+        if planner is not None:
+            pipe.agents = replace(pipe.agents, planner=planner)
+        specs = [GameSpec(players=default_components(), metric=m, g=cp.g) for m in ("compiled", "pass", "fast")]
+        tables = sweep_characteristic_tables(cp, specs, make_rollout_fn(pipe), rollouts, 0)
+        return pipe.agents.planner.calls, tables_to_csv(tables), bundle_to_json(attribution_report(tables))
+
+    def test_sweep_plans_each_sample_and_coalition_once(self):
+        calls, csv_text, json_text = self.sweep()
+        assert calls == 5 * 8  # samples x coalitions, not x rollouts
+        undeclared_calls, undeclared_csv, undeclared_json = self.sweep(UndeclaredPlanner())
+        assert undeclared_calls == 5 * 8 * 4
+        assert (csv_text, json_text) == (undeclared_csv, undeclared_json)
+
+    def test_rounds_plan_each_sample_once(self):
+        cp = build_checkpoint(4)
+        pipe = build_pipe(cp, config=PipelineConfig(k=2, rounds=2, seed=3))
+        first, _ = run_once(pipe, cp)
+        again, _ = run_once(pipe, cp, seed=4)
+        assert pipe.agents.planner.calls == 4
+        assert again.ledger.rounds["s000", 1].plan is first.ledger.rounds["s000", 0].plan
+
+    def test_undeclared_planner_plans_every_round_of_every_run(self):
+        assert not getattr(HttpPlanner, "deterministic", False)
+        cp = build_checkpoint(4)
+        pipe = build_pipe(cp, config=PipelineConfig(k=2, rounds=2, seed=3))
+        pipe.agents = replace(pipe.agents, planner=UndeclaredPlanner())
+        for seed in range(3):
+            run_once(pipe, cp, seed=seed)
+        assert pipe.agents.planner.calls == 4 * 2 * 3  # samples x rounds x runs
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mask=st.integers(0, 7),
+        representation=st.sampled_from(Representation),
+        plan_mode=st.sampled_from(PlanMode),
+        donors=st.none() | st.permutations(["s000", "s001", "s002"]),
+    )
+    def test_memoized_product_equals_a_fresh_one(self, mask, representation, plan_mode, donors):
+        cp = build_checkpoint(3)
+        pipe = build_pipe(cp, config=PipelineConfig(k=1, seed=0, record_trace=False))
+        permutation = dict(zip(cp.sample_ids(), donors)) if donors else None
+        intervention = Intervention(Coalition(mask), representation, plan_mode, permutation)
+        first, _ = run_once(pipe, cp, intervention)
+        memoized, _ = run_once(pipe, cp, intervention, seed=1)
+        source = pipe.artifact_source
+        if permutation:
+            source = PermutedArtifactSource(source, permutation)
+        source = pipeline_mod._RepresentationSource(source, MockSummarizer(), Memo())
+        for sid in cp.sample_ids():
+            report = build_report(sid, Coalition(mask), representation, source, default_components())
+            plan = None
+            if plan_mode is PlanMode.SELF:
+                plan = MockPlanner().plan(report)
+            elif plan_mode is PlanMode.DUMMY:
+                plan = PlanArtifact(dummy_plan(), "dummy-plan", report.content_hash)
+            if plan is not None:
+                report = replace(report, plan_slot=plan.text)
+            state = memoized.ledger.rounds[sid, 0]
+            assert state.report is first.ledger.rounds[sid, 0].report  # served by the memo
+            assert (state.report, state.plan) == (report, plan)
+            assert state.report.content_hash == report.content_hash
 
 
 class TestCostGuards:

@@ -1,6 +1,6 @@
 """`check_json`, the one checker of the JSON documents read from outside:
 the experiment config (with its agent behaviour), checkpoint headers and
-sample records, and a replay archive's manifest and index."""
+sample records, and a replay archive's manifest, index and stage entries."""
 
 import json
 import re
@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_checkpoint, build_pipe
-from planlens.agents import BEHAVIOR_SCHEMA
+from planlens.agents import BEHAVIOR_SCHEMA, CANDIDATE_SCHEMA
 from planlens.cli import _CONFIG_SCHEMA
 from planlens.feedback import Coalition, default_components
-from planlens.pipeline import _INDEX_SCHEMA, _MANIFEST_SCHEMA, Intervention, archive_run
+from planlens.pipeline import _ENTRY_SCHEMA, _INDEX_SCHEMA, _MANIFEST_SCHEMA, Intervention, Stage, archive_run
 from planlens.trajectory import (
     CHECKPOINT_HEADER_SCHEMA,
     EXECUTION_SCHEMA,
@@ -38,6 +38,8 @@ SCHEMAS = {
     "execution": EXECUTION_SCHEMA,
     "manifest": _MANIFEST_SCHEMA,
     "index": _INDEX_SCHEMA,
+    **{f"{stage.name.lower()}-entry": schema for stage, schema in _ENTRY_SCHEMA.items()},
+    "candidate": CANDIDATE_SCHEMA,
 }
 
 TEXT = st.text(max_size=4)
@@ -140,6 +142,14 @@ def test_archive_run_writes_what_the_checker_accepts(tmp_path):
     archive_run(result, tmp_path)
     check_json(json.loads((tmp_path / "manifest.json").read_text()), _MANIFEST_SCHEMA, "manifest")
     check_json(json.loads((tmp_path / "index.json").read_text()), _INDEX_SCHEMA, "index")
+    kinds = set()
+    for path in (tmp_path / "entries").iterdir():
+        entry = json.loads(path.read_text())
+        kinds.add(entry["kind"])
+        check_json(entry, _ENTRY_SCHEMA[Stage[entry["kind"].upper()]], "entry")
+        for candidate in entry.get("candidates", ()):
+            check_json(candidate, CANDIDATE_SCHEMA, "candidate")
+    assert kinds == {"anlz", "gen", "eval"}
 
 
 def test_readme_config_example_passes_the_checker():
