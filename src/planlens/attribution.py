@@ -11,16 +11,15 @@ terms subtract one third of the three-way synergy.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .feedback import Coalition, FeedbackComponent, enumerate_coalitions
+from .feedback import MAX_PLAYERS, Coalition, FeedbackComponent, enumerate_coalitions
 from .seeding import derive_seed
-from .trajectory import METRICS, GenerationCheckpoint, GenerationStats
+from .trajectory import METRICS, GenerationCheckpoint, GenerationStats, csv_text
 
 NORMAL_95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 
@@ -47,8 +46,8 @@ class GameSpec:
     g: int = 0
 
     def __post_init__(self):
-        if not 1 <= len(self.players) <= 16:
-            raise ValueError("player count must be in 1..16")
+        if not 1 <= len(self.players) <= MAX_PLAYERS:
+            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
         ids = [p.id for p in self.players]
         if sorted(ids) != list(range(len(ids))):
             raise ValueError("player ids must be dense 0..N-1 and distinct")
@@ -111,16 +110,9 @@ class CharacteristicTable:
 def _marginals(
     table: CharacteristicTable, player: FeedbackComponent
 ) -> list[tuple[int, int]]:
-    """(S, S+i) mask pairs over all coalitions S not containing the player."""
-    others = [p for p in table.spec.players if p.id != player.id]
-    pairs = []
-    for sub in enumerate_coalitions(len(others)) if others else [Coalition(0)]:
-        mask = 0
-        for j, other in enumerate(others):
-            if sub.mask & (1 << j):
-                mask |= other.bit
-        pairs.append((mask, mask | player.bit))
-    return pairs
+    """(S, S+i) mask pairs over all coalitions S not containing the player,
+    in ascending order of S."""
+    return [(mask, mask | player.bit) for mask in range(1 << table.spec.n) if not mask & player.bit]
 
 
 def banzhaf(table: CharacteristicTable, player: FeedbackComponent) -> float:
@@ -445,15 +437,11 @@ def tables_to_csv(
     tables: Iterable[CharacteristicTable], meta: str | None = None
 ) -> str:
     """CSV with columns (g, metric, coalition_mask, v, stderr, n)."""
-    buf = io.StringIO()
-    if meta:
-        buf.write(f"# {meta}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["g", "metric", "coalition_mask", "v", "stderr", "n"])
+    rows: list[list] = [["g", "metric", "coalition_mask", "v", "stderr", "n"]]
     for table in tables:
         for mask in sorted(table.values):
             se = table.stderr.get(mask)
-            writer.writerow(
+            rows.append(
                 [
                     table.spec.g,
                     table.spec.metric,
@@ -463,14 +451,14 @@ def tables_to_csv(
                     table.n_rollouts.get(mask, 0),
                 ]
             )
-    return buf.getvalue()
+    return csv_text(rows, meta)
 
 
 def tables_from_csv(
     text: str, players: tuple[FeedbackComponent, ...]
 ) -> list[CharacteristicTable]:
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("\n".join(lines)))
+    reader = csv.DictReader(lines)
     tables: dict[tuple[int, str], CharacteristicTable] = {}
     for row in reader:
         key = (int(row["g"]), row["metric"])
@@ -491,24 +479,21 @@ def tables_from_csv(
 
 def bundle_to_csv(bundle: AttributionBundle, meta: str | None = None) -> str:
     """Report CSV in the published layout: term rows, generation columns."""
-    buf = io.StringIO()
-    if meta:
-        buf.write(f"# {meta}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    rows: list[list] = []
     by_metric: dict[str, dict[int, AttributionReport]] = {}
     for (g, metric), report in bundle.reports.items():
         by_metric.setdefault(metric, {})[g] = report
     for metric in sorted(by_metric):
         reports = by_metric[metric]
         gens = sorted(reports)
-        writer.writerow(["metric", "term"] + [str(g) for g in gens])
+        rows.append(["metric", "term"] + [str(g) for g in gens])
         term_names = [name for name, _ in reports[gens[0]].term_rows()]
         columns = {g: dict(reports[g].term_rows()) for g in gens}
         for term in term_names:
-            writer.writerow(
+            rows.append(
                 [metric, term] + [repr(columns[g][term]) for g in gens]
             )
-    return buf.getvalue()
+    return csv_text(rows, meta)
 
 
 def bundle_to_json(bundle: AttributionBundle, meta: dict | None = None) -> str:

@@ -16,7 +16,7 @@ import shutil
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import __version__
 from .agents import (
@@ -109,6 +109,30 @@ def meta_line(settings: Mapping[str, Any]) -> str:
     return f"planlens {__version__} config={config_hash(settings)}"
 
 
+def meta_json(settings: Mapping[str, Any]) -> dict:
+    """The provenance of a JSON output: config hash and tool version."""
+    return {"config_hash": config_hash(settings), "version": __version__}
+
+
+def read_input(
+    what: str,
+    path: str,
+    read: Callable[[str], Any] = lambda path: Path(path).read_text(encoding="utf-8"),
+    error: type[Exception] = DataError,
+):
+    """`read(path)` for an input file, raising `error` that names the file
+    (and, for an NDJSON file, the line) when it is missing, a directory,
+    unreadable, not UTF-8 or not a sample record file."""
+    try:
+        return read(path)
+    except FileNotFoundError as exc:
+        raise error(f"{what} file not found: {path}") from exc
+    except StoreFormatError as exc:
+        raise error(f"cannot parse {what}: {exc} (file {path})") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not UTF-8
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+
+
 # -- experiment config ---------------------------------------------------------
 
 _DEFAULTS = PipelineConfig()  # the pipeline's own defaults
@@ -130,6 +154,16 @@ RUN_SETTINGS = (
 )
 
 
+# The `intervene` flags, by dest, that only one mode reads; given in the
+# other mode a flag would be ignored, so it is refused. A single coalition's
+# stats CSV always holds every metric; a sweep builds its own interventions
+# per coalition and writes only the table.
+MODE_ONLY_FLAGS = {
+    "run": ("coalition", "plan_mode", "randomize_feedback", "trace", "archive", "replay"),
+    "sweep": ("metrics",),
+}
+
+
 def _section_schema(section: str) -> dict:
     return {key: choices or type(default) for _, sec, key, default, choices, _ in RUN_SETTINGS if sec == section}
 
@@ -145,18 +179,11 @@ _CONFIG_SCHEMA = {
 
 def load_experiment_config(path: str) -> dict:
     """Load and schema-check the JSON experiment document."""
+    text = read_input("config", path, error=ConfigError)
     try:
-        data = parse_json(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except ValueError as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    try:
-        check_json(data, _CONFIG_SCHEMA, "config")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if data.get("rollouts", 1) < 1:
-        raise ConfigError("config key 'rollouts' must be >= 1")
+        data = check_json(parse_json(text), _CONFIG_SCHEMA, "config")
+    except ValueError as exc:  # not JSON, nested too deeply, or not the schema
+        raise ConfigError(f"config file {path}: {exc}") from exc
     if data.get("metrics") == []:
         raise ConfigError("config key 'metrics' must name at least one metric")
     return data
@@ -203,16 +230,11 @@ def synthetic_artifact_source(checkpoint, players) -> InMemoryArtifactSource:
 
 
 def cmd_freeze(args: argparse.Namespace) -> int:
-    try:
-        store = TrajectoryStore.load(args.trajectory)
-    except FileNotFoundError as exc:
-        raise DataError(f"trajectory file not found: {args.trajectory}") from exc
-    except StoreFormatError as exc:
-        raise DataError(f"cannot parse trajectory: {exc}") from exc
+    store = read_input("trajectory", args.trajectory, TrajectoryStore.load)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     settings = {"command": "freeze", "trajectory": args.trajectory, "g": args.generation}
-    meta = {"config_hash": config_hash(settings), "version": __version__}
+    meta = meta_json(settings)
     for g in args.generation:
         try:
             checkpoint = store.freeze(g)
@@ -228,13 +250,13 @@ def cmd_freeze(args: argparse.Namespace) -> int:
 
 
 def cmd_intervene(args: argparse.Namespace) -> int:
-    if args.rollouts is not None and args.rollouts < 1:
-        raise ConfigError("--rollouts must be >= 1")
     config = load_experiment_config(args.config) if args.config else {}
     for dest, section, key, default, _, _ in RUN_SETTINGS:
         scope = config.get(section, {}) if section else config
         if getattr(args, dest) is None:
             setattr(args, dest, scope.get(key, default))
+    if args.rollouts < 1:
+        raise ConfigError(f"--rollouts (config key 'rollouts') must be >= 1, not {args.rollouts}")
     agent_config = dict(config.get("agents", {}))
     if args.backend is not None:
         configured = agent_config.setdefault("backend", args.backend)
@@ -245,41 +267,18 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             )
     agents = build_agents(agent_config)
 
-    try:
-        checkpoint = load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
-        raise DataError(f"checkpoint file not found: {args.checkpoint}") from exc
-    except StoreFormatError as exc:
-        raise DataError(f"cannot parse checkpoint: {exc}") from exc
+    checkpoint = read_input("checkpoint", args.checkpoint, load_checkpoint)
 
     players = GAMES[args.game]()
     components = default_components()
     representation = Representation(args.representation)
     if args.coalition is None and not args.sweep:
         raise ConfigError("provide --coalition or --sweep")
-    if args.sweep:
-        # The sweep builds its own interventions per coalition and writes
-        # only the table; these flags would be ignored.
-        unsupported = [
-            flag
-            for flag, value in (
-                ("--coalition", args.coalition),
-                ("--plan-mode", args.plan_mode),
-                ("--randomize-feedback", args.randomize_feedback),
-                ("--trace", args.trace),
-                ("--archive", args.archive),
-                ("--replay", args.replay),
-            )
-            if value is not None
-        ]
-        if unsupported:
-            raise ConfigError(
-                f"--sweep cannot be combined with {', '.join(unsupported)}"
-            )
-    else:
-        if args.metrics is not None:
-            # A single coalition's stats CSV always holds every metric.
-            raise ConfigError("--metrics applies only to --sweep")
+    mode, other = ("--sweep", "run") if args.sweep else ("--coalition", "sweep")
+    ignored = ["--" + dest.replace("_", "-") for dest in MODE_ONLY_FLAGS[other] if getattr(args, dest) is not None]
+    if ignored:
+        raise ConfigError(f"{mode} cannot be combined with {', '.join(ignored)}")
+    if not args.sweep:
         try:
             coalition = Coalition.parse(args.coalition, players)
         except ValueError as exc:
@@ -390,10 +389,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     tables = []
     source: dict[tuple[int, str], str] = {}  # (g, metric) -> the file it came from
     for path in args.tables:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError as exc:
-            raise DataError(f"table file not found: {path}") from exc
+        text = read_input("table", path)
         try:
             file_tables = tables_from_csv(text, players)
         except (KeyError, TypeError, ValueError) as exc:  # missing column, short row, bad value
@@ -421,9 +417,8 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     (out_dir / "attribution.csv").write_text(
         bundle_to_csv(bundle, meta=meta_line(settings)), encoding="utf-8"
     )
-    meta = {"config_hash": config_hash(settings), "version": __version__}
     (out_dir / "attribution.json").write_text(
-        bundle_to_json(bundle, meta=meta), encoding="utf-8"
+        bundle_to_json(bundle, meta=meta_json(settings)), encoding="utf-8"
     )
     # One chart per metric: phi lines per player, full-order synergy dashed.
     by_metric: dict[str, list] = {}
@@ -482,10 +477,8 @@ def cmd_gate(args: argparse.Namespace) -> int:
     s = None
     if args.current:
         try:
-            current = parse_dot(Path(args.current).read_text(encoding="utf-8"))
-            reference = parse_dot(Path(args.reference).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise DataError(str(exc)) from exc
+            current = parse_dot(read_input("CFG", args.current))
+            reference = parse_dot(read_input("CFG", args.reference))
         except DotSyntaxError as exc:
             raise DataError(f"DOT parse error: {exc}") from exc
         s = similarity(current, reference, cfg)
@@ -569,11 +562,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "attribution": args.attribution,
         },
     }
-    manifest = {
-        "version": __version__,
-        "config_hash": config_hash(settings),
-        "files": sorted(copied),
-    }
+    manifest = {**meta_json(settings), "files": sorted(copied)}
     (out_dir / "bundle.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
     )

@@ -8,10 +8,10 @@ interventions at a fixed set of checkpoints, which is additive in depth.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+from .trajectory import csv_text
 
 MAX_FEEDBACK_COMPONENTS = 30  # 2^30 coalitions is already absurd; guard overflow
 
@@ -133,11 +133,8 @@ def crossover_depth(params: CostParams, ratio: float, max_depth: int = 10**6) ->
 
 
 def scaling_to_csv(rows: Sequence[ScalingRow], meta: str | None = None) -> str:
-    buf = io.StringIO()
-    if meta:
-        buf.write(f"# {meta}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["depth", "volume_e2e", "volume_pipe", "ratio"])
-    for row in rows:
-        writer.writerow([row.depth, row.volume_e2e, row.volume_pipe, repr(row.ratio)])
-    return buf.getvalue()
+    return csv_text(
+        [["depth", "volume_e2e", "volume_pipe", "ratio"]]
+        + [[row.depth, row.volume_e2e, row.volume_pipe, repr(row.ratio)] for row in rows],
+        meta,
+    )

@@ -344,29 +344,16 @@ def gate(
     cfg = cfg or GateConfig()
     debugger, analyzer, profiler = default_components()
     if status < OutcomeLevel.PASS:
-        return GateDecision(
-            phase=Phase.CORRECTNESS,
-            admitted_components=Coalition.of(debugger),
-            s=None,
-            reference_id=reference_id,
-        )
-    if s is None:
+        phase, admitted, s = Phase.CORRECTNESS, (debugger,), None
+    elif s is None:
         raise GateInputError(
             "structural similarity is required once the candidate passes"
         )
-    if s < cfg.tau_s:
-        return GateDecision(
-            phase=Phase.STRUCTURAL_EXPLORATION,
-            admitted_components=Coalition.of(debugger, analyzer),
-            s=s,
-            reference_id=reference_id,
-        )
-    return GateDecision(
-        phase=Phase.PERFORMANCE_EXPLOITATION,
-        admitted_components=Coalition.of(debugger, analyzer, profiler),
-        s=s,
-        reference_id=reference_id,
-    )
+    elif s < cfg.tau_s:
+        phase, admitted = Phase.STRUCTURAL_EXPLORATION, (debugger, analyzer)
+    else:
+        phase, admitted = Phase.PERFORMANCE_EXPLOITATION, (debugger, analyzer, profiler)
+    return GateDecision(phase, Coalition.of(*admitted), s, reference_id)
 
 
 def decisions_to_json(entries: Iterable[tuple[str, OutcomeLevel, GateDecision]]) -> str:

@@ -331,24 +331,19 @@ class RunLedger:
 class RunResult:
     """A finished run. Its stats and counts are known when it completes; its
     simulated schedule (trace, makespan, high-water marks) is computed from
-    the recorded tasks once, when one of them is first read, under a lock
-    of this result's own, so the schedules of other results run meanwhile."""
+    the recorded tasks once, when one of them is first read, through this
+    result's own `Memo`, so the schedules of other results run meanwhile."""
 
     run_id: str
     stats: GenerationStats
     event_counts: Mapping[EventKind, int]
     programs: int
     ledger: RunLedger = field(repr=False)  # freed with the result
-    _schedule: Callable[[], None] | None = field(repr=False)  # None once it ran
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _schedule: Callable[[], RunLedger] = field(repr=False)  # fills the ledger's timing
+    _timing: Memo = field(default_factory=Memo, repr=False)
 
     def _timed(self) -> RunLedger:
-        if self._schedule is not None:
-            with self._lock:
-                if self._schedule is not None:
-                    self._schedule()
-                    self._schedule = None
-        return self.ledger
+        return self._timing.get("schedule", self._schedule)
 
     trace = property(lambda self: self._timed().events)
     makespan = property(lambda self: self._timed().clock)
@@ -517,8 +512,13 @@ class InterventionPipeline:
             EventKind.AGGREGATED: len(samples),
         }
         latency_model = self.latency_model  # even if replaced before timing is read
+
+        def schedule() -> RunLedger:
+            self._schedule(ledger, latency_model)
+            return ledger
+
         stats = stats_from_outcomes(ledger.checkpoint.g, outcomes, budget)
-        return RunResult(run_id, stats, event_counts, programs, ledger, lambda: self._schedule(ledger, latency_model))
+        return RunResult(run_id, stats, event_counts, programs, ledger, schedule)
 
     # -- dataflow ----------------------------------------------------------------
 
@@ -526,32 +526,22 @@ class InterventionPipeline:
         """Do each sample's stage work in sample order: per round ANLZ, GEN and
         one EVAL per candidate, then AGG. The products go to the round states
         and `best_outcomes`; no order of the stages can change them."""
-        source = self._feedback_source(led.intervention)
         for index, sample in enumerate(led.checkpoint.samples):
             sid = sample.sample_id
             best = OutcomeLevel.FAILED
             for r in range(self.config.rounds):
                 state = led.rounds[sid, r] = _RoundState()
-                state.report, state.plan = self._execute(led, source, Stage.ANLZ, index, r)
-                candidates, state.failures = self._execute(led, source, Stage.GEN, index, r)
+                state.report, state.plan = self._execute(led, Stage.ANLZ, index, r)
+                candidates, state.failures = self._execute(led, Stage.GEN, index, r)
                 state.candidates = {cand.attempt: cand for cand in candidates}
                 for attempt in state.candidates:
-                    record = self._execute(led, source, Stage.EVAL, index, r, attempt)
+                    record = self._execute(led, Stage.EVAL, index, r, attempt)
                     state.records[attempt] = record
                     state.best = max(state.best, classify_execution(record))
                 best = max(best, state.best)
             led.best_outcomes[sid] = best
 
-    def _feedback_source(self, intervention: Intervention) -> ArtifactSource:
-        """The artifact source a run's ANLZ stages build reports from."""
-        source: ArtifactSource = self.artifact_source
-        if intervention.permutation:
-            source = PermutedArtifactSource(source, intervention.permutation)
-        return _RepresentationSource(source, self.agents.summarizer, self._summary_cache)
-
-    def _execute(
-        self, led: RunLedger, source: ArtifactSource, stage: Stage, index: int, r: int, attempt=-1
-    ) -> object:
+    def _execute(self, led: RunLedger, stage: Stage, index: int, r: int, attempt=-1) -> object:
         """Produce sample `index`'s round-`r` ANLZ, GEN or EVAL product: decode
         it from the replay archive, noting its `Task` in `led.replayed`, or do
         its work (agent calls)."""
@@ -574,7 +564,7 @@ class InterventionPipeline:
             # A frozen sample's ANLZ product depends only on the intervention,
             # so it is computed once per pipeline, unless a planner that does
             # not declare itself deterministic plans on it.
-            analyze = functools.partial(self._analyze, sid, led.intervention, source)
+            analyze = functools.partial(self._analyze, sid, led.intervention)
             planned = led.intervention.plan_mode is PlanMode.SELF
             if planned and not getattr(self.agents.planner, "deterministic", False):
                 return analyze()
@@ -592,10 +582,14 @@ class InterventionPipeline:
         except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
             return crash_record(str(exc))
 
-    def _analyze(
-        self, sid: str, intervention: Intervention, source: ArtifactSource
-    ) -> tuple[Report, PlanArtifact | None]:
-        """One sample's ANLZ work: its report and, by plan mode, its plan."""
+    def _analyze(self, sid: str, intervention: Intervention) -> tuple[Report, PlanArtifact | None]:
+        """One sample's ANLZ work: its report, built from the artifact source
+        through the intervention's permutation and representation, and, by
+        plan mode, its plan."""
+        source: ArtifactSource = self.artifact_source
+        if intervention.permutation:
+            source = PermutedArtifactSource(source, intervention.permutation)
+        source = _RepresentationSource(source, self.agents.summarizer, self._summary_cache)
         report = build_report(sid, intervention.coalition, intervention.representation, source, self.players)
         plan: PlanArtifact | None = None
         if intervention.plan_mode is PlanMode.SELF:

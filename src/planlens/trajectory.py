@@ -436,31 +436,46 @@ class TrajectoryStore:
     @classmethod
     def load(cls, path: str, retry_budget: int | None = None) -> "TrajectoryStore":
         store: TrajectoryStore | None = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = parse_json(line)
-                    sample = Sample.from_json(data)
-                except ValueError as exc:  # not JSON, or not a sample record
-                    raise StoreFormatError(str(exc), lineno) from exc
-                if "trajectory_id" not in data:
-                    raise StoreFormatError("record lacks trajectory_id", lineno)
-                if store is None:
-                    store = cls(data["trajectory_id"], retry_budget)
-                elif data["trajectory_id"] != store.trajectory_id:
-                    raise StoreFormatError(
-                        f"trajectory_id mismatch {data['trajectory_id']!r}", lineno
-                    )
-                try:
-                    store.append(sample)
-                except ValueError as exc:
-                    raise StoreFormatError(str(exc), lineno) from exc
+        for lineno, data, sample in _read_records(path)[1]:
+            if "trajectory_id" not in data:
+                raise StoreFormatError("record lacks trajectory_id", lineno)
+            if store is None:
+                store = cls(data["trajectory_id"], retry_budget)
+            elif data["trajectory_id"] != store.trajectory_id:
+                raise StoreFormatError(
+                    f"trajectory_id mismatch {data['trajectory_id']!r}", lineno
+                )
+            try:
+                store.append(sample)
+            except ValueError as exc:
+                raise StoreFormatError(str(exc), lineno) from exc
         if store is None:
             store = cls("empty", retry_budget)
         return store
+
+
+def _read_records(path: str, header: bool = False) -> tuple[dict | None, list[tuple[int, dict, Sample]]]:
+    """The checkpoint header (if `header`, else None) and the sample records
+    of an NDJSON file, each as (physical line number, JSON object, Sample).
+    Blank lines are skipped but counted. A line that is not UTF-8, not JSON
+    or not a record of its kind raises StoreFormatError naming it."""
+    head, records = None, []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                data = parse_json(line)
+                if header and head is None:
+                    head = check_json(data, CHECKPOINT_HEADER_SCHEMA, "checkpoint header")["checkpoint"]
+                else:
+                    records.append((lineno, data, Sample.from_json(data)))
+            except ValueError as exc:  # not UTF-8, not JSON, or not a record of its kind
+                raise StoreFormatError(str(exc), lineno) from exc
+    if header and head is None:
+        raise StoreFormatError("empty checkpoint file", 1)
+    return head, records
 
 
 # The first line of a `save_checkpoint` file; sample records follow it.
@@ -497,22 +512,10 @@ def load_checkpoint(path: str) -> GenerationCheckpoint:
     """Read a `save_checkpoint` file as outside data: a malformed header,
     a sample of another trajectory or generation, or a repeated sample id
     raises StoreFormatError naming the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise StoreFormatError("empty checkpoint file", 1)
-    try:
-        header = check_json(parse_json(lines[0]), CHECKPOINT_HEADER_SCHEMA, "checkpoint header")["checkpoint"]
-    except ValueError as exc:
-        raise StoreFormatError(str(exc), 1) from exc
+    header, records = _read_records(path, header=True)
     trajectory_id, g = header["trajectory_id"], header["g"]
     samples: dict[str, Sample] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            data = parse_json(line)
-            sample = Sample.from_json(data)
-        except ValueError as exc:
-            raise StoreFormatError(str(exc), lineno) from exc
+    for lineno, data, sample in records:
         if data.get("trajectory_id", trajectory_id) != trajectory_id:
             raise StoreFormatError(
                 f"sample trajectory_id {data['trajectory_id']!r} is not the header's {trajectory_id!r}",
@@ -534,14 +537,19 @@ def load_checkpoint(path: str) -> GenerationCheckpoint:
     )
 
 
-def stats_to_csv(stats: Iterable[GenerationStats], meta: str | None = None) -> str:
-    """Render stats as CSV with columns (g, metric, rate, k, n_samples)."""
+def csv_text(rows: Iterable[Iterable], meta: str | None = None) -> str:
+    """`rows` as CSV text, led by a `# meta` provenance line when `meta` is given."""
     buf = io.StringIO()
     if meta:
         buf.write(f"# {meta}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["g", "metric", "rate", "k", "n_samples"])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def stats_to_csv(stats: Iterable[GenerationStats], meta: str | None = None) -> str:
+    """Render stats as CSV with columns (g, metric, rate, k, n_samples)."""
+    rows: list[list] = [["g", "metric", "rate", "k", "n_samples"]]
     for st in stats:
         for metric in METRICS:
-            writer.writerow([st.g, metric, repr(st.rate_for(metric)), st.k, st.n_samples])
-    return buf.getvalue()
+            rows.append([st.g, metric, repr(st.rate_for(metric)), st.k, st.n_samples])
+    return csv_text(rows, meta)

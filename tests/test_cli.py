@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -18,7 +19,9 @@ from planlens.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    MODE_ONLY_FLAGS,
     RUN_SETTINGS,
+    build_parser,
     load_experiment_config,
     main,
     synthetic_artifact_source,
@@ -190,6 +193,63 @@ class TestDeeplyNestedJson:
         assert main(["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"cannot parse checkpoint: line {line}:" in err and "Traceback" not in err
+
+
+class TestUnreadableInput:
+    """No input file makes `main` print a traceback: a directory or a file
+    that is not UTF-8 exits 3 (a config 2) naming the file, and the line of
+    an NDJSON file, counted as it stands in the file."""
+
+    @pytest.mark.parametrize(
+        "case, code, line",
+        [
+            pytest.param("trajectory-bytes", EXIT_DATA, 2, id="trajectory-bytes"),
+            pytest.param("checkpoint-bytes", EXIT_DATA, 3, id="checkpoint-bytes"),
+            pytest.param("tables-bytes", EXIT_DATA, None, id="tables-bytes"),
+            pytest.param("dot-bytes", EXIT_DATA, None, id="dot-bytes"),
+            pytest.param("trajectory-dir", EXIT_DATA, None, id="trajectory-dir"),
+            pytest.param("checkpoint-dir", EXIT_DATA, None, id="checkpoint-dir"),
+            pytest.param("tables-dir", EXIT_DATA, None, id="tables-dir"),
+            pytest.param("config-dir", EXIT_CONFIG, None, id="config-dir"),
+        ],
+    )
+    def test_unreadable_input_names_the_file(
+        self, tmp_path, trajectory_file, checkpoint_file, capsys, case, code, line
+    ):
+        kind, damage = case.split("-")
+        bad, good_dot = tmp_path / "bad", tmp_path / "good.dot"
+        good_dot.write_text("digraph { a -> b; }")
+        if damage == "dir":
+            bad.mkdir()
+        elif line is not None:
+            source = trajectory_file if kind == "trajectory" else checkpoint_file
+            lines = source.read_bytes().splitlines(keepends=True)
+            bad.write_bytes(b"".join(lines[: line - 1] + [b"\xff\xfe\n"] + lines[line - 1 :]))
+        else:
+            bad.write_bytes(b"\xff\xfe" + good_dot.read_bytes())
+        out = tmp_path / "out"
+        intervene = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--out", str(out)]
+        argv = {
+            "trajectory": ["freeze", "--trajectory", str(bad), "-g", "0", "--out", str(out)],
+            "checkpoint": ["intervene", "--checkpoint", str(bad), "--coalition", "d", "--out", str(out)],
+            "tables": ["attribute", "--tables", str(bad), "--out", str(out)],
+            "dot": ["gate", "--current", str(bad), "--reference", str(good_dot), "--status", "pass"],
+            "config": intervene + ["--config", str(bad)],
+        }[kind]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert line is None or f"line {line}:" in err
+        assert not out.exists()
+
+    def test_checkpoint_error_names_the_physical_line(self, tmp_path, checkpoint_file, capsys):
+        header, *samples = checkpoint_file.read_text().splitlines()
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join([header, "", samples[0], samples[1], "[]", *samples[2:]]) + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["intervene", "--checkpoint", str(bad), "--coalition", "d", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot parse checkpoint: line 5:" in err and "Traceback" not in err
 
 
 class TestIntervene:
@@ -1568,6 +1628,19 @@ class TestRunSettings:
         )
         assert config_of(unset) == config_of(explicit) != config_of(set_first)
         assert unset.read_bytes() == explicit.read_bytes()
+
+    def test_every_intervene_flag_is_classified(self):
+        """Each flag is a run setting, shared by both modes, or in exactly one
+        list of `MODE_ONLY_FLAGS`, so no flag can skip the mode check."""
+        parser = build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subcommands.choices["intervene"]._actions} - {"help"}
+        run_settings = {dest for dest, *_ in RUN_SETTINGS}
+        shared = {"checkpoint", "config", "sweep", "backend", "out"}
+        for dest in dests:
+            lists = sum(dest in flags for flags in MODE_ONLY_FLAGS.values())
+            assert (dest in run_settings) + (dest in shared) + lists == 1, dest
+        assert {dest for flags in MODE_ONLY_FLAGS.values() for dest in flags} <= dests
 
     def test_readme_config_example_names_every_run_setting(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
