@@ -125,11 +125,9 @@ def read_input(
     unreadable, not UTF-8 or not a sample record file."""
     try:
         return read(path)
-    except FileNotFoundError as exc:
-        raise error(f"{what} file not found: {path}") from exc
     except StoreFormatError as exc:
         raise error(f"cannot parse {what}: {exc} (file {path})") from exc
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, or not UTF-8
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 
 

@@ -281,7 +281,9 @@ class PermutedArtifactSource:
 
     def __init__(self, inner: ArtifactSource, mapping: Mapping[str, str]):
         self._inner = inner
-        self._mapping = dict(mapping)
+        # Not copied: a run builds one per ANLZ memo miss from its frozen
+        # intervention's permutation.
+        self._mapping = mapping
 
     def get(self, sample_id, component, representation):
         # The donor's artifact, payload included; the report is for the receiving sample.
