@@ -259,9 +259,7 @@ class _CallCounter:
 class MockSummarizer(_CallCounter):
     """Derives each summary purely from its input artifact (hash-sealed)."""
 
-    def __init__(self, model_tag: str = "mock-summarizer"):
-        super().__init__()
-        self.model_tag = model_tag
+    model_tag = "mock-summarizer"
 
     def summarize(
         self, artifacts: Sequence[FeedbackArtifact]
@@ -288,10 +286,7 @@ class MockPlanner(_CallCounter):
     # Its plan is a function of its report, so a pipeline may compute each
     # report's plan once and reuse it; a planner without this is asked anew.
     deterministic = True
-
-    def __init__(self, model_tag: str = "mock-planner"):
-        super().__init__()
-        self.model_tag = model_tag
+    model_tag = "mock-planner"  # every mock plan's producer_tag
 
     def plan(self, report: Report) -> PlanArtifact:
         self.bump()
@@ -317,15 +312,11 @@ class MockGenerator(_CallCounter):
     across coalitions, as banzhaf_stderr assumes.
     """
 
-    def __init__(
-        self,
-        behavior: MockBehavior,
-        model_tag: str = "mock-generator",
-        fail_attempts: frozenset[tuple[str, int]] = frozenset(),
-    ):
+    model_tag = "mock-generator"
+
+    def __init__(self, behavior: MockBehavior, fail_attempts: frozenset[tuple[str, int]] = frozenset()):
         super().__init__()
         self.behavior = behavior
-        self.model_tag = model_tag
         self.fail_attempts = fail_attempts
 
     def generate(
@@ -583,13 +574,9 @@ def prompt_inventory() -> dict[str, str]:
     return out
 
 
-def mock_artifact_payload(
-    sample: Sample, component_name: str, representation: Representation
-) -> str:
-    """Deterministic synthetic tool output for a sample."""
+def mock_artifact_payload(sample: Sample, component_name: str) -> str:
+    """Deterministic synthetic raw tool output for a sample."""
     digest = hashlib.sha256(
         f"{sample.sample_id}|{component_name}|{sample.program_text}".encode()
     ).hexdigest()
-    if representation is Representation.FORMATTED:
-        return f"[{component_name}] sample={sample.sample_id} digest={digest[:20]}"
     return f"{component_name} profile {digest[:20]} for {sample.sample_id}"

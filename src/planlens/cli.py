@@ -155,7 +155,9 @@ RUN_SETTINGS = (
 # The `intervene` flags, by dest, that only one mode reads; given in the
 # other mode a flag would be ignored, so it is refused. A single coalition's
 # stats CSV always holds every metric; a sweep builds its own interventions
-# per coalition and writes only the table.
+# per coalition and writes only the table. The config key `metrics` is a
+# sweep setting too, but it is not refused in a run: one config document
+# serves both modes, and a run writes every metric with or without it.
 MODE_ONLY_FLAGS = {
     "run": ("coalition", "plan_mode", "randomize_feedback", "trace", "archive", "replay"),
     "sweep": ("metrics",),
@@ -215,9 +217,7 @@ def synthetic_artifact_source(checkpoint, players) -> InMemoryArtifactSource:
                 FeedbackArtifact(
                     component=component,
                     representation=Representation.RAW,
-                    payload=mock_artifact_payload(
-                        sample, component.name, Representation.RAW
-                    ),
+                    payload=mock_artifact_payload(sample, component.name),
                     source_sample=sample.sample_id,
                 )
             )
@@ -322,11 +322,7 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         ),
     )
 
-    permutation = None
-    if args.randomize_feedback is not None:
-        permutation = dict(
-            randomize_feedback(checkpoint, args.randomize_feedback).mapping
-        )
+    permutation = None if args.randomize_feedback is None else randomize_feedback(checkpoint, args.randomize_feedback)
 
     out_path = Path(args.out)
     if args.sweep:
@@ -359,7 +355,6 @@ def cmd_intervene(args: argparse.Namespace) -> int:
         if args.replay:
             replay_cache = replay_load(args.replay, checkpoint)
         stats_rows = []
-        last_result = None
         for r in range(args.rollouts):
             run_id = pipe.submit(
                 checkpoint, intervention, seed=rollout_seed(args.seed, coalition, r), replay=replay_cache
@@ -373,10 +368,10 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             f"coalition {coalition.label(players)}: {args.rollouts} rollouts "
             f"-> {out_path}"
         )
-        if args.trace and last_result is not None:
+        if args.trace:
             export_trace(last_result, args.trace)
             print(f"event trace -> {args.trace}")
-        if args.archive and last_result is not None:
+        if args.archive:
             archive_run(last_result, args.archive)
             print(f"replay archive -> {args.archive}")
     return EXIT_OK

@@ -14,11 +14,11 @@ import functools
 import hashlib
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Hashable, Iterable, Mapping, Protocol
+from typing import Callable, Hashable, Iterable, Protocol
 
 from .seeding import rng_for
 from .trajectory import GenerationCheckpoint
@@ -276,27 +276,12 @@ class Memo:
         return value
 
 
-class PermutedArtifactSource:
-    """Reroutes lookups through a sample->donor mapping (randomized feedback)."""
-
-    def __init__(self, inner: ArtifactSource, mapping: Mapping[str, str]):
-        self._inner = inner
-        # Not copied: a run builds one per ANLZ memo miss from its frozen
-        # intervention's permutation.
-        self._mapping = mapping
-
-    def get(self, sample_id, component, representation):
-        # The donor's artifact, payload included; the report is for the receiving sample.
-        return self._inner.get(self._mapping.get(sample_id, sample_id), component, representation)
-
-
 def build_report(
     sample_id: str,
     coalition: Coalition,
     representation: Representation,
     artifact_source: ArtifactSource,
     players: Iterable[FeedbackComponent],
-    plan_slot: str | None = None,
 ) -> Report:
     """Assemble the report carrying exactly the coalition's artifacts."""
     artifacts = []
@@ -305,26 +290,12 @@ def build_report(
         if art is None or not art.payload:
             raise MissingFeedbackError(component, sample_id)
         artifacts.append(art)
-    return Report(
-        sample_id=sample_id,
-        coalition=coalition,
-        artifacts=tuple(artifacts),
-        plan_slot=plan_slot,
-    )
+    return Report(sample_id=sample_id, coalition=coalition, artifacts=tuple(artifacts))
 
 
-@dataclass(frozen=True)
-class FeedbackPermutation:
-    """Seeded permutation of sample->artifact assignment within a generation."""
-
-    mapping: Mapping[str, str] = field(default_factory=dict)
-    seed: int = 0
-
-
-def randomize_feedback(
-    checkpoint: GenerationCheckpoint, seed: int
-) -> FeedbackPermutation:
-    """Uniform random reassignment of feedback within the generation.
+def randomize_feedback(checkpoint: GenerationCheckpoint, seed: int) -> dict[str, str]:
+    """Uniform random reassignment of feedback within the generation, as a
+    sample -> donor map.
 
     Fixed points are allowed (the permutation is uniform over all n!
     permutations, not just derangements). The multiset of artifacts is
@@ -338,12 +309,12 @@ def randomize_feedback(
             "generation %d has a single sample; feedback randomization is a no-op",
             checkpoint.g,
         )
-        return FeedbackPermutation({ids[0]: ids[0]}, seed)
+        return {ids[0]: ids[0]}
     donors = list(ids)
     rng_for(seed, "feedback-permutation", checkpoint.trajectory_id, checkpoint.g).shuffle(
         donors
     )
-    return FeedbackPermutation(dict(zip(ids, donors)), seed)
+    return dict(zip(ids, donors))
 
 
 # -- packaged assets and the dummy plan control --------------------------------

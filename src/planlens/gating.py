@@ -157,7 +157,10 @@ def parse_dot(text: str) -> CfgGraph:
             brace = header.find("{")
             if brace == -1:
                 continue
-            graph_name = _literal(header[len("digraph"):brace].strip(), literals)
+            graph_name = header[len("digraph"):brace].strip()
+            if graph_name and not _IDENT_RE.match(graph_name):  # one id or none
+                raise DotSyntaxError("expected a digraph header", lineno)
+            graph_name = _literal(graph_name, literals)
             line = header[brace + 1 :].strip()
             if not line:
                 continue

@@ -41,7 +41,6 @@ from .feedback import (
     FeedbackArtifact,
     FeedbackComponent,
     Memo,
-    PermutedArtifactSource,
     Report,
     Representation,
     build_report,
@@ -154,7 +153,7 @@ class PipelineConfig:
     queue_capacity: int = 256  # bound on the GEN -> EVAL queue
     record_trace: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.generator_concurrency < 1:
             raise PipelineConfigError("generator_concurrency must be >= 1")
         if self.eval_concurrency < 1:
@@ -389,16 +388,19 @@ class _RepresentationSource:
     """Serves the requested representation, derived from the one read of
     the raw artifact: formatted output is a local deterministic transform;
     summarized output goes through the summarizer agent exactly once per
-    distinct raw artifact (content-addressed cache).
+    distinct raw artifact (content-addressed cache). Under randomized
+    feedback the raw artifact is the donor's (`donors` maps sample -> donor);
+    the report stays the receiving sample's.
     """
 
-    def __init__(self, inner: ArtifactSource, summarizer, cache: Memo):
+    def __init__(self, inner: ArtifactSource, donors: Mapping[str, str], summarizer, cache: Memo):
         self._inner = inner
+        self._donors = donors
         self._summarizer = summarizer
         self._cache = cache
 
     def get(self, sample_id, component, representation):
-        raw = self._inner.get(sample_id, component, Representation.RAW)
+        raw = self._inner.get(self._donors.get(sample_id, sample_id), component, Representation.RAW)
         if raw is None or representation is Representation.RAW:
             return raw
         if representation is Representation.FORMATTED:
@@ -432,7 +434,6 @@ class InterventionPipeline:
         self.artifact_source = artifact_source
         self.players = players or default_components()
         self.config = config or PipelineConfig()
-        self.config.validate()
         # The generator's behaviour overrides the default latencies stage by stage.
         self.latency_model = LatencyModel(
             seed=self.config.seed,
@@ -586,10 +587,9 @@ class InterventionPipeline:
         """One sample's ANLZ work: its report, built from the artifact source
         through the intervention's permutation and representation, and, by
         plan mode, its plan."""
-        source: ArtifactSource = self.artifact_source
-        if intervention.permutation:
-            source = PermutedArtifactSource(source, intervention.permutation)
-        source = _RepresentationSource(source, self.agents.summarizer, self._summary_cache)
+        source = _RepresentationSource(
+            self.artifact_source, intervention.permutation or {}, self.agents.summarizer, self._summary_cache
+        )
         report = build_report(sid, intervention.coalition, intervention.representation, source, self.players)
         plan: PlanArtifact | None = None
         if intervention.plan_mode is PlanMode.SELF:

@@ -356,9 +356,8 @@ class TrajectoryStore:
     stored values are immutable, so concurrent readers are safe.
     """
 
-    def __init__(self, trajectory_id: str, retry_budget: int | None = None):
+    def __init__(self, trajectory_id: str):
         self.trajectory_id = trajectory_id
-        self.retry_budget = retry_budget
         self._samples: dict[str, Sample] = {}
         self._generations: dict[int, list[str]] = {}
         self._references: dict[int, tuple[str, ...]] = {}
@@ -383,14 +382,6 @@ class TrajectoryStore:
                         f"(parent g={parent.generation_index}, "
                         f"child g={sample.generation_index})"
                     )
-            if (
-                self.retry_budget is not None
-                and len(sample.executions) > self.retry_budget
-            ):
-                raise ValueError(
-                    f"sample has {len(sample.executions)} executions, "
-                    f"budget is {self.retry_budget}"
-                )
             self._samples[sample.sample_id] = sample
             self._generations.setdefault(sample.generation_index, []).append(
                 sample.sample_id
@@ -434,13 +425,13 @@ class TrajectoryStore:
                 fh.write("\n")
 
     @classmethod
-    def load(cls, path: str, retry_budget: int | None = None) -> "TrajectoryStore":
+    def load(cls, path: str) -> "TrajectoryStore":
         store: TrajectoryStore | None = None
         for lineno, data, sample in _read_records(path)[1]:
             if "trajectory_id" not in data:
                 raise StoreFormatError("record lacks trajectory_id", lineno)
             if store is None:
-                store = cls(data["trajectory_id"], retry_budget)
+                store = cls(data["trajectory_id"])
             elif data["trajectory_id"] != store.trajectory_id:
                 raise StoreFormatError(
                     f"trajectory_id mismatch {data['trajectory_id']!r}", lineno
@@ -450,7 +441,7 @@ class TrajectoryStore:
             except ValueError as exc:
                 raise StoreFormatError(str(exc), lineno) from exc
         if store is None:
-            store = cls("empty", retry_budget)
+            store = cls("empty")
         return store
 
 

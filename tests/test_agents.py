@@ -377,7 +377,7 @@ class TestPromptAssets:
 
 def test_mock_artifact_payload_deterministic():
     s = sample()
-    a = mock_artifact_payload(s, "debugger", Representation.RAW)
-    b = mock_artifact_payload(s, "debugger", Representation.RAW)
+    a = mock_artifact_payload(s, "debugger")
+    b = mock_artifact_payload(s, "debugger")
     assert a == b
-    assert mock_artifact_payload(s, "analyzer", Representation.RAW) != a
+    assert mock_artifact_payload(s, "analyzer") != a

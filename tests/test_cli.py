@@ -843,6 +843,20 @@ class TestIntervene:
         assert main(argv) == EXIT_OK
         assert {row["metric"] for row in read_csv_rows(out)} == expected
 
+    def test_config_metrics_leave_a_coalition_run_unchanged(self, tmp_path, checkpoint_file):
+        # `metrics` is a sweep setting: a run writes every metric, with or without it.
+        outputs = []
+        for name, config in (("with", {"metrics": ["pass"]}), ("without", {})):
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            out = tmp_path / f"{name}.csv"
+            argv = ["intervene", "--checkpoint", str(checkpoint_file), "--config", str(config_path)]
+            argv += ["--coalition", "d", "--rollouts", "1", "--retries", "1", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]  # the `# meta` line included
+        assert [row["metric"] for row in read_csv_rows(out)] == ["compiled", "pass", "fast", "overall"]
+
     def intervene_with_backend(self, tmp_path, checkpoint_file, agents, backend):
         argv = [
             "intervene",

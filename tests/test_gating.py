@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import HeldSummarizer, build_checkpoint, run_in_threads
 from planlens.agents import MockSummarizer
@@ -25,6 +27,13 @@ from planlens.gating import (
 from planlens.trajectory import ExecutionRecord, OutcomeLevel, Sample
 
 D, A, P = default_components()
+
+# Pieces of DOT text, valid and not, joined at random for parse_dot's error property.
+DOT_PIECES = (
+    "digraph", "graph", "strict", "{", "}", ";", "->", "--", '"', "[", "]", "label", "=",
+    "a", "b_1", "x.y", "0", '"a;b"', '"//"', '"x // y"', '"q"', " ", "\n",
+)
+dot_texts = st.lists(st.sampled_from(DOT_PIECES), max_size=20).map("".join)
 
 
 def graph(edges, labels=None, nodes=None):
@@ -110,6 +119,23 @@ class TestParseDot:
     def test_unterminated_quote_rejected_with_line(self):
         with pytest.raises(DotSyntaxError, match="line 2: unterminated"):
             parse_dot('digraph {\n  "a;b" -> "c;\n}')
+
+    @pytest.mark.parametrize(
+        "header", ['digraph "a;b" x {', 'digraph "ab" x {', "digraph x y {"], ids=["masked", "quoted", "two-ids"]
+    )
+    def test_graph_name_is_one_id(self, header):
+        with pytest.raises(DotSyntaxError, match="line 1: expected a digraph header"):
+            parse_dot(f"{header}\n  a -> b;\n}}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(dot_texts, dot_texts.map(lambda body: f"digraph {{{body}}}")))
+    @example('digraph "a;b" x {\n  a -> b;\n}')
+    def test_any_text_parses_or_is_a_syntax_error(self, text):
+        try:
+            graph = parse_dot(text)
+        except DotSyntaxError:
+            return
+        assert isinstance(graph, CfgGraph)
 
 
 # Hand WL iteration for the path-vs-triangle oracle, h=1, uniform labels:

@@ -47,7 +47,6 @@ from planlens.feedback import (
     Coalition,
     FeedbackArtifact,
     Memo,
-    PermutedArtifactSource,
     Report,
     Representation,
     build_report,
@@ -802,10 +801,7 @@ class TestAnlzMemo:
         intervention = Intervention(Coalition(mask), representation, plan_mode, permutation)
         first, _ = run_once(pipe, cp, intervention)
         memoized, _ = run_once(pipe, cp, intervention, seed=1)
-        source = pipe.artifact_source
-        if permutation:
-            source = PermutedArtifactSource(source, permutation)
-        source = pipeline_mod._RepresentationSource(source, MockSummarizer(), Memo())
+        source = pipeline_mod._RepresentationSource(pipe.artifact_source, permutation or {}, MockSummarizer(), Memo())
         for sid in cp.sample_ids():
             report = build_report(sid, Coalition(mask), representation, source, default_components())
             plan = None

@@ -204,11 +204,6 @@ class TestStore:
         with pytest.raises(ValueError, match="duplicate"):
             store.append(make_sample("a0", [], g=0))
 
-    def test_retry_budget_enforced(self):
-        store = TrajectoryStore("t", retry_budget=2)
-        with pytest.raises(ValueError, match="budget"):
-            store.append(make_sample("s", [OutcomeLevel.PASS] * 3))
-
     def test_freeze_unknown_generation(self):
         store = self.build_store()
         with pytest.raises(GenerationNotFoundError):
