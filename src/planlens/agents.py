@@ -19,7 +19,7 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .feedback import Coalition, FeedbackArtifact, Report, Representation, read_asset
+from .feedback import Coalition, FeedbackArtifact, Memo, Report, Representation, read_asset
 # `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
 from .seeding import SeedPrefix, hash_uniform  # noqa: F401
 from .trajectory import ExecutionRecord, ListOf, NoneType, OutcomeLevel, Required, Sample, check_json
@@ -309,7 +309,9 @@ class MockGenerator(_CallCounter):
     Rollouts under different coalitions do not share random numbers,
     though: each rollout's run seed is derive_seed(seed, "rollout", mask,
     r), so it differs per coalition. Rollouts are therefore independent
-    across coalitions, as banzhaf_stderr assumes.
+    across coalitions, as banzhaf_stderr assumes. The thresholds are
+    resolved once per (coalition mask, plan producer tag), so a clamp
+    warning is logged once per such key, not once per call.
     """
 
     model_tag = "mock-generator"
@@ -318,6 +320,9 @@ class MockGenerator(_CallCounter):
         super().__init__()
         self.behavior = behavior
         self.fail_attempts = fail_attempts
+        # (coalition mask, producer tag) -> grading thresholds under `behavior`,
+        # which is set once, here
+        self._thresholds = Memo()
 
     def generate(
         self,
@@ -332,33 +337,26 @@ class MockGenerator(_CallCounter):
             raise ValueError("k must be >= 1")
         self.bump()
         producer = plan.producer_tag if plan is not None else None
-        p_c, p_p, p_f = self.behavior.probabilities(report.coalition, producer)
-        thresholds = (1.0 - p_c, 1.0 - p_p, 1.0 - p_f)
+        coalition, sid = report.coalition, sample.sample_id
+        thresholds = self._thresholds.get(
+            (coalition.mask, producer),
+            lambda: tuple(1.0 - p for p in self.behavior.probabilities(coalition, producer)),
+        )
         # Attempt a's quality is hash_uniform(seed, "quality", run_seed,
         # sample, round, a); the labels before the attempt are hashed once.
-        quality_seeds = SeedPrefix(
-            self.behavior.seed, "quality", run_seed, sample.sample_id, round_index
-        )
+        quality_seeds = SeedPrefix(self.behavior.seed, "quality", run_seed, sid, round_index)
+        fail_attempts = self.fail_attempts
         out: list[Candidate | GeneratorAttemptError] = []
         for attempt in range(k):
-            if (sample.sample_id, attempt) in self.fail_attempts:
-                out.append(
-                    GeneratorAttemptError(
-                        f"injected failure on attempt {attempt} "
-                        f"of sample {sample.sample_id}"
-                    )
-                )
+            if fail_attempts and (sid, attempt) in fail_attempts:
+                out.append(GeneratorAttemptError(f"injected failure on attempt {attempt} of sample {sid}"))
                 continue
-            quality = quality_seeds.derive(attempt) / 2.0**64
             out.append(
                 Candidate(
-                    sample_id=sample.sample_id,
+                    sample_id=sid,
                     attempt=attempt,
-                    text=(
-                        f"// candidate {sample.sample_id}#{attempt} "
-                        f"mask={report.coalition.mask}"
-                    ),
-                    quality=quality,
+                    text=f"// candidate {sid}#{attempt} mask={coalition.mask}",
+                    quality=quality_seeds.derive(attempt) / 2.0**64,
                     thresholds=thresholds,
                     plan_tag=producer,
                 )
@@ -381,7 +379,7 @@ class MockEvaluator(_CallCounter):
 
     def evaluate(self, candidate: Candidate) -> ExecutionRecord:
         self.bump()
-        if (candidate.sample_id, candidate.attempt) in self.crash_on:
+        if self.crash_on and (candidate.sample_id, candidate.attempt) in self.crash_on:
             raise RuntimeError(
                 f"injected evaluator crash on {candidate.sample_id}"
                 f"#{candidate.attempt}"

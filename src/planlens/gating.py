@@ -82,6 +82,8 @@ _NODE_RE = re.compile(
 _EDGE_SPLIT_RE = re.compile(r"\s*->\s*")
 _LABEL_RE = re.compile(r'label\s*=\s*("(?P<quoted>[^"]*)"|(?P<bare>[A-Za-z0-9_.]+))')
 _IDENT_RE = re.compile(r'^("([^"]*)"|[A-Za-z0-9_.]+)$')
+# A header word ends at whitespace, "{" or '"'; a stray quote is a word of its own.
+_HEADER_WORD_RE = re.compile(r'"[^"]*"|[^\s"{]+|"')
 # A quoted string holding a character that the statement syntax reads.
 _QUOTED_SYNTAX_RE = re.compile(r'"[^"]*[;/{}\[\]=-][^"]*"')
 
@@ -134,6 +136,7 @@ def parse_dot(text: str) -> CfgGraph:
     graph_name = ""
 
     lines = text.splitlines()
+    head: list[tuple[str, str]] = []  # header words read so far: (as written, as text)
     opened = False
     closed = False
     for lineno, raw in enumerate(lines, start=1):
@@ -146,22 +149,26 @@ def parse_dot(text: str) -> CfgGraph:
         if not line:
             continue
         if not opened:
-            header = line
-            if header.lower().startswith("strict "):
-                header = header[len("strict "):].lstrip()
-            if header.lower().startswith("graph"):
+            # The header's words, up to its "{", may span lines: checked as
+            # they come, each quoted one read as text on its own line.
+            brace = line.find("{")
+            words = _HEADER_WORD_RE.findall(line if brace == -1 else line[:brace])
+            head += [(word, _literal(word, literals)) for word in words]
+            words = head[1:] if head and head[0][0].lower() == "strict" else head
+            keyword = words[0][0].lower() if words else None
+            if keyword == "graph":
                 raise DotSyntaxError("undirected graphs are not supported", lineno)
-            if not header.lower().startswith("digraph"):
+            if keyword not in (None, "digraph") or len(words) > 2 or (
+                len(words) == 2 and not _IDENT_RE.match(words[1][0])  # one graph name or none
+            ):
                 raise DotSyntaxError("expected a digraph header", lineno)
-            opened = True
-            brace = header.find("{")
             if brace == -1:
                 continue
-            graph_name = header[len("digraph"):brace].strip()
-            if graph_name and not _IDENT_RE.match(graph_name):  # one id or none
+            if keyword is None:
                 raise DotSyntaxError("expected a digraph header", lineno)
-            graph_name = _literal(graph_name, literals)
-            line = header[brace + 1 :].strip()
+            opened = True
+            graph_name = words[1][1] if len(words) == 2 else ""
+            line = line[brace + 1 :].strip()
             if not line:
                 continue
         if closed:
@@ -223,7 +230,7 @@ def parse_dot(text: str) -> CfgGraph:
                         label = literals[int(label)]
                     explicit_labels[nid] = label
     if not opened:
-        raise DotSyntaxError("no digraph found", max(1, len(lines)))
+        raise DotSyntaxError("missing opening brace" if head else "no digraph found", max(1, len(lines)))
     if not closed:
         raise DotSyntaxError("missing closing brace", max(1, len(lines)))
 

@@ -287,6 +287,23 @@ class RunLedger:
         signature, seed, k, rounds, stage name, sample, round, attempt)."""
         return "%016x" % self._stage_prefix.derive(stage.name, sample_id, round_index, attempt)
 
+    def replayed_product(self, task: Task) -> object:
+        """The task's ANLZ, GEN or EVAL product decoded from the replay
+        archive, noting the task in `replayed`; None if the archive holds no
+        entry for it. An entry that does not decode raises
+        ReplayArchiveError naming its file."""
+        stage = task.stage
+        entry = self.replay.entries.get(self.stage_key(stage, task.sample_id, task.round_index, task.attempt))
+        if entry is None:
+            return None
+        path, payload = entry
+        try:
+            product = _DECODE[stage](check_json(payload, _ENTRY_SCHEMA[stage], f"{stage.name} entry"), self.config.k)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ReplayArchiveError(f"replay archive file {path} holds no {stage.name} entry ({exc!r})") from exc
+        self.replayed.add(task)
+        return product
+
     def archive_entries(self) -> dict[str, dict]:
         """Stage key -> archive payload for every stage of the run, replayed
         stages included; `archive_run` writes these."""
@@ -442,7 +459,7 @@ class InterventionPipeline:
         self._ledgers: dict[str, RunLedger] = {}  # submitted, not yet driven
         self._lock = threading.Lock()
         self._summary_cache = Memo()
-        # (sample id, intervention signature) -> ANLZ product; see `_execute`.
+        # (sample id, intervention signature) -> ANLZ product; see `_run_samples`.
         self._anlz_cache = Memo()
         self._run_counter = itertools.count()
 
@@ -525,63 +542,47 @@ class InterventionPipeline:
 
     def _run_samples(self, led: RunLedger) -> None:
         """Do each sample's stage work in sample order: per round ANLZ, GEN and
-        one EVAL per candidate, then AGG. The products go to the round states
-        and `best_outcomes`; no order of the stages can change them."""
+        one EVAL per candidate, then AGG. A replaying run takes each stage's
+        product from its archive where it holds one. The products go to the
+        round states and `best_outcomes`; no order of the stages can change
+        them."""
+        k, rounds, seed, replay = self.config.k, self.config.rounds, led.seed, led.replay
+        generate, evaluate = self.agents.generator.generate, self.agents.evaluator.evaluate
+        # A frozen sample's ANLZ product depends only on the intervention, so
+        # it is computed once per pipeline, unless a planner that does not
+        # declare itself deterministic plans on it.
+        intervention, anlz_key = led.intervention, led.intervention_signature
+        memoized = intervention.plan_mode is not PlanMode.SELF or getattr(self.agents.planner, "deterministic", False)
         for index, sample in enumerate(led.checkpoint.samples):
             sid = sample.sample_id
             best = OutcomeLevel.FAILED
-            for r in range(self.config.rounds):
+            for r in range(rounds):
                 state = led.rounds[sid, r] = _RoundState()
-                state.report, state.plan = self._execute(led, Stage.ANLZ, index, r)
-                candidates, state.failures = self._execute(led, Stage.GEN, index, r)
+                product = None if replay is None else led.replayed_product(Task(index, r, Stage.ANLZ, -1, sid))
+                if product is None:
+                    analyze = functools.partial(self._analyze, sid, intervention)
+                    product = self._anlz_cache.get((sid, anlz_key), analyze) if memoized else analyze()
+                state.report, state.plan = product
+                product = None if replay is None else led.replayed_product(Task(index, r, Stage.GEN, -1, sid))
+                if product is None:
+                    outputs = generate(sample, state.report, state.plan, k, run_seed=seed, round_index=r)
+                    product = (
+                        [c for c in outputs if not isinstance(c, GeneratorAttemptError)],
+                        [(j, str(e)) for j, e in enumerate(outputs) if isinstance(e, GeneratorAttemptError)],
+                    )
+                candidates, state.failures = product
                 state.candidates = {cand.attempt: cand for cand in candidates}
-                for attempt in state.candidates:
-                    record = self._execute(led, Stage.EVAL, index, r, attempt)
+                for attempt, candidate in state.candidates.items():
+                    record = None if replay is None else led.replayed_product(Task(index, r, Stage.EVAL, attempt, sid))
+                    if record is None:
+                        try:
+                            record = evaluate(candidate)
+                        except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
+                            record = crash_record(str(exc))
                     state.records[attempt] = record
                     state.best = max(state.best, classify_execution(record))
                 best = max(best, state.best)
             led.best_outcomes[sid] = best
-
-    def _execute(self, led: RunLedger, stage: Stage, index: int, r: int, attempt=-1) -> object:
-        """Produce sample `index`'s round-`r` ANLZ, GEN or EVAL product: decode
-        it from the replay archive, noting its `Task` in `led.replayed`, or do
-        its work (agent calls)."""
-        sample = led.checkpoint.samples[index]
-        sid = sample.sample_id
-        replay = led.replay  # the archive's (entry file, payload) by stage key
-        entry = replay and replay.entries.get(led.stage_key(stage, sid, r, attempt))
-        if entry:
-            path, payload = entry
-            try:
-                checked = check_json(payload, _ENTRY_SCHEMA[stage], f"{stage.name} entry")
-                product = _DECODE[stage](checked, self.config.k)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ReplayArchiveError(
-                    f"replay archive file {path} holds no {stage.name} entry ({exc!r})"
-                ) from exc
-            led.replayed.add(Task(index, r, stage, attempt, sid))
-            return product
-        if stage is Stage.ANLZ:
-            # A frozen sample's ANLZ product depends only on the intervention,
-            # so it is computed once per pipeline, unless a planner that does
-            # not declare itself deterministic plans on it.
-            analyze = functools.partial(self._analyze, sid, led.intervention)
-            planned = led.intervention.plan_mode is PlanMode.SELF
-            if planned and not getattr(self.agents.planner, "deterministic", False):
-                return analyze()
-            return self._anlz_cache.get((sid, led.intervention_signature), analyze)
-        state = led.rounds[sid, r]
-        if stage is Stage.GEN:
-            outputs = self.agents.generator.generate(
-                sample, state.report, state.plan,
-                self.config.k, run_seed=led.seed, round_index=r,
-            )
-            failures = [(j, str(e)) for j, e in enumerate(outputs) if isinstance(e, GeneratorAttemptError)]
-            return [c for c in outputs if not isinstance(c, GeneratorAttemptError)], failures
-        try:
-            return self.agents.evaluator.evaluate(state.candidates[attempt])
-        except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
-            return crash_record(str(exc))
 
     def _analyze(self, sid: str, intervention: Intervention) -> tuple[Report, PlanArtifact | None]:
         """One sample's ANLZ work: its report, built from the artifact source
@@ -940,9 +941,10 @@ def _report_to_json(report: Report) -> dict:
 # -- archive codec ---------------------------------------------------------------
 # One archive payload per ANLZ, GEN and EVAL stage. Each encoder takes the
 # product the stage's work returns and its decoder, given the run's k, gives
-# that product back; `RunLedger.archive_entries` encodes and `_execute`
-# checks an entry against its stage's schema and decodes it on replay,
-# turning the checker's or a decoder's error into ReplayArchiveError.
+# that product back; `RunLedger.archive_entries` encodes, and on replay
+# `RunLedger.replayed_product` checks an entry against its stage's schema and
+# decodes it, turning the checker's or a decoder's error into
+# ReplayArchiveError.
 
 _ARTIFACT_SCHEMA = {
     "component": Required({"id": Required(int), "name": Required(str), "short": str}),

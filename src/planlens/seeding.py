@@ -10,14 +10,16 @@ from __future__ import annotations
 import random
 from hashlib import blake2b
 
-_SEP = "\x1f"
+# Label count -> "%s\x1f" repeated that often; `%s` formats a label as str() does.
+_FORMATS: dict[int, str] = {}
 
 
 def _frame(parts: tuple) -> bytes:
-    """Hash input for a label path: each part's str() followed by _SEP."""
-    if not parts:
-        return b""
-    return (_SEP.join(map(str, parts)) + _SEP).encode("utf-8")
+    """Hash input for a label path: each part's str() followed by "\x1f"."""
+    fmt = _FORMATS.get(len(parts))
+    if fmt is None:
+        fmt = _FORMATS[len(parts)] = "%s\x1f" * len(parts)
+    return (fmt % parts).encode()
 
 
 def derive_seed(root: int, *labels: object) -> int:

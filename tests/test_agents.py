@@ -190,6 +190,18 @@ class TestMockGenerator:
         assert p_p <= p_c
         assert any("clamping" in r.message for r in caplog.records)
 
+    def test_chain_violation_warns_once_per_key_through_generate(self, caplog):
+        behavior = self.behavior(effects=(Effect(requires=A.bit, level=OutcomeLevel.PASS, delta=0.6),))
+        gen = MockGenerator(behavior)
+        with caplog.at_level("WARNING"):
+            for run_seed in range(3):
+                out = gen.generate(sample(), report_for(Coalition.of(A)), None, k=2, run_seed=run_seed)
+            clamped = [c.thresholds for c in out]
+            gen.generate(sample(), report_for(Coalition.of(A, D)), None, k=2)
+            gen.generate(sample(), report_for(Coalition(0)), None, k=2)  # within the chain
+        assert [r.message.count("clamping") for r in caplog.records] == [1, 1]  # masks A and A|D
+        assert clamped == [(1.0 - 0.6, 1.0 - 0.6, 1.0 - 0.2)] * 2
+
     def test_behavior_json_roundtrip(self):
         data = {
             "seed": 9,

@@ -121,15 +121,30 @@ class TestParseDot:
             parse_dot('digraph {\n  "a;b" -> "c;\n}')
 
     @pytest.mark.parametrize(
-        "header", ['digraph "a;b" x {', 'digraph "ab" x {', "digraph x y {"], ids=["masked", "quoted", "two-ids"]
+        "header, name",
+        [
+            ('digraph "a;b" x {', None),
+            ('digraph "ab" x {', None),
+            ("digraph x y {", None),
+            ("digraphx {", None),
+            ("digraph x\n{", "x"),
+        ],
+        ids=["masked", "quoted", "two-ids", "keyword-prefix", "brace-on-next-line"],
     )
-    def test_graph_name_is_one_id(self, header):
-        with pytest.raises(DotSyntaxError, match="line 1: expected a digraph header"):
-            parse_dot(f"{header}\n  a -> b;\n}}")
+    def test_graph_name_is_one_id(self, header, name):
+        # The keyword ends at whitespace, "{" or '"'; the "{" may follow on a later line.
+        text = f"{header}\n  a -> b;\n}}"
+        if name is None:
+            with pytest.raises(DotSyntaxError, match="line 1: expected a digraph header"):
+                parse_dot(text)
+        else:
+            assert parse_dot(text) == CfgGraph(nodes=(("a", "1"), ("b", "0")), edges=(("a", "b"),), source=name)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(dot_texts, dot_texts.map(lambda body: f"digraph {{{body}}}")))
     @example('digraph "a;b" x {\n  a -> b;\n}')
+    @example("digraphx { a -> b; }")
+    @example("digraph x\n{\n a -> b;\n}")
     def test_any_text_parses_or_is_a_syntax_error(self, text):
         try:
             graph = parse_dot(text)

@@ -136,7 +136,7 @@ class TestSubmit:
 
     def test_config_validation(self):
         with pytest.raises(PipelineConfigError, match="queue_capacity"):
-            PipelineConfig(k=8, queue_capacity=4).validate()
+            PipelineConfig(k=8, queue_capacity=4)
 
     def test_checkpoint_hash_unchanged_by_run(self, checkpoint25):
         before = checkpoint25.checkpoint_hash
@@ -892,6 +892,23 @@ class TestCostGuards:
         assert result.trace == ()
         assert hashed_by_planner == [1] * 25
         assert len(reports) == 25  # no report hashed outside the planner
+
+    def test_generator_resolves_thresholds_once_per_coalition_and_producer(self, monkeypatch):
+        calls = Counter()
+        probabilities = MockBehavior.probabilities
+
+        def counted(behavior, coalition, producer_tag=None):
+            calls[coalition.mask, producer_tag] += 1
+            return probabilities(behavior, coalition, producer_tag)
+
+        monkeypatch.setattr(MockBehavior, "probabilities", counted)
+        cp = build_checkpoint(25)
+        pipe = self.untraced_pipe(cp)  # k=5
+        run_once(pipe, cp)
+        run_once(pipe, cp, seed=1)
+        run_once(pipe, cp, Intervention(coalition=FULL, plan_mode=PlanMode.NONE))
+        assert pipe.agents.generator.calls == 75
+        assert calls == Counter({(FULL.mask, "mock-planner"): 1, (FULL.mask, None): 1})
 
     def test_rollout_simulates_no_schedule(self, monkeypatch):
         # A rollout reads only stats: even in a traced pipeline it draws no

@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import build_checkpoint
@@ -14,13 +14,16 @@ labels = st.lists(
         st.none(),
         st.booleans(),
     ),
-    max_size=8,
+    max_size=40,
 )
 
 
-@given(st.integers(min_value=0, max_value=2**64), labels, st.data())
-def test_prefix_derive_equals_derive_seed_for_any_split(root, path, data):
-    split = data.draw(st.integers(min_value=0, max_value=len(path)))
+@given(st.integers(min_value=0, max_value=2**64), labels, st.integers(min_value=0))
+@example(0, [], 0)
+@example(2**64, list(range(20)), 7)
+@example(5, ["%", "%s", "\x1f", "%s\x1f%d", "naïve", "ключ", "🔑"], 3)
+def test_prefix_derive_equals_derive_seed_for_any_split(root, path, split):
+    split %= len(path) + 1
     prefix = SeedPrefix(root, *path[:split])
     assert prefix.derive(*path[split:]) == derive_seed(root, *path)
 
