@@ -10,12 +10,13 @@ rewrite must reproduce every one of them bit for bit.
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 
 from conftest import build_checkpoint, build_pipe
 from planlens.feedback import Coalition, Representation, default_components
-from planlens.pipeline import ExecutionMode, Intervention, PipelineConfig
+from planlens.pipeline import ExecutionMode, Intervention, PipelineConfig, archive_run, replay_load
 
 SERIAL = ExecutionMode.SERIAL
 STAGE_SYNC = ExecutionMode.STAGE_SYNC
@@ -43,7 +44,15 @@ CASES = {
     "stage-sync-rounds3-fails": (12, dict(execution_mode=STAGE_SYNC, k=5, rounds=3, generator_concurrency=4, eval_concurrency=3), FAILS, "raw"),
     "multi-async-rounds3": (17, dict(execution_mode=MULTI_ASYNC, k=3, rounds=3, generator_concurrency=4, eval_concurrency=2, queue_capacity=9), frozenset(), "formatted"),
     "multi-async-schedule-seed": (17, dict(execution_mode=MULTI_ASYNC, k=3, rounds=3, generator_concurrency=4, eval_concurrency=2, schedule_seed=3), FAILS, "raw"),
+    "multi-async-backpressure-schedule-seed": (17, dict(execution_mode=MULTI_ASYNC, k=5, generator_concurrency=16, eval_concurrency=2, queue_capacity=12, schedule_seed=3), frozenset(), "raw"),
+    "multi-async-rounds2-fails-schedule-seed": (12, dict(execution_mode=MULTI_ASYNC, k=3, rounds=2, generator_concurrency=4, eval_concurrency=1, queue_capacity=4, schedule_seed=7), FAILS, "raw"),
+    "multi-async-backpressure-replay-anlz": (17, dict(execution_mode=MULTI_ASYNC, k=5, generator_concurrency=16, eval_concurrency=2, queue_capacity=12), frozenset(), "raw"),
 }
+
+# name -> the stage kinds a case's run is replayed from. The case's run is
+# recorded, archived, and its pin is that of a second run replaying only
+# these kinds: replayed tasks take no time, so they tie on finish time.
+REPLAYED = {"multi-async-backpressure-replay-anlz": {"anlz"}}
 
 # name -> (makespan, max_gen_inflight, max_eval_queue, max_llm_inflight,
 #          sha256 of the event sequence), as produced by the list-scan
@@ -64,6 +73,9 @@ PINS = {
     "stage-sync-rounds3-fails": (217.56802433828304, 4, 54, 4, "c88b1d27bf89d71ed1d6b1099ebf85ee2eb6dddd233427fcc61fd038c4085e71"),
     "multi-async-rounds3": (179.9220878238174, 3, 6, 4, "adb46477342a093558564c4ea0e2fc182fe71cf61a9bda7e2743803e50f05377"),
     "multi-async-schedule-seed": (162.5672496057713, 4, 19, 4, "e7de423c87095bb764cfd7dcb15f78190c5e36c60033b9761329d2d5d0d113a6"),
+    "multi-async-backpressure-schedule-seed": (92.46615197320239, 2, 8, 16, "ce6bec16ea3e87a95ee7f5f7fd3cdb6ac78254bebf092d1fe558d44c28c717de"),
+    "multi-async-rounds2-fails-schedule-seed": (201.6172833465344, 1, 3, 4, "3903655e2bdf709eaa6feb936f913edfb9c438918a8d6dbfe7e34534c71a760c"),
+    "multi-async-backpressure-replay-anlz": (87.35471580588758, 2, 9, 16, "cb4e4a4834cc43e223073a21ada78b03c86c5715b97e87b255969dbd9a143890"),
 }
 
 
@@ -87,6 +99,12 @@ def run_case(name):
     )
     run_id = pipe.submit(checkpoint, intervention, seed=11)
     result = pipe.run_to_completion(run_id)
+    if name in REPLAYED:
+        with tempfile.TemporaryDirectory() as archive_dir:
+            archive_run(result, archive_dir)
+            replay = replay_load(archive_dir, checkpoint).filter(REPLAYED[name])
+        result = pipe.run_to_completion(pipe.submit(checkpoint, intervention, seed=11, replay=replay))
+        assert 0 < result.ledger.replay_hits < len(result.trace)
     return (
         result.makespan,
         result.max_gen_inflight,
@@ -115,7 +133,16 @@ def test_cases_cover_required_shapes():
         and f.get("queue_capacity", 256) < (f.get("generator_concurrency", 16) + 1) * f["k"]
         for _, f, _, _ in CASES.values()
     )
+    # Under a schedule seed, heap entries are (priority, task) pairs; the
+    # scan sets entries aside only under backpressure.
+    assert any(
+        f.get("schedule_seed") is not None
+        and f["execution_mode"] is MULTI_ASYNC
+        and f.get("queue_capacity", 256) < (f.get("generator_concurrency", 16) + 1) * f["k"]
+        for _, f, _, _ in CASES.values()
+    )
     assert any(fails for _, _, fails, _ in CASES.values())
+    assert set(REPLAYED) <= set(CASES)
     assert set(PINS) == set(CASES)
 
 
