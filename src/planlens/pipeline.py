@@ -149,7 +149,7 @@ class PipelineConfig:
     rounds: int = 1
     seed: int = 0
     execution_mode: ExecutionMode = ExecutionMode.MULTI_ASYNC
-    schedule_seed: int | None = None  # randomizes multi-async tie-breaking
+    schedule_seed: int | None = None  # permutes the schedule in every mode: a random priority per ready task
     queue_capacity: int = 256  # bound on the GEN -> EVAL queue
     record_trace: bool = True
 
@@ -371,34 +371,29 @@ class LatencyModel:
     """Simulated task duration: mean + tail * Exp(1), keyed by task identity.
 
     The Exp(1) draw is hash_uniform(seed, "latency", run_seed, stage name,
-    sample, round, attempt). Each stage's labels up to its name, and its
-    params, are resolved once per run seed; runs on other threads replace
-    that state whole, so a draw never mixes two runs.
+    sample, round, attempt). One table per run seed, by stage value, holds
+    each stage's bound `SeedPrefix.derive`, mean and tail; AGG's is None and
+    takes no time. Runs on other threads replace (run_seed, table) whole.
     """
 
     def __init__(self, seed: int = 0, params: Mapping[str, LatencyParams] | None = None):
         self.seed = seed
         self.params = dict(params or {})
-        # (run_seed, stage -> (SeedPrefix, params)) of the latest run seed
-        self._run: tuple | None = None
+        self._run: tuple | None = None  # (run_seed, table) of the latest run seed
 
     def duration(self, run_seed: int, task: Task) -> float:
-        if task.stage is Stage.AGG:
-            return 0.0
         run = self._run
         if run is None or run[0] != run_seed:
-            stages = {
-                s: (
-                    SeedPrefix(self.seed, "latency", run_seed, s.name),
-                    self.params.get(s.name.lower(), LatencyParams()),
-                )
-                for s in Stage
-                if s is not Stage.AGG
-            }
-            run = self._run = (run_seed, stages)
-        prefix, p = run[1][task.stage]
-        u = prefix.derive(task.sample_id, task.round_index, task.attempt) / 2.0**64
-        return p.mean + p.tail * -math.log(1.0 - u)
+            table: list[tuple | None] = [None] * (len(Stage) + 1)
+            for s in (Stage.ANLZ, Stage.GEN, Stage.EVAL):
+                p = self.params.get(s.name.lower(), LatencyParams())
+                table[s] = (SeedPrefix(self.seed, "latency", run_seed, s.name).derive, p.mean, p.tail)
+            run = self._run = (run_seed, table)
+        entry = run[1][task[2]]
+        if entry is None:
+            return 0.0
+        derive, mean, tail = entry
+        return mean + tail * -math.log(1.0 - derive(task[4], task[1], task[3]) / 2.0**64)
 
 
 class _RepresentationSource:
@@ -621,61 +616,60 @@ class InterventionPipeline:
         events = [Event(loaded, s.sample_id, led.run_id, {"index": i}, i, 0.0) for i, s in enumerate(samples) if trace]
         # Keyed by the run's seed, not its id: the id holds the process id.
         draw = None if cfg.schedule_seed is None else rng_for(cfg.schedule_seed, "schedule", led.seed).random
-        # Ready tasks: one heap per stage, indexed by the stage's value, whose
-        # entries are the tasks or, under schedule_seed, (random priority
-        # drawn once when the task becomes ready, task). The EVAL heap is the
-        # GEN -> EVAL queue.
+        # Ready tasks: one heap per stage, by stage value, of tasks or, under
+        # schedule_seed, (random priority drawn once when the task becomes
+        # ready, task). The EVAL heap is the GEN -> EVAL queue.
         ready: list[list] = [[] for _ in range(len(Stage) + 1)]
-        eval_queue = ready[EVAL]
-        # Stage-sync starts only the current stage of this cycle. A sample's
-        # next-round tasks become ready only after its current round's
-        # stages ran, so a stage's heap never holds two rounds here.
+        _, anlz_ready, gen_ready, eval_queue, agg_ready = ready
+        # Stage-sync turns on only the current stage of this cycle. A
+        # sample's next-round tasks become ready only after its current
+        # round's stages ran, so a stage's heap never holds two rounds here.
         cycle = [ANLZ, GEN, EVAL] * rounds + [AGG]
         wave = 0
+        on = [not stage_sync] * len(ready)  # by stage value
+        on[ANLZ] = True
         # Progress by sample: its last completed task, and the EVALs of its
         # current round still to complete (its rounds run one after another).
         last: list[Task | None] = [None] * len(samples)
         evals_left = [0] * len(samples)
         replayed = led.replayed
-        lanes = [(ANLZ, ready[ANLZ])] if stage_sync else [(stage, ready[stage]) for stage in Stage]
+        llm_slots, eval_slots, capacity = cfg.generator_concurrency, cfg.eval_concurrency, cfg.queue_capacity
         running: list[tuple] = []  # (finish, start order, task)
         clock, started, stall = 0.0, 0, None
         llm_inflight = gen_inflight = eval_inflight = max_llm = max_gen = max_queue = 0
         for index, sample in enumerate(samples):
             task = Task(index, 0, ANLZ, -1, sample.sample_id)
-            heappush(ready[ANLZ], task if draw is None else (draw(), task))
+            heappush(anlz_ready, task if draw is None else (draw(), task))
 
         while True:
-            # A scan visits ready tasks in key order and starts each one
-            # whose stage is open. Openness changes only when a task starts,
-            # so the scan pops the smallest entry above the cursor among the
-            # open heaps. Entries at or below the cursor in a heap that
-            # reopened were passed over while it was closed: they are set
-            # aside until the scan ends. Only GEN reopens within a scan (an
-            # EVAL start shortens the queue), so the EVAL heap's length
-            # stays the GEN -> EVAL queue's.
+            # A scan starts ready tasks in key order: it pops the smallest
+            # head above the cursor among the heaps whose stage is on and
+            # has a free resource. LLM and EVAL slots only fill within a
+            # scan and AGG needs none, so an open ANLZ, EVAL or AGG heap was
+            # open at every earlier pick and its head is above the cursor.
+            # Only GEN reopens (an EVAL start shortens the queue): its
+            # entries at or below the cursor, passed over while it was
+            # closed, are set aside until the scan ends.
             cursor = ()  # sorts before every entry
-            aside: list[tuple[list, tuple]] = []
+            aside: list = []
+            anlz_on, gen_on, eval_on, agg_on = on[ANLZ], on[GEN], on[EVAL], on[AGG]
             while not (serial and running):
-                llm_open = llm_inflight < cfg.generator_concurrency
-                # Backpressure on the GEN -> EVAL queue: each in-flight GEN
-                # will enqueue up to k evaluations, so space is reserved at
-                # start. Not applied under stage-sync, where the barrier
-                # already serializes the stages and blocking producers
-                # would deadlock against it.
-                gen_open = llm_open and (
-                    stage_sync or len(eval_queue) + (gen_inflight + 1) * k <= cfg.queue_capacity
-                )
-                # By stage: ANLZ, GEN, EVAL, AGG.
-                is_open = (None, llm_open, gen_open, eval_inflight < cfg.eval_concurrency, True)
                 best = None
-                for stage, heap in lanes:
-                    if not heap or not is_open[stage]:
-                        continue
-                    while heap and heap[0] <= cursor:
-                        aside.append((heap, heappop(heap)))
-                    if heap and (best is None or heap[0] < best[0]):
-                        best = heap
+                if llm_inflight < llm_slots:
+                    if anlz_on and anlz_ready:
+                        best = anlz_ready
+                    # Backpressure: each in-flight GEN will enqueue up to k
+                    # EVALs, so queue space is reserved at start. Not under
+                    # stage-sync, whose barrier would deadlock against it.
+                    if gen_on and gen_ready and (stage_sync or len(eval_queue) + (gen_inflight + 1) * k <= capacity):
+                        while gen_ready and gen_ready[0] <= cursor:
+                            aside.append(heappop(gen_ready))
+                        if gen_ready and (best is None or gen_ready[0] < best[0]):
+                            best = gen_ready
+                if eval_on and eval_queue and eval_inflight < eval_slots and (best is None or eval_queue[0] < best[0]):
+                    best = eval_queue
+                if agg_on and agg_ready and (best is None or agg_ready[0] < best[0]):
+                    best = agg_ready
                 if best is None:
                     break
                 cursor = heappop(best)
@@ -695,15 +689,16 @@ class InterventionPipeline:
                 # A replayed task takes no time.
                 finish = clock if replayed and task in replayed else clock + duration(seed, task)
                 heappush(running, (finish, started, task))
-            for heap, passed_over in aside:
-                heappush(heap, passed_over)
+            for passed_over in aside:
+                heappush(gen_ready, passed_over)
 
             if not running:
                 if not any(ready):
                     break
-                if stage_sync and not lanes[0][1] and wave + 1 < len(cycle):
+                if stage_sync and not ready[cycle[wave]] and wave + 1 < len(cycle):
+                    on[cycle[wave]] = False
                     wave += 1
-                    lanes = [(cycle[wave], ready[cycle[wave]])]
+                    on[cycle[wave]] = True
                     continue
                 stall = "ready tasks cannot acquire resources"
                 break
@@ -715,29 +710,34 @@ class InterventionPipeline:
             last[i] = task
             if trace:
                 events.append(_stage_event(led, task, len(events), clock))
-            if stage is AGG:
-                continue
-            if stage is ANLZ:
+            # A round has k EVALs but one ANLZ, one GEN and at most one AGG.
+            if stage is EVAL:
+                eval_inflight -= 1
+                evals_left[i] -= 1
+            elif stage is GEN:
+                llm_inflight -= 1
+                gen_inflight -= 1
+                state = led_rounds[sid, r]
+                for attempt in state.records:
+                    followup = Task(i, r, EVAL, attempt, sid)
+                    heappush(eval_queue, followup if draw is None else (draw(), followup))
+                if len(eval_queue) > max_queue:
+                    max_queue = len(eval_queue)
+                evals_left[i] = len(state.candidates)
+            elif stage is ANLZ:
                 llm_inflight -= 1
                 followup = Task(i, r, GEN, -1, sid)
+                heappush(gen_ready, followup if draw is None else (draw(), followup))
+                continue
             else:
-                if stage is GEN:
-                    llm_inflight -= 1
-                    gen_inflight -= 1
-                    state = led_rounds[sid, r]
-                    for attempt in state.records:
-                        followup = Task(i, r, EVAL, attempt, sid)
-                        heappush(eval_queue, followup if draw is None else (draw(), followup))
-                    if len(eval_queue) > max_queue:
-                        max_queue = len(eval_queue)
-                    evals_left[i] = len(state.candidates)
-                else:
-                    eval_inflight -= 1
-                    evals_left[i] -= 1
-                if evals_left[i]:
-                    continue
-                followup = Task(i, r + 1, ANLZ, -1, sid) if r + 1 < rounds else Task(i, r, AGG, -1, sid)
-            heappush(ready[followup[2]], followup if draw is None else (draw(), followup))
+                continue
+            if evals_left[i]:
+                continue
+            if r + 1 < rounds:
+                heap, followup = anlz_ready, Task(i, r + 1, ANLZ, -1, sid)
+            else:
+                heap, followup = agg_ready, Task(i, r, AGG, -1, sid)
+            heappush(heap, followup if draw is None else (draw(), followup))
 
         led.clock, led.max_llm_inflight, led.max_gen_inflight, led.max_eval_queue = clock, max_llm, max_gen, max_queue
         if stall is None and any(task is None or task.stage is not AGG for task in last):

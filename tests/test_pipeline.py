@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import sys
 import threading
 import time
@@ -67,12 +68,14 @@ from planlens.pipeline import (
     PlanMode,
     ReplayMismatchError,
     Stage,
+    Task,
     archive_run,
     export_trace,
     game_intervention,
     make_rollout_fn,
     replay_load,
 )
+from planlens.seeding import hash_uniform
 from planlens.trajectory import OutcomeLevel, classify_execution
 
 D, A, P = default_components()
@@ -319,6 +322,38 @@ class TestModes:
         assert result.max_gen_inflight <= 1
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mode=st.sampled_from(ExecutionMode),
+        llm_slots=st.integers(1, 5),
+        eval_slots=st.integers(1, 4),
+        k=st.integers(1, 4),
+        rounds=st.integers(1, 3),
+        spare=st.integers(0, 12),
+        schedule_seed=st.none() | st.integers(0, 1000),
+        fails=st.frozensets(st.tuples(st.sampled_from(["s000", "s001", "s002", "s003"]), st.integers(0, 3)), max_size=8),
+    )
+    def test_schedule_invariants(self, mode, llm_slots, eval_slots, k, rounds, spare, schedule_seed, fails):
+        cp = build_checkpoint(4)
+        config = PipelineConfig(
+            generator_concurrency=llm_slots, eval_concurrency=eval_slots, k=k, rounds=rounds, seed=1,
+            execution_mode=mode, schedule_seed=schedule_seed, queue_capacity=k + spare,
+        )
+        result, _ = run_once(build_pipe(cp, config=config, fail_attempts=fails), cp)
+        trace = result.trace
+        assert result.ledger.max_llm_inflight <= llm_slots and result.max_gen_inflight <= llm_slots
+        if mode is not ExecutionMode.STAGE_SYNC:  # the barrier, not backpressure, bounds its queue
+            assert result.max_eval_queue <= k + spare
+        # One event per task: a sample's load and AGG, a round's ANLZ and GEN, an EVAL's attempt.
+        tasks = {(e.kind, e.sample_id, e.payload.get("round"), e.payload.get("attempt")) for e in trace}
+        assert len(tasks) == len(trace)
+        assert Counter(e.kind for e in trace) == result.event_counts
+        times = [e.wall_time for e in trace]
+        assert times == sorted(times) and times[-1] == result.makespan
+        last = {e.sample_id: e.kind for e in trace}
+        assert last == dict.fromkeys(cp.sample_ids(), EventKind.AGGREGATED)
+
+
 def test_behavior_latency_sets_library_makespan():
     cp = build_checkpoint(4)
     slow = MockBehavior(seed=1, latency={"gen": LatencyParams(500.0, 0.0)})
@@ -326,6 +361,42 @@ def test_behavior_latency_sets_library_makespan():
     default, _ = run_once(build_pipe(cp), cp)
     assert result.makespan >= 500.0 > default.makespan
     assert result.stats == default.stats  # latency moves the clock, never an outcome
+
+
+class TestLatencyModel:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        params=st.dictionaries(
+            st.sampled_from(["anlz", "gen", "eval"]),
+            st.builds(LatencyParams, st.floats(0, 1e3), st.floats(0, 1e3)),
+        ),
+        draws=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # run seed: one model alternates between them
+                st.sampled_from(Stage),
+                st.text(max_size=4),
+                st.integers(0, 3),
+                st.integers(-1, 4),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_duration_is_the_tasks_hash_draw(self, seed, params, draws):
+        tasks = [(run_seed, Task(0, r, stage, attempt, sid)) for run_seed, stage, sid, r, attempt in draws]
+        expected = []
+        for run_seed, task in tasks:
+            if task.stage is Stage.AGG:
+                expected.append(0.0)
+                continue
+            p = params.get(task.stage.name.lower(), LatencyParams())
+            u = hash_uniform(seed, "latency", run_seed, task.stage.name, task.sample_id, task.round_index, task.attempt)
+            expected.append(p.mean + p.tail * -math.log(1 - u))
+        model = LatencyModel(seed, params)
+        alternating = [model.duration(run_seed, task) for run_seed, task in tasks]
+        fresh = [LatencyModel(seed, params).duration(run_seed, task) for run_seed, task in tasks]
+        assert list(map(float.hex, alternating)) == list(map(float.hex, fresh)) == list(map(float.hex, expected))
 
 
 class TestIsolation:
