@@ -652,7 +652,7 @@ class InterventionPipeline:
             # closed, are set aside until the scan ends.
             cursor = ()  # sorts before every entry
             aside: list = []
-            anlz_on, gen_on, eval_on, agg_on = on[ANLZ], on[GEN], on[EVAL], on[AGG]
+            _, anlz_on, gen_on, eval_on, agg_on = on
             while not (serial and running):
                 best = None
                 if llm_inflight < llm_slots:
@@ -729,7 +729,7 @@ class InterventionPipeline:
                 followup = Task(i, r, GEN, -1, sid)
                 heappush(gen_ready, followup if draw is None else (draw(), followup))
                 continue
-            else:
+            else:  # AGG
                 continue
             if evals_left[i]:
                 continue

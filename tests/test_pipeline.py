@@ -347,7 +347,7 @@ class TestModes:
         # One event per task: a sample's load and AGG, a round's ANLZ and GEN, an EVAL's attempt.
         tasks = {(e.kind, e.sample_id, e.payload.get("round"), e.payload.get("attempt")) for e in trace}
         assert len(tasks) == len(trace)
-        assert Counter(e.kind for e in trace) == result.event_counts
+        assert Counter(e.kind for e in trace) == Counter(result.event_counts)
         times = [e.wall_time for e in trace]
         assert times == sorted(times) and times[-1] == result.makespan
         last = {e.sample_id: e.kind for e in trace}
