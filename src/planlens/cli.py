@@ -276,6 +276,9 @@ def cmd_intervene(args: argparse.Namespace) -> int:
     ignored = ["--" + dest.replace("_", "-") for dest in MODE_ONLY_FLAGS[other] if getattr(args, dest) is not None]
     if ignored:
         raise ConfigError(f"{mode} cannot be combined with {', '.join(ignored)}")
+    if args.archive and args.rollouts > 1:
+        # An archive holds one run, and a replay must match its seed.
+        raise ConfigError(f"--archive records one run and cannot be combined with --rollouts {args.rollouts}")
     if not args.sweep:
         try:
             coalition = Coalition.parse(args.coalition, players)

@@ -79,7 +79,6 @@ class CfgGraph:
 _NODE_RE = re.compile(
     r'^\s*("(?P<qid>[^"]*)"|(?P<id>[A-Za-z0-9_.]+))\s*(\[(?P<attrs>[^\]]*)\])?\s*;?\s*$'
 )
-_EDGE_SPLIT_RE = re.compile(r"\s*->\s*")
 _LABEL_RE = re.compile(r'label\s*=\s*("(?P<quoted>[^"]*)"|(?P<bare>[A-Za-z0-9_.]+))')
 _IDENT_RE = re.compile(r'^("([^"]*)"|[A-Za-z0-9_.]+)$')
 # A header word ends at whitespace, "{" or '"'; a stray quote is a word of its own.
@@ -173,8 +172,8 @@ def parse_dot(text: str) -> CfgGraph:
                 continue
         if closed:
             raise DotSyntaxError("content after closing brace", lineno)
-        statements = [s.strip() for s in line.split(";")]
-        for stmt in statements:
+        for stmt in line.split(";"):
+            stmt = stmt.strip()
             if not stmt:
                 continue
             if stmt == "}":
@@ -190,9 +189,9 @@ def parse_dot(text: str) -> CfgGraph:
                     "undirected edge '--' is not supported", lineno
                 )
             if "->" in stmt:
-                parts = _EDGE_SPLIT_RE.split(stmt)
+                parts = stmt.split("->")
                 # Optional attribute block on the final endpoint.
-                parts[-1] = parts[-1].split("[")[0].strip()
+                parts[-1] = parts[-1].split("[")[0]
                 ids = []
                 for part in parts:
                     part = part.strip()
@@ -200,7 +199,7 @@ def parse_dot(text: str) -> CfgGraph:
                         raise DotSyntaxError(
                             f"bad edge endpoint {_unmask(part, literals)!r}", lineno
                         )
-                    ids.append(_literal(part, literals))
+                    ids.append(_literal(part, literals) if part[0] == '"' else part)
                 for src, dst in zip(ids, ids[1:]):
                     node_order.setdefault(src)
                     node_order.setdefault(dst)
@@ -268,8 +267,21 @@ def wl_features(graph: CfgGraph, h: int, table: dict) -> Counter:
     return features
 
 
+# (graph, h, table, features, squared norm) of the last reference refined;
+# calls on other threads replace it whole.
+_reference: tuple | None = None
+
+
 def wl_similarity(g1: CfgGraph, g2: CfgGraph, h: int = DEFAULT_WL_ITERATIONS) -> float:
-    """Cosine-normalized WL subtree kernel in [0, 1]."""
+    """Cosine-normalized WL subtree kernel in [0, 1].
+
+    The reference `g2` is refined once and kept until another reference
+    or h comes; `g1` is refined through a copy of its table, so labels
+    the reference lacks get ids only in the copy. The kernel reads only
+    which labels are equal, and its sums are exact integers, so the score
+    is bit for bit that of refining both through one fresh table.
+    """
+    global _reference
     if h < 1:
         raise ValueError("h must be >= 1")
     if g1.n_nodes == 0 or g2.n_nodes == 0:
@@ -278,12 +290,15 @@ def wl_similarity(g1: CfgGraph, g2: CfgGraph, h: int = DEFAULT_WL_ITERATIONS) ->
             return 1.0
         logger.warning("similarity against an empty graph defined as 0.0")
         return 0.0
-    table: dict = {}
-    f1 = wl_features(g1, h, table)
-    f2 = wl_features(g2, h, table)
+    ref = _reference
+    if ref is None or ref[0] is not g2 or ref[1] != h:
+        table: dict = {}
+        f2 = wl_features(g2, h, table)
+        ref = _reference = (g2, h, table, f2, sum(count * count for count in f2.values()))
+    _, _, table, f2, norm2 = ref
+    f1 = wl_features(g1, h, dict(table))
     dot = sum(count * f2[key] for key, count in f1.items() if key in f2)
     norm1 = sum(count * count for count in f1.values())
-    norm2 = sum(count * count for count in f2.values())
     return dot / sqrt(norm1 * norm2)
 
 

@@ -473,11 +473,13 @@ class InterventionPipeline:
             raise PipelineConfigError(
                 f"coalition mask {intervention.coalition.mask} exceeds the {len(self.players)}-player game"
             )
+        seed = self.config.seed if seed is None else seed
         if replay is not None:
             # An archive recorded under other settings matches no stage key.
             for name, recorded, actual in (
                 ("checkpoint", replay.checkpoint_hash, checkpoint.checkpoint_hash),
                 ("intervention signature", replay.intervention_signature, intervention.signature()),
+                ("seed", replay.seed, seed),
                 ("k", replay.k, self.config.k),
                 ("rounds", replay.rounds, self.config.rounds),
             ):
@@ -486,7 +488,6 @@ class InterventionPipeline:
                         f"replay archive was recorded under a different {name} "
                         f"({recorded} != {actual})"
                     )
-        seed = self.config.seed if seed is None else seed
         with self._lock:
             run_id = f"run-{next(self._run_counter):04d}-{os.getpid()}"
             ledger = RunLedger(run_id, checkpoint, intervention, self.config, seed, replay)
@@ -812,13 +813,14 @@ def export_trace(result: RunResult, path: str | Path) -> None:
 @dataclass(frozen=True)
 class ReplayCache:
     """Preloaded stage results from a prior run, with the checkpoint hash,
-    intervention signature, k and rounds it was recorded under. `entries`
+    intervention signature, seed, k and rounds it was recorded under. `entries`
     maps a stage key to its entry file and that file's JSON value, which
     is decoded, and so checked, only when a run replays it."""
 
     checkpoint_hash: str
     entries: Mapping[str, tuple[Path, object]] = field(repr=False)
     intervention_signature: str
+    seed: int
     k: int
     rounds: int
 
@@ -869,7 +871,7 @@ _MANIFEST_SCHEMA = {
     "run_id": str,
     "checkpoint_hash": Required(str),
     "intervention_signature": Required(str),
-    "seed": int,
+    "seed": Required(int),
     "k": Required(int),
     "rounds": Required(int),
 }
@@ -907,7 +909,7 @@ def replay_load(
         payloads[name] = (path, _read_archive_json(path))
     return ReplayCache(
         recorded, {stage_key: payloads[name] for stage_key, name in index.items()},
-        manifest["intervention_signature"], manifest["k"], manifest["rounds"],
+        manifest["intervention_signature"], manifest["seed"], manifest["k"], manifest["rounds"],
     )
 
 

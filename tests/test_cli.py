@@ -406,6 +406,25 @@ class TestIntervene:
         assert main(base + ["--out", str(out2), "--replay", str(archive)]) == EXIT_OK
         assert out.read_text().splitlines()[1:] == out2.read_text().splitlines()[1:]
 
+    def test_archive_refuses_more_than_one_rollout(self, tmp_path, checkpoint_file, capsys):
+        out, archive = tmp_path / "x.csv", tmp_path / "archive"
+        code = main(["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "2",
+                     "--retries", "1", "--out", str(out), "--archive", str(archive)])
+        assert code == EXIT_CONFIG
+        assert not out.exists() and not archive.exists()
+        err = capsys.readouterr().err
+        assert "--archive" in err and "--rollouts 2" in err
+
+    def test_replay_of_more_rollouts_than_recorded_is_data_error(self, tmp_path, checkpoint_file, capsys):
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--retries", "1"]
+        archive = tmp_path / "archive"
+        assert main(base + ["--rollouts", "1", "--out", str(tmp_path / "x.csv"), "--archive", str(archive)]) == EXIT_OK
+        out = tmp_path / "y.csv"
+        assert main(base + ["--rollouts", "2", "--out", str(out), "--replay", str(archive)]) == EXIT_DATA
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "different seed" in err and "Traceback" not in err
+
     def test_replay_flag_mismatch_is_data_error(self, tmp_path, trajectory_file, checkpoint_file, capsys):
         archive = tmp_path / "archive"
         assert (
@@ -480,6 +499,7 @@ class TestIntervene:
                 ),
                 "manifest.json",
             ),
+            (lambda a: edit_json(a / "manifest.json", lambda m: m.pop("seed")), "manifest.json"),
             (lambda a: next((a / "entries").iterdir()).unlink(), "entries"),
             (lambda a: next((a / "entries").iterdir()).write_text('{"kind": '), "entries"),
             (lambda a: next((a / "entries").iterdir()).write_text(DEEP_JSON), "entries"),
@@ -505,7 +525,7 @@ class TestIntervene:
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(format_version=99)), "manifest.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.pop("format_version")), "manifest.json"),
         ],
-        ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k",
+        ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k", "manifest-without-seed",
              "no-entry-file", "entry-not-json", "entry-nested-too-deeply", "index-value-int",
              "checkpoint-hash-int", "signature-null", "k-string", "rounds-bool", "gen-entry-of-eval-kind", "gen-entry-list",
              "eval-record-passed-not-compiled", "gen-attempt-out-of-range", "gen-attempt-twice",

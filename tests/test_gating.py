@@ -1,5 +1,9 @@
+import gc
 import math
 import random
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HeldSummarizer, build_checkpoint, run_in_threads
+from planlens import gating
 from planlens.agents import MockSummarizer
 from planlens.feedback import Coalition, FeedbackArtifact, Representation, default_components
 from planlens.gating import (
@@ -252,6 +257,97 @@ class TestWlKernel:
     def test_h_validation(self):
         with pytest.raises(ValueError):
             wl_similarity(path_graph(), path_graph(), h=0)
+
+
+def oracle_similarity(g1, g2, h):
+    """The kernel with both graphs refined through one fresh table."""
+    table = {}
+    f1 = wl_features(g1, h, table)
+    f2 = wl_features(g2, h, table)
+    dot = sum(count * f2[key] for key, count in f1.items() if key in f2)
+    norm1 = sum(count * count for count in f1.values())
+    norm2 = sum(count * count for count in f2.values())
+    return dot / math.sqrt(norm1 * norm2)
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.sampled_from(("x", "y", "z")), min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12, unique=True))
+    return CfgGraph(
+        nodes=tuple((f"n{i}", label) for i, label in enumerate(labels)),
+        edges=tuple((f"n{src}", f"n{dst}") for src, dst in edges),
+    )
+
+
+class TestKeptReference:
+    """`wl_similarity` refines its reference once and keeps only the last one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graphs=st.lists(small_digraphs(), min_size=1, max_size=3),
+        calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from((1, 2, 3))),
+                       min_size=1, max_size=12),
+    )
+    def test_scores_equal_one_fresh_table(self, graphs, calls):
+        # A small pool of graphs: calls repeat a reference, alternate
+        # references, swap the arguments and change h.
+        for i, j, h in calls:
+            g1, g2 = graphs[i % len(graphs)], graphs[j % len(graphs)]
+            assert wl_similarity(g1, g2, h).hex() == oracle_similarity(g1, g2, h).hex()
+            assert wl_similarity(g2, g1, h).hex() == oracle_similarity(g2, g1, h).hex()
+
+    def test_kept_table_does_not_grow(self):
+        rng = random.Random(3)
+        reference = random_digraph(rng, max_nodes=20)
+        wl_similarity(path_graph(), reference)
+        kept = len(gating._reference[2])
+        for _ in range(20):
+            wl_similarity(random_digraph(rng, max_nodes=20, alphabet=("u", "v", "w")), reference)
+        assert gating._reference[0] is reference
+        assert len(gating._reference[2]) == kept
+
+    def test_replaced_reference_is_freed(self):
+        old = random_digraph(random.Random(1))
+        freed = weakref.ref(old)
+        wl_similarity(path_graph(), old)
+        del old
+        wl_similarity(path_graph(), triangle_graph())
+        gc.collect()
+        assert freed() is None
+
+    def test_two_threads_alternating_references_match_oracle(self):
+        rng = random.Random(5)
+        references = [random_digraph(rng, max_nodes=30) for _ in range(2)]
+        candidates = [random_digraph(rng, max_nodes=30) for _ in range(15)]
+        expected = [
+            [oracle_similarity(c, references[(i + t) % 2], 3).hex() for i, c in enumerate(candidates)]
+            for t in range(2)
+        ]
+        barrier = threading.Barrier(2)
+        results = [[], []]
+
+        def score(t):
+            barrier.wait(10)
+            for _ in range(20):
+                results[t].append(
+                    [wl_similarity(c, references[(i + t) % 2], 3).hex() for i, c in enumerate(candidates)]
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the slot changes hands mid-call
+        try:
+            threads = [threading.Thread(target=score, args=(t,)) for t in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for t in range(2):
+            assert results[t] == [expected[t]] * 20
 
 
 class TestSimilarity:

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and every module
+parses as Python 3.10, the oldest version CI runs."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,16 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 def test_no_unused_import(module):
     found = unused_imports((PACKAGE / module).read_text(encoding="utf-8"))
     assert found == BENCHMARK_SEAMS.get(module, set())
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_parses_as_python_3_10(module):
+    ast.parse((PACKAGE / module).read_text(encoding="utf-8"), feature_version=(3, 10))
+
+
+def test_version_guard_refuses_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def test_guard_sees_unused_and_quoted_names():

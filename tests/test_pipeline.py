@@ -563,6 +563,23 @@ class TestReplay:
                 pipe.submit(cp, Intervention(coalition=coalition), replay=replay)
 
 
+    def test_submit_rejects_archive_of_another_seed(self, tmp_path):
+        cp = build_checkpoint(4)
+        _, _, archive_dir = self.archived_run(tmp_path, cp, PipelineConfig(k=3, seed=17))
+        cache = replay_load(archive_dir, cp)
+        assert cache.seed == 17
+        recorded = build_pipe(cp, config=PipelineConfig(k=3, seed=17))
+        recorded.cancel(recorded.submit(cp, Intervention(coalition=FULL), replay=cache))
+        other = build_pipe(cp, config=PipelineConfig(k=3, seed=18))
+        for replay in (cache, cache.filter({"anlz"})):
+            for submit in (
+                lambda: other.submit(cp, Intervention(coalition=FULL), replay=replay),
+                lambda: recorded.submit(cp, Intervention(coalition=FULL), seed=18, replay=replay),
+            ):
+                with pytest.raises(ReplayMismatchError, match=r"different seed \(17 != 18\)"):
+                    submit()
+
+
 class TestInterventionModes:
     def test_dummy_plan_bypasses_planner(self):
         cp = build_checkpoint(4)
