@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import shutil
 import sys
 from dataclasses import asdict, fields, replace
@@ -21,12 +22,14 @@ from typing import Any, Callable, Mapping
 from . import __version__
 from .agents import (
     BEHAVIOR_SCHEMA,
+    ENV_BACKEND_URL,
     AgentBundle,
     AgentRole,
     HttpChatAgent,
     HttpPlanner,
     HttpSummarizer,
     MockBehavior,
+    RetryableAgentError,
     Role,
     mock_artifact_payload,
     mock_bundle,
@@ -75,6 +78,7 @@ from .pipeline import (
 )
 from .trajectory import (
     METRICS,
+    GenerationCheckpoint,
     GenerationNotFoundError,
     ListOf,
     StoreFormatError,
@@ -163,6 +167,10 @@ MODE_ONLY_FLAGS = {
     "sweep": ("metrics",),
 }
 
+# The `intervene` flags, by dest, that only say where outputs go: the only
+# flags the settings record, and so the provenance hash, leaves out.
+OUTPUT_FLAGS = ("out", "trace", "archive")
+
 
 def _section_schema(section: str) -> dict:
     return {key: choices or type(default) for _, sec, key, default, choices, _ in RUN_SETTINGS if sec == section}
@@ -198,11 +206,12 @@ def build_agents(agent_config: Mapping[str, Any]) -> AgentBundle:
         return agents
     # Real backends plug in at the summarizer/planner seam; program
     # generation+execution adapters stay external to this tool.
+    url = agent_config.get("url")
     try:
         return replace(
             agents,
-            summarizer=HttpSummarizer(HttpChatAgent(AgentRole(Role.SUMMARIZER, model_tag="summarizer"))),
-            planner=HttpPlanner(HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"))),
+            summarizer=HttpSummarizer(HttpChatAgent(AgentRole(Role.SUMMARIZER, model_tag="summarizer"), url)),
+            planner=HttpPlanner(HttpChatAgent(AgentRole(Role.PLANNER, model_tag="planner"), url)),
         )
     except ValueError as exc:  # no backend URL configured
         raise ConfigError(f"http backend: {exc}") from exc
@@ -247,41 +256,46 @@ def cmd_freeze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_intervene(args: argparse.Namespace) -> int:
+def resolve_intervene(args: argparse.Namespace) -> tuple[dict, AgentBundle, GenerationCheckpoint]:
+    """The settings record of an `intervene` run, its agents and its
+    checkpoint, after every check on the flags and the config.
+
+    The record holds every value the run reads and is the whole input of
+    its provenance hash: each flag but `OUTPUT_FLAGS` reaches it, `--config`
+    and `--checkpoint` through their content, and `--backend http` with its
+    server URL (never the API key)."""
     config = load_experiment_config(args.config) if args.config else {}
+    settings = {}
     for dest, section, key, default, _, _ in RUN_SETTINGS:
         scope = config.get(section, {}) if section else config
-        if getattr(args, dest) is None:
-            setattr(args, dest, scope.get(key, default))
-    if args.rollouts < 1:
-        raise ConfigError(f"--rollouts (config key 'rollouts') must be >= 1, not {args.rollouts}")
-    agent_config = dict(config.get("agents", {}))
-    if args.backend is not None:
-        configured = agent_config.setdefault("backend", args.backend)
-        if configured != args.backend:
-            raise ConfigError(
-                f"--backend {args.backend} conflicts with agents.backend "
-                f"{configured!r} in {args.config}"
-            )
+        settings[key] = scope.get(key, default) if getattr(args, dest) is None else getattr(args, dest)
+    rollouts = settings["rollouts"]
+    if rollouts < 1:
+        raise ConfigError(f"--rollouts (config key 'rollouts') must be >= 1, not {rollouts}")
+    agent_config = {"backend": args.backend or "mock", **config.get("agents", {})}
+    if args.backend not in (None, agent_config["backend"]):
+        raise ConfigError(
+            f"--backend {args.backend} conflicts with agents.backend {agent_config['backend']!r} in {args.config}"
+        )
+    if agent_config["backend"] == "http":
+        agent_config["url"] = os.environ.get(ENV_BACKEND_URL)
     agents = build_agents(agent_config)
 
     checkpoint = read_input("checkpoint", args.checkpoint, load_checkpoint)
 
-    players = GAMES[args.game]()
-    components = default_components()
-    representation = Representation(args.representation)
     if args.coalition is None and not args.sweep:
         raise ConfigError("provide --coalition or --sweep")
     mode, other = ("--sweep", "run") if args.sweep else ("--coalition", "sweep")
     ignored = ["--" + dest.replace("_", "-") for dest in MODE_ONLY_FLAGS[other] if getattr(args, dest) is not None]
     if ignored:
         raise ConfigError(f"{mode} cannot be combined with {', '.join(ignored)}")
-    if args.archive and args.rollouts > 1:
-        # An archive holds one run, and a replay must match its seed.
-        raise ConfigError(f"--archive records one run and cannot be combined with --rollouts {args.rollouts}")
+    for dest in ("archive", "replay"):
+        if getattr(args, dest) and rollouts > 1:
+            # An archive holds one run, and a replay must match its seed.
+            raise ConfigError(f"an archive holds one run, so --{dest} cannot be combined with --rollouts {rollouts}")
     if not args.sweep:
         try:
-            coalition = Coalition.parse(args.coalition, players)
+            Coalition.parse(args.coalition, GAMES[settings["game"]]())
         except ValueError as exc:
             raise ConfigError(f"--coalition {args.coalition!r}: {exc}") from exc
 
@@ -294,89 +308,73 @@ def cmd_intervene(args: argparse.Namespace) -> int:
             raise ConfigError(str(exc)) from exc
     elif args.sweep:
         metrics = config.get("metrics", metrics)
-    settings = {
+    record = {
         "command": "intervene",
-        "checkpoint_hash": checkpoint.checkpoint_hash,
+        **settings,
+        "sweep": args.sweep,
         "metrics": metrics,
-        **{key: getattr(args, dest) for dest, _, key, _, _, _ in RUN_SETTINGS},
-        "sweep": bool(args.sweep),
-        "coalition": args.coalition,
-        "randomize_feedback": args.randomize_feedback,
-        "plan_mode": args.plan_mode,
-        "replay": args.replay,
-        "agents": {
-            "backend": agent_config.get("backend", "mock"),
-            "behavior": asdict(agents.generator.behavior),
-        },
+        "checkpoint_hash": checkpoint.checkpoint_hash,
+        "agents": {**agent_config, "behavior": asdict(agents.generator.behavior)},
+        **{dest: getattr(args, dest) for dest in MODE_ONLY_FLAGS["run"] if dest not in OUTPUT_FLAGS},
     }
-    source = synthetic_artifact_source(checkpoint, components)
+    return record, agents, checkpoint
+
+
+def cmd_intervene(args: argparse.Namespace) -> int:
+    record, agents, checkpoint = resolve_intervene(args)
+    players = GAMES[record["game"]]()
+    components = default_components()
+    representation = Representation(record["representation"])
+    rollouts, seed = record["rollouts"], record["seed"]
     pipe = InterventionPipeline(
         agents,
-        source,
+        synthetic_artifact_source(checkpoint, components),
         players=components,
         config=PipelineConfig(
-            generator_concurrency=args.concurrency,
-            eval_concurrency=args.eval_concurrency,
-            k=args.retries,
-            rounds=args.rounds,
-            seed=args.seed,
-            execution_mode=ExecutionMode(args.mode),
+            generator_concurrency=record["concurrency"],
+            eval_concurrency=record["eval_concurrency"],
+            k=record["k"],
+            rounds=record["rounds"],
+            seed=seed,
+            execution_mode=ExecutionMode(record["mode"]),
             record_trace=args.trace is not None,
         ),
     )
-
-    permutation = None if args.randomize_feedback is None else randomize_feedback(checkpoint, args.randomize_feedback)
-
+    meta = meta_line(record)
     out_path = Path(args.out)
-    if args.sweep:
-        rollout = make_rollout_fn(pipe, game=args.game, representation=representation)
-        specs = [
-            GameSpec(players=players, metric=metric, g=checkpoint.g)
-            for metric in metrics
-        ]
-        tables = sweep_characteristic_tables(
-            checkpoint, specs, rollout, args.rollouts, args.seed
-        )
-        out_path.write_text(
-            tables_to_csv(tables, meta=meta_line(settings)), encoding="utf-8"
-        )
+    if record["sweep"]:
+        rollout = make_rollout_fn(pipe, game=record["game"], representation=representation)
+        specs = [GameSpec(players=players, metric=metric, g=checkpoint.g) for metric in record["metrics"]]
+        tables = sweep_characteristic_tables(checkpoint, specs, rollout, rollouts, seed)
+        out_path.write_text(tables_to_csv(tables, meta=meta), encoding="utf-8")
         coalitions = 2 ** len(players)
-        failed = coalitions * args.rollouts - sum(tables[0].n_rollouts.values())
-        note = f" ({failed} of {coalitions * args.rollouts} rollouts failed)" if failed else ""
-        print(f"swept {coalitions} coalitions x {args.rollouts} rollouts -> {out_path}{note}")
-    else:
-        intervention = game_intervention(
-            args.game, coalition, components, representation
-        )
-        plan_mode = intervention.plan_mode
-        if args.plan_mode is not None:
-            plan_mode = PlanMode(args.plan_mode)
-        intervention = replace(
-            intervention, plan_mode=plan_mode, permutation=permutation
-        )
-        replay_cache = None
-        if args.replay:
-            replay_cache = replay_load(args.replay, checkpoint)
-        stats_rows = []
-        for r in range(args.rollouts):
-            run_id = pipe.submit(
-                checkpoint, intervention, seed=rollout_seed(args.seed, coalition, r), replay=replay_cache
-            )
-            last_result = pipe.run_to_completion(run_id)
-            stats_rows.append(last_result.stats)
-        out_path.write_text(
-            stats_to_csv(stats_rows, meta=meta_line(settings)), encoding="utf-8"
-        )
-        print(
-            f"coalition {coalition.label(players)}: {args.rollouts} rollouts "
-            f"-> {out_path}"
-        )
-        if args.trace:
-            export_trace(last_result, args.trace)
-            print(f"event trace -> {args.trace}")
-        if args.archive:
-            archive_run(last_result, args.archive)
-            print(f"replay archive -> {args.archive}")
+        failed = coalitions * rollouts - sum(tables[0].n_rollouts.values())
+        note = f" ({failed} of {coalitions * rollouts} rollouts failed)" if failed else ""
+        print(f"swept {coalitions} coalitions x {rollouts} rollouts -> {out_path}{note}")
+        return EXIT_OK
+
+    coalition = Coalition.parse(record["coalition"], players)
+    intervention = game_intervention(record["game"], coalition, components, representation)
+    shuffle_seed = record["randomize_feedback"]
+    intervention = replace(
+        intervention,
+        plan_mode=PlanMode(record["plan_mode"] or intervention.plan_mode),
+        permutation=None if shuffle_seed is None else randomize_feedback(checkpoint, shuffle_seed),
+    )
+    replay = replay_load(record["replay"], checkpoint) if record["replay"] else None
+    stats_rows = []
+    for r in range(rollouts):
+        run_id = pipe.submit(checkpoint, intervention, seed=rollout_seed(seed, coalition, r), replay=replay)
+        last_result = pipe.run_to_completion(run_id)
+        stats_rows.append(last_result.stats)
+    out_path.write_text(stats_to_csv(stats_rows, meta=meta), encoding="utf-8")
+    print(f"coalition {coalition.label(players)}: {rollouts} rollouts -> {out_path}")
+    if args.trace:
+        export_trace(last_result, args.trace)
+        print(f"event trace -> {args.trace}")
+    if args.archive:
+        archive_run(last_result, args.archive)
+        print(f"replay archive -> {args.archive}")
     return EXIT_OK
 
 
@@ -714,7 +712,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (PipelineStalledError, EstimationFailedError) as exc:
+    except (PipelineStalledError, EstimationFailedError, RetryableAgentError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import threading
 from collections import Counter
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -31,6 +33,55 @@ def build_pipe(checkpoint, behavior=None, config=None, fail_attempts=frozenset()
     bundle = mock_bundle(behavior, fail_attempts=fail_attempts, crash_on=crash_on)
     source = synthetic_artifact_source(checkpoint, default_components())
     return InterventionPipeline(bundle, source, config=config)
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    """A stub chat backend: answers `echo:<model>` after failing the next
+    `fail_times` requests with 503, and logs each (path, body, auth) in
+    `seen`."""
+
+    fail_times = 0
+    seen: list = []
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        body = json.loads(self.rfile.read(length))
+        type(self).seen.append((self.path, body, self.headers.get("Authorization")))
+        if type(self).fail_times > 0:
+            type(self).fail_times -= 1
+            self.send_response(503)
+            self.end_headers()
+            return
+        payload = json.dumps({"content": f"echo:{body['model']}"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def serve_chat():
+    """A `ChatHandler` server on a free loopback port, as its base URL."""
+    server = HTTPServer(("127.0.0.1", 0), ChatHandler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    ChatHandler.fail_times = 0
+    ChatHandler.seen = []
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture()
+def chat_server():
+    with serve_chat() as url:
+        yield url
 
 
 class HeldSummarizer(MockSummarizer):

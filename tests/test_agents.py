@@ -1,10 +1,8 @@
-import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from conftest import ChatHandler
 from planlens.agents import (
     AgentRole,
     Candidate,
@@ -276,42 +274,6 @@ class TestMockEvaluator:
             classify_execution(evaluator.evaluate(cand))  # raises if malformed
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    fail_times = 0
-    seen: list = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).seen.append((self.path, body, self.headers.get("Authorization")))
-        if type(self).fail_times > 0:
-            type(self).fail_times -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        payload = json.dumps({"content": f"echo:{body['model']}"}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _ChatHandler.fail_times = 0
-    _ChatHandler.seen = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-
-
 class TestHttpChatAgent:
     def role(self):
         return AgentRole(
@@ -329,7 +291,7 @@ class TestHttpChatAgent:
         agent = HttpChatAgent(self.role(), base_url=chat_server, api_key="tok")
         out = agent.complete([{"role": "user", "content": "hi"}])
         assert out == "echo:test-model"
-        path, body, auth = _ChatHandler.seen[-1]
+        path, body, auth = ChatHandler.seen[-1]
         assert path == "/chat"
         assert auth == "Bearer tok"
         assert body["temperature"] == 0.2
@@ -338,15 +300,15 @@ class TestHttpChatAgent:
         assert body["messages"] == [{"role": "user", "content": "hi"}]
 
     def test_retries_then_succeeds(self, chat_server):
-        _ChatHandler.fail_times = 2
+        ChatHandler.fail_times = 2
         agent = HttpChatAgent(
             self.role(), base_url=chat_server, max_retries=4, backoff=0.01
         )
         assert agent.complete([]) == "echo:test-model"
-        assert len(_ChatHandler.seen) == 3
+        assert len(ChatHandler.seen) == 3
 
     def test_exhausted_retries_raise_with_attempts(self, chat_server):
-        _ChatHandler.fail_times = 99
+        ChatHandler.fail_times = 99
         agent = HttpChatAgent(
             self.role(), base_url=chat_server, max_retries=2, backoff=0.01
         )
@@ -361,7 +323,7 @@ class TestHttpChatAgent:
             summarizer.summarize(arts)
             summarizer.summarize(arts[:1])
         assert (http.invocations, http.calls) == (mock.invocations, mock.calls) == (2, 3)
-        assert len(_ChatHandler.seen) == 3
+        assert len(ChatHandler.seen) == 3
 
 
 class TestPromptAssets:

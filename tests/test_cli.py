@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -12,14 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import count_schedule_work
+from conftest import count_schedule_work, serve_chat
 from planlens.agents import MockBehavior, mock_bundle
 from planlens.attribution import rollout_seed
 from planlens.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUNTIME,
     MODE_ONLY_FLAGS,
+    OUTPUT_FLAGS,
     RUN_SETTINGS,
     build_parser,
     load_experiment_config,
@@ -415,15 +418,18 @@ class TestIntervene:
         err = capsys.readouterr().err
         assert "--archive" in err and "--rollouts 2" in err
 
-    def test_replay_of_more_rollouts_than_recorded_is_data_error(self, tmp_path, checkpoint_file, capsys):
+    def test_replay_refuses_more_than_one_rollout(self, tmp_path, checkpoint_file, capsys, monkeypatch):
         base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--retries", "1"]
         archive = tmp_path / "archive"
         assert main(base + ["--rollouts", "1", "--out", str(tmp_path / "x.csv"), "--archive", str(archive)]) == EXIT_OK
+        capsys.readouterr()
+        # Refused before any rollout runs: rollout r > 0 never has the archive's seed.
+        monkeypatch.setattr(InterventionPipeline, "submit", None)
         out = tmp_path / "y.csv"
-        assert main(base + ["--rollouts", "2", "--out", str(out), "--replay", str(archive)]) == EXIT_DATA
+        assert main(base + ["--rollouts", "2", "--out", str(out), "--replay", str(archive)]) == EXIT_CONFIG
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "different seed" in err and "Traceback" not in err
+        assert "--replay" in err and "--rollouts 2" in err and "Traceback" not in err
 
     def test_replay_flag_mismatch_is_data_error(self, tmp_path, trajectory_file, checkpoint_file, capsys):
         archive = tmp_path / "archive"
@@ -931,6 +937,30 @@ class TestIntervene:
         assert code == EXIT_CONFIG
         assert "PLANLENS_BACKEND_URL" in capsys.readouterr().err
 
+    def test_agent_error_in_a_coalition_run_is_runtime_error(
+        self, tmp_path, checkpoint_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("PLANLENS_BACKEND_URL", "http://127.0.0.1:9")  # a closed loopback port
+        monkeypatch.setattr("planlens.agents.time.sleep", lambda seconds: None)
+        code = self.intervene_with_backend(tmp_path, checkpoint_file, None, "http")
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "Traceback" not in err
+        assert not (tmp_path / "stats.csv").exists()
+
+    def test_hash_covers_the_server_url_and_never_the_api_key(self, tmp_path, checkpoint_file, monkeypatch):
+        outs = {}
+        with serve_chat() as first, serve_chat() as second:
+            for name, url, key in (("first", first, "k1"), ("second", second, "k1"), ("other-key", first, "k2")):
+                monkeypatch.setenv("PLANLENS_BACKEND_URL", url)
+                monkeypatch.setenv("PLANLENS_API_KEY", key)
+                run_dir = tmp_path / name
+                run_dir.mkdir()
+                assert self.intervene_with_backend(run_dir, checkpoint_file, None, "http") == EXIT_OK
+                outs[name] = run_dir / "stats.csv"
+        assert config_of(outs["first"]) != config_of(outs["second"])
+        assert outs["first"].read_bytes() == outs["other-key"].read_bytes()  # the `# meta` line included
+
     def test_mock_backend_named_anywhere_gives_one_output(
         self, tmp_path, checkpoint_file
     ):
@@ -1433,6 +1463,27 @@ def test_module_runs_the_cli_without_an_install():
     assert done.stdout.startswith("planlens ")
 
 
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("planlens ")]
+    assert [argv[0] for argv in commands] == [
+        "freeze", "intervene", "intervene", "intervene", "intervene", "attribute", "gate", "cost", "report"
+    ]
+    store = TrajectoryStore("readme")
+    for g in (0, 3, 7):
+        for i in range(3):
+            executions = (ExecutionRecord(compiled=(g + i) % 2 == 0),)
+            store.append(Sample(f"g{g}i{i}", g, f"kernel {g}/{i}", executions=executions))
+    monkeypatch.chdir(tmp_path)
+    store.save("traj.ndjson")
+    Path("cand.dot").write_text("digraph cand { entry -> loop; loop -> loop; loop -> exit; }")
+    Path("ref.dot").write_text("digraph ref { entry -> loop; loop -> exit; }")
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+
+
 def test_parser_built_once_per_process():
     from planlens.cli import build_parser
 
@@ -1618,6 +1669,45 @@ ALL_SETTINGS_ARGV = [
 ]
 
 
+# The flags of a run, over which each provenance case changes one flag: a
+# value of None drops a flag, True gives it bare, and `{name}` stands for a
+# file the test makes.
+BASE_RUN = {"--checkpoint": "{g1}", "--coalition": "d", "--rollouts": "1", "--retries": "1"}
+
+# One case per `intervene` flag, by dest: the changes to BASE_RUN of two runs
+# that differ in that flag. Each run writes its own --out, so the `out` case
+# changes nothing else; a sweep refuses --coalition, so `sweep` drops it.
+PROVENANCE_CASES = {
+    "checkpoint": ({}, {"--checkpoint": "{g2}"}),
+    "config": ({"--config": "{config_a}"}, {"--config": "{config_b}"}),
+    "coalition": ({}, {"--coalition": "a"}),
+    "sweep": ({}, {"--coalition": None, "--sweep": True}),
+    "game": ({"--coalition": "none"}, {"--coalition": "none", "--game": "plan-feedback"}),
+    "representation": ({}, {"--representation": "formatted"}),
+    "retries": ({}, {"--retries": "2"}),
+    "rounds": ({}, {"--rounds": "2"}),
+    "rollouts": ({}, {"--rollouts": "2"}),
+    "seed": ({}, {"--seed": "5"}),
+    "mode": ({}, {"--mode": "serial"}),
+    "concurrency": ({}, {"--concurrency": "3"}),
+    "eval_concurrency": ({}, {"--eval-concurrency": "4"}),
+    "plan_mode": ({}, {"--plan-mode": "dummy"}),
+    "randomize_feedback": ({}, {"--randomize-feedback": "1"}),
+    "metrics": ({"--coalition": None, "--sweep": True}, {"--coalition": None, "--sweep": True, "--metrics": "pass"}),
+    "backend": ({"--backend": "mock"}, {"--backend": "http"}),
+    "out": ({}, {}),
+    "trace": ({}, {"--trace": "{tmp}/trace.ndjson"}),
+    "archive": ({}, {"--archive": "{tmp}/archive"}),
+    "replay": ({}, {"--replay": "{recorded}"}),
+}
+
+
+def intervene_dests():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subcommands.choices["intervene"]._actions} - {"help"}
+
+
 class TestRunSettings:
     def intervene(self, tmp_path, checkpoint_file, name, argv, config=None):
         out = tmp_path / f"{name}.csv"
@@ -1666,15 +1756,46 @@ class TestRunSettings:
     def test_every_intervene_flag_is_classified(self):
         """Each flag is a run setting, shared by both modes, or in exactly one
         list of `MODE_ONLY_FLAGS`, so no flag can skip the mode check."""
-        parser = build_parser()
-        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for a in subcommands.choices["intervene"]._actions} - {"help"}
+        dests = intervene_dests()
         run_settings = {dest for dest, *_ in RUN_SETTINGS}
         shared = {"checkpoint", "config", "sweep", "backend", "out"}
         for dest in dests:
             lists = sum(dest in flags for flags in MODE_ONLY_FLAGS.values())
             assert (dest in run_settings) + (dest in shared) + lists == 1, dest
         assert {dest for flags in MODE_ONLY_FLAGS.values() for dest in flags} <= dests
+
+    def test_every_intervene_flag_has_a_provenance_case(self):
+        assert set(PROVENANCE_CASES) == intervene_dests()
+
+    @pytest.mark.parametrize("dest", sorted(PROVENANCE_CASES))
+    def test_hash_covers_every_flag_but_the_output_flags(
+        self, tmp_path, checkpoint_file, trajectory_file, monkeypatch, request, dest
+    ):
+        files = {"tmp": tmp_path, "g1": checkpoint_file, "g2": tmp_path / "frozen" / "checkpoint_g2.ndjson"}
+        assert main(["freeze", "--trajectory", str(trajectory_file), "-g", "2", "--out", str(files["g2"].parent)]) == EXIT_OK
+        for name, base_compiled in (("config_a", 0.9), ("config_b", 0.2)):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps({"agents": {"behavior": {"base_compiled": base_compiled}}}))
+        if dest == "backend":
+            monkeypatch.setenv("PLANLENS_BACKEND_URL", request.getfixturevalue("chat_server"))
+
+        def intervene(name, changes):
+            argv = ["intervene", "--out", str(tmp_path / f"{name}.csv")]
+            for flag, value in {**BASE_RUN, **changes}.items():
+                if value is True:
+                    argv.append(flag)
+                elif value is not None:
+                    argv += [flag, value.format(**files)]
+            assert main(argv) == EXIT_OK
+            return tmp_path / f"{name}.csv"
+
+        files["recorded"] = tmp_path / "recorded"
+        intervene("record", {"--archive": str(files["recorded"])})
+        first, second = (intervene(str(i), changes) for i, changes in enumerate(PROVENANCE_CASES[dest]))
+        if dest in OUTPUT_FLAGS:
+            assert first.read_bytes() == second.read_bytes()  # the `# meta` line included
+        else:
+            assert config_of(first) != config_of(second)
 
     def test_readme_config_example_names_every_run_setting(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
