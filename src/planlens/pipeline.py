@@ -65,7 +65,7 @@ from .trajectory import (
     stats_from_outcomes,
 )
 
-ARCHIVE_FORMAT_VERSION = 1
+ARCHIVE_FORMAT_VERSION = 2
 
 
 class PipelineConfigError(ValueError):
@@ -291,16 +291,16 @@ class RunLedger:
         """The task's ANLZ, GEN or EVAL product decoded from the replay
         archive, noting the task in `replayed`; None if the archive holds no
         entry for it. An entry that does not decode raises
-        ReplayArchiveError naming its file."""
+        ReplayArchiveError naming its file and entry."""
         stage = task.stage
         entry = self.replay.entries.get(self.stage_key(stage, task.sample_id, task.round_index, task.attempt))
         if entry is None:
             return None
-        path, payload = entry
+        where, payload = entry
         try:
             product = _DECODE[stage](check_json(payload, _ENTRY_SCHEMA[stage], f"{stage.name} entry"), self.config.k)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ReplayArchiveError(f"replay archive file {path} holds no {stage.name} entry ({exc!r})") from exc
+            raise ReplayArchiveError(f"replay archive file {where} holds no {stage.name} entry ({exc!r})") from exc
         self.replayed.add(task)
         return product
 
@@ -814,11 +814,11 @@ def export_trace(result: RunResult, path: str | Path) -> None:
 class ReplayCache:
     """Preloaded stage results from a prior run, with the checkpoint hash,
     intervention signature, seed, k and rounds it was recorded under. `entries`
-    maps a stage key to its entry file and that file's JSON value, which
-    is decoded, and so checked, only when a run replays it."""
+    maps a stage key to where its entry was read and the entry's JSON value,
+    which is decoded, and so checked, only when a run replays it."""
 
     checkpoint_hash: str
-    entries: Mapping[str, tuple[Path, object]] = field(repr=False)
+    entries: Mapping[str, tuple[Path | str, object]] = field(repr=False)
     intervention_signature: str
     seed: int
     k: int
@@ -834,20 +834,26 @@ class ReplayCache:
 
 
 def archive_run(result: RunResult, directory: str | Path) -> None:
-    """Persist a completed run's stage results as content-addressed files."""
+    """Persist a completed run's stage results as one content-addressed pack.
+    Any older manifest is removed first and the new one written last, so an
+    archive torn by a failed write has none and is refused."""
     led = result.ledger
     base = Path(directory)
-    entries_dir = base / "entries"
-    entries_dir.mkdir(parents=True, exist_ok=True)
+    base.mkdir(parents=True, exist_ok=True)
+    (base / "manifest.json").unlink(missing_ok=True)
     index: dict[str, str] = {}
-    blobs: dict[str, str] = {}  # stages with equal payloads share one file
+    blobs: dict[str, str] = {}  # stages with equal payloads share one entry
     for stage_key, payload in led.archive_entries().items():
         blob = _JSON.encode(payload)
         name = "%016x.json" % derive_seed(0, "entry", blob)
         blobs[name] = blob
         index[stage_key] = name
-    for name, blob in blobs.items():
-        (entries_dir / name).write_text(blob, encoding="utf-8")
+    # Joined as _JSON.encode would write {name: payload}, each blob as it is.
+    pack = "{%s}" % ", ".join(f'"{name}": {blob}' for name, blob in sorted(blobs.items()))
+    (base / "entries.json").write_text(pack, encoding="utf-8")
+    (base / "index.json").write_text(
+        json.dumps(index, indent=2, sort_keys=True), encoding="utf-8"
+    )
     manifest = {
         "format_version": ARCHIVE_FORMAT_VERSION,
         "run_id": result.run_id,
@@ -860,14 +866,11 @@ def archive_run(result: RunResult, directory: str | Path) -> None:
     (base / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
     )
-    (base / "index.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True), encoding="utf-8"
-    )
 
 
 # The replay archive's manifest and index files, as `archive_run` writes them.
 _MANIFEST_SCHEMA = {
-    "format_version": Required([ARCHIVE_FORMAT_VERSION]),
+    "format_version": Required([1, ARCHIVE_FORMAT_VERSION]),
     "run_id": str,
     "checkpoint_hash": Required(str),
     "intervention_signature": Required(str),
@@ -875,10 +878,10 @@ _MANIFEST_SCHEMA = {
     "k": Required(int),
     "rounds": Required(int),
 }
-_INDEX_SCHEMA = {str: str}  # stage key -> entry file name
+_INDEX_SCHEMA = {str: str}  # stage key -> entry name
 
 
-def _read_archive_json(path: Path, schema: dict | None = None):
+def _read_archive_json(path: Path, schema: dict | type | None = None):
     """One archive file's JSON value, checked against `schema` if given."""
     try:
         value = parse_json(path.read_text(encoding="utf-8"))
@@ -891,9 +894,9 @@ def replay_load(
     directory: str | Path, checkpoint: GenerationCheckpoint
 ) -> ReplayCache:
     """Load a replay archive, refusing checkpoints it was not recorded on.
-    A missing or unparsable manifest, index or entry file, and a manifest
-    (another format version included) or index that does not match its
-    schema raise ReplayArchiveError naming the file."""
+    A missing or unparsable archive file, one that does not match its schema
+    (another format version included) and an index naming an entry the pack
+    lacks raise ReplayArchiveError naming the file."""
     base = Path(directory)
     manifest = _read_archive_json(base / "manifest.json", _MANIFEST_SCHEMA)
     recorded, actual = manifest["checkpoint_hash"], checkpoint.checkpoint_hash
@@ -903,10 +906,15 @@ def replay_load(
             f"({recorded[:12]} != {actual[:12]}); refusing to mix trajectories"
         )
     index = _read_archive_json(base / "index.json", _INDEX_SCHEMA)
-    payloads = {}
-    for name in dict.fromkeys(index.values()):
-        path = base / "entries" / name
-        payloads[name] = (path, _read_archive_json(path))
+    names = dict.fromkeys(index.values())
+    if manifest["format_version"] == 1:  # one file per entry, entries/<name>
+        payloads = {name: (base / "entries" / name, _read_archive_json(base / "entries" / name)) for name in names}
+    else:
+        path = base / "entries.json"
+        pack = _read_archive_json(path, dict)  # entry name -> payload
+        if missing := names.keys() - pack.keys():
+            raise ReplayArchiveError(f"replay archive file {path} lacks entry {min(missing)} named in index.json")
+        payloads = {name: (f"{path} entry {name}", pack[name]) for name in names}
     return ReplayCache(
         recorded, {stage_key: payloads[name] for stage_key, name in index.items()},
         manifest["intervention_signature"], manifest["seed"], manifest["k"], manifest["rounds"],

@@ -1,10 +1,13 @@
 """Pinned replay archives: the exact files `archive_run` writes.
 
-Each case fixes a sha256 over `index.json` and every entry file (name and
+Each case fixes a sha256 over `index.json` and every entry (name and
 content) of one run's archive. `manifest.json` is left out because its
-run id holds the process id. Changing how or when stage results are
-serialized must reproduce every pin byte for byte, or existing archives
-would stop replaying.
+run id holds the process id. The pins were taken when each entry had a
+file of its own under `entries/` (archive format version 1); an entry of
+the `entries.json` pack hashes as the text of that file, so the pins hold
+for both layouts. Changing how or when stage results are serialized must
+reproduce every pin byte for byte, or existing archives would stop
+replaying.
 """
 
 import hashlib
@@ -89,13 +92,40 @@ PINS = {
 }
 
 
-def archive_digest(directory) -> tuple[int, str]:
-    index = (directory / "index.json").read_bytes()
+def digest(index: bytes, entries: dict[str, bytes]) -> tuple[int, str]:
     h = hashlib.sha256(index)
-    for path in sorted((directory / "entries").iterdir()):
-        h.update(b"\0" + path.name.encode("utf-8") + b"\0")
-        h.update(path.read_bytes())
+    for name in sorted(entries):
+        h.update(b"\0" + name.encode("utf-8") + b"\0")
+        h.update(entries[name])
     return len(json.loads(index)), h.hexdigest()
+
+
+def archive_digest(directory) -> tuple[int, str]:
+    """The digest of an archive's index and of each entry of its pack, as
+    the text the entry's own file held in format version 1. The pack is
+    itself written as `json.dumps(pack, sort_keys=True)`."""
+    text = (directory / "entries.json").read_text(encoding="utf-8")
+    pack = json.loads(text)
+    assert text == json.dumps(pack, sort_keys=True)
+    entries = {name: json.dumps(payload, sort_keys=True).encode("utf-8") for name, payload in pack.items()}
+    return digest((directory / "index.json").read_bytes(), entries)
+
+
+def v1_archive_digest(directory) -> tuple[int, str]:
+    """The digest of a version-1 archive: its index and each file of `entries/`."""
+    entries = {path.name: path.read_bytes() for path in (directory / "entries").iterdir()}
+    return digest((directory / "index.json").read_bytes(), entries)
+
+
+def write_v1_archive(archive, directory) -> None:
+    """Lay `archive` out in `directory` as format version 1 wrote it: one
+    file per entry under `entries/`, and `format_version` 1."""
+    (directory / "entries").mkdir(parents=True)
+    for name, payload in json.loads((archive / "entries.json").read_text(encoding="utf-8")).items():
+        (directory / "entries" / name).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    (directory / "index.json").write_bytes((archive / "index.json").read_bytes())
+    manifest = json.loads((archive / "manifest.json").read_text(encoding="utf-8"))
+    (directory / "manifest.json").write_text(json.dumps(dict(manifest, format_version=1)), encoding="utf-8")
 
 
 def run_case(name, replay=None):
@@ -169,3 +199,20 @@ def test_archive_of_replayed_run_equals_original(name, kinds, tmp_path):
     pipe, again = run_case(name, replay_load(tmp_path / "replayed", cp))
     assert agent_calls(pipe) == (0, 0, 0, 0)
     assert again.stats == replayed.stats == original.stats
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_version_1_archive_still_replays(name, tmp_path):
+    """An archive written in the one-file-per-entry layout of format version
+    1 holds the pinned bytes and replays as the pack it was built from."""
+    _, original = run_case(name)
+    archive_run(original, tmp_path / "v2")
+    write_v1_archive(tmp_path / "v2", tmp_path / "v1")
+    assert v1_archive_digest(tmp_path / "v1") == PINS[name]
+    cp = original.ledger.checkpoint
+    replays = {}
+    for layout in ("v1", "v2"):
+        pipe, replays[layout] = run_case(name, replay_load(tmp_path / layout, cp))
+        assert agent_calls(pipe) == (0, 0, 0, 0)
+    assert replays["v1"].stats == replays["v2"].stats == original.stats
+    assert [e.to_json() for e in replays["v1"].trace] == [e.to_json() for e in replays["v2"].trace] != []

@@ -150,16 +150,33 @@ def edit_json(path, edit):
     path.write_text(json.dumps(value))
 
 
-def entry_file(archive, kind):
-    """The file of one stage entry of this kind in a replay archive."""
-    files = sorted((archive / "entries").iterdir())
-    return next(f for f in files if json.loads(f.read_text())["kind"] == kind)
+def entry_name(pack, kind):
+    """The name of one stage entry of this kind in a replay archive's pack."""
+    return next(name for name in sorted(pack) if pack[name]["kind"] == kind)
+
+
+def edit_entry(archive, kind, edit):
+    """Rewrite a replay archive's pack with `edit` applied to one entry of this kind."""
+    edit_json(archive / "entries.json", lambda pack: edit(pack[entry_name(pack, kind)]))
+
+
+def write_entry(archive, kind, text):
+    """Rewrite a replay archive's pack with one entry of this kind replaced by
+    `text`, which need not be JSON."""
+    pack = json.loads((archive / "entries.json").read_text())
+    name = entry_name(pack, kind)
+    pack[name] = None
+    (archive / "entries.json").write_text(json.dumps(pack).replace(f'"{name}": null', f'"{name}": {text}'))
 
 
 def read_csv_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     return list(csv.DictReader(lines))
 
+
+# What an error names for a replayed entry that does not decode: the pack
+# and, after it, the entry's name.
+DECODED = "entries.json entry "
 
 # A JSON document nested deeper than the parser can follow.
 DEEP_JSON = "[" * 100000 + "]" * 100000
@@ -506,33 +523,34 @@ class TestIntervene:
                 "manifest.json",
             ),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.pop("seed")), "manifest.json"),
-            (lambda a: next((a / "entries").iterdir()).unlink(), "entries"),
-            (lambda a: next((a / "entries").iterdir()).write_text('{"kind": '), "entries"),
-            (lambda a: next((a / "entries").iterdir()).write_text(DEEP_JSON), "entries"),
+            (lambda a: edit_json(a / "entries.json", lambda p: p.pop(min(p))), "entries.json"),
+            (lambda a: edit_json(a / "index.json", lambda i: i.update({min(i): "0000000000000000.json"})),
+             "entries.json"),
+            (lambda a: write_entry(a, "anlz", '{"kind": '), "entries.json"),
+            (lambda a: write_entry(a, "anlz", DEEP_JSON), "entries.json"),
+            (lambda a: (a / "entries.json").write_text("[]"), "entries.json"),
+            (lambda a: (a / "entries.json").unlink(), "entries.json"),
             (lambda a: edit_json(a / "index.json", lambda i: i.update({min(i): 5})), "index.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(checkpoint_hash=5)), "manifest.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(intervention_signature=None)),
              "manifest.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(k="2")), "manifest.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(rounds=True)), "manifest.json"),
-            (lambda a: entry_file(a, "gen").write_text('{"kind": "eval"}'), "entries"),
-            (lambda a: entry_file(a, "gen").write_text("[]"), "entries"),
-            (lambda a: edit_json(entry_file(a, "eval"), lambda e: e["record"].update(compiled=False,
-                                                                                   validations_passed=True)),
-             "entries"),
-            (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"][0].update(attempt=9)),
-             "entries"),
-            (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"].append(e["candidates"][0])),
-             "entries"),
-            (lambda a: edit_json(entry_file(a, "gen"), lambda e: e["candidates"][0].update(attempt="0", quality="0.5")),
-             "entries"),
-            (lambda a: edit_json(entry_file(a, "anlz"), lambda e: e["report"].update(coalition_mask="3")),
-             "entries"),
+            (lambda a: write_entry(a, "gen", '{"kind": "eval"}'), DECODED),
+            (lambda a: write_entry(a, "gen", "[]"), DECODED),
+            (lambda a: edit_entry(a, "eval", lambda e: e["record"].update(compiled=False, validations_passed=True)),
+             DECODED),
+            (lambda a: edit_entry(a, "gen", lambda e: e["candidates"][0].update(attempt=9)), DECODED),
+            (lambda a: edit_entry(a, "gen", lambda e: e["candidates"].append(e["candidates"][0])), DECODED),
+            (lambda a: edit_entry(a, "gen", lambda e: e["candidates"][0].update(attempt="0", quality="0.5")),
+             DECODED),
+            (lambda a: edit_entry(a, "anlz", lambda e: e["report"].update(coalition_mask="3")), DECODED),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.update(format_version=99)), "manifest.json"),
             (lambda a: edit_json(a / "manifest.json", lambda m: m.pop("format_version")), "manifest.json"),
         ],
         ids=["no-index", "no-manifest", "manifest-not-json", "manifest-list", "manifest-without-k", "manifest-without-seed",
-             "no-entry-file", "entry-not-json", "entry-nested-too-deeply", "index-value-int",
+             "no-entry-file", "index-names-missing-entry", "entry-not-json", "entry-nested-too-deeply",
+             "pack-list", "no-pack", "index-value-int",
              "checkpoint-hash-int", "signature-null", "k-string", "rounds-bool", "gen-entry-of-eval-kind", "gen-entry-list",
              "eval-record-passed-not-compiled", "gen-attempt-out-of-range", "gen-attempt-twice",
              "gen-attempt-and-quality-strings", "anlz-mask-string",
@@ -549,6 +567,30 @@ class TestIntervene:
         assert not out.exists()
         err = capsys.readouterr().err
         assert str(archive) in err and named in err and "Traceback" not in err
+
+    def test_torn_rerecording_is_data_error(self, tmp_path, checkpoint_file, monkeypatch, capsys):
+        """Re-recording into an archive and failing to write its index leaves
+        no manifest, so the replay is refused instead of matching no stage key
+        of the older run's index and silently regenerating every stage."""
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--rollouts", "1", "--retries", "1"]
+        archive = tmp_path / "archive"
+        assert main(base + ["--coalition", "d,a", "--out", str(tmp_path / "a.csv"), "--archive", str(archive)]) == EXIT_OK
+        write_text = Path.write_text
+
+        def failing_index(path, *args, **kwargs):
+            if path.name == "index.json":
+                raise OSError("no space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_index)
+        with pytest.raises(OSError):
+            main(base + ["--coalition", "d", "--out", str(tmp_path / "b.csv"), "--archive", str(archive)])
+        monkeypatch.undo()
+        out = tmp_path / "replayed.csv"
+        assert main(base + ["--coalition", "d", "--out", str(out), "--replay", str(archive)]) == EXIT_DATA
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert str(archive / "manifest.json") in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "case, line",

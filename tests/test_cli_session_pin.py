@@ -52,9 +52,9 @@ SESSION = [
 # sha256 prefix of each top-level output (a directory hashes its files'
 # relative paths and contents) and of the session's stdout.
 PINNED = {
-    "arch_multi-async": "0da4c8a7213b114b",
-    "arch_serial": "0da4c8a7213b114b",
-    "arch_stage-sync": "0da4c8a7213b114b",
+    "arch_multi-async": "ce3cbb79e48feeeb",
+    "arch_serial": "ce3cbb79e48feeeb",
+    "arch_stage-sync": "ce3cbb79e48feeeb",
     "bundle": "dbe3ee2f7959c076",
     "cost": "fc1b9d3e4dc4b0ca",
     "dummy.csv": "dca0c78787ab73dc",

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -66,6 +67,7 @@ from planlens.pipeline import (
     PipelineConfigError,
     PipelineStalledError,
     PlanMode,
+    ReplayArchiveError,
     ReplayMismatchError,
     Stage,
     Task,
@@ -507,6 +509,8 @@ class TestReplay:
         assert result.stats == original.stats
 
     def test_each_entry_file_written_and_read_once(self, tmp_path, monkeypatch):
+        """An archive is three files, each written once and read once; its
+        distinct entries are packed into `entries.json`."""
         cp = build_checkpoint(6)
         pipe = build_pipe(cp, config=PipelineConfig(k=3, seed=9))
         result, _ = run_once(pipe, cp)
@@ -514,19 +518,31 @@ class TestReplay:
         for method in ("write_text", "read_text"):
 
             def counted(path, *args, _method=method, _original=getattr(Path, method), **kw):
-                if path.parent.name == "entries":
-                    calls[_method, path.name] += 1
+                calls[_method, path.relative_to(tmp_path).as_posix()] += 1
                 return _original(path, *args, **kw)
 
             monkeypatch.setattr(Path, method, counted)
         archive_run(result, tmp_path)
         replay_load(tmp_path, cp)
         monkeypatch.undo()
-        names = list(json.loads((tmp_path / "index.json").read_text()).values())
-        assert len(set(names)) < len(names)  # equal EVAL records share a file
         assert calls == Counter(
-            {(method, name): 1 for method in ("write_text", "read_text") for name in names}
+            {(method, name): 1 for method in ("write_text", "read_text")
+             for name in ("entries.json", "index.json", "manifest.json")}
         )
+        names = list(json.loads((tmp_path / "index.json").read_text()).values())
+        assert len(set(names)) < len(names)  # equal EVAL records share an entry
+        assert sorted(json.loads((tmp_path / "entries.json").read_text())) == sorted(set(names))
+
+    def test_undecodable_entry_names_pack_and_entry(self, tmp_path):
+        cp = build_checkpoint(4)
+        _, _, archive_dir = self.archived_run(tmp_path, cp)
+        pack = json.loads((archive_dir / "entries.json").read_text())
+        name = next(n for n in sorted(pack) if pack[n]["kind"] == "gen")
+        pack[name]["candidates"][0]["attempt"] = 7
+        (archive_dir / "entries.json").write_text(json.dumps(pack))
+        named = re.escape(f"{archive_dir / 'entries.json'} entry {name} holds no GEN entry")
+        with pytest.raises(ReplayArchiveError, match=named):
+            run_once(build_pipe(cp, config=PipelineConfig(k=3, seed=9)), cp, replay=replay_load(archive_dir, cp))
 
     def test_checkpoint_mismatch_refused(self, tmp_path):
         cp = build_checkpoint(6)

@@ -143,8 +143,7 @@ def test_archive_run_writes_what_the_checker_accepts(tmp_path):
     check_json(json.loads((tmp_path / "manifest.json").read_text()), _MANIFEST_SCHEMA, "manifest")
     check_json(json.loads((tmp_path / "index.json").read_text()), _INDEX_SCHEMA, "index")
     kinds = set()
-    for path in (tmp_path / "entries").iterdir():
-        entry = json.loads(path.read_text())
+    for entry in json.loads((tmp_path / "entries.json").read_text()).values():
         kinds.add(entry["kind"])
         check_json(entry, _ENTRY_SCHEMA[Stage[entry["kind"].upper()]], "entry")
         for candidate in entry.get("candidates", ()):
