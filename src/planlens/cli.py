@@ -712,7 +712,8 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (PipelineStalledError, EstimationFailedError, RetryableAgentError) as exc:
+    # OSError: an output the command cannot write (`read_input` turns input errors into DataError).
+    except (PipelineStalledError, EstimationFailedError, RetryableAgentError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -122,16 +122,6 @@ def depth_slopes(params: CostParams) -> tuple[int, int]:
     return v * params.repetitions * n, n
 
 
-def crossover_depth(params: CostParams, ratio: float, max_depth: int = 10**6) -> int | None:
-    """Smallest depth at which e2e volume is `ratio` times the pipe volume."""
-    params.uniform_population  # ValueError for a per-generation population
-    for depth in range(1, max_depth + 1):
-        row_params = replace(params, depth=depth)
-        if b_e2e(row_params) / b_pipe(row_params) >= ratio:
-            return depth
-    return None
-
-
 def scaling_to_csv(rows: Sequence[ScalingRow], meta: str | None = None) -> str:
     return csv_text(
         [["depth", "volume_e2e", "volume_pipe", "ratio"]]

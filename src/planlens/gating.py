@@ -68,10 +68,6 @@ class CfgGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def labels(self) -> dict[str, str]:
         return dict(self.nodes)
 

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, IntEnum
@@ -66,6 +67,9 @@ from .trajectory import (
 )
 
 ARCHIVE_FORMAT_VERSION = 2
+# The values a run is recorded under, by name: every stage key hashes them in
+# this order, an archive's manifest holds them and a replay must match them.
+RUN_IDENTITY = ("checkpoint_hash", "intervention_signature", "seed", "k", "rounds")
 
 
 class PipelineConfigError(ValueError):
@@ -246,6 +250,12 @@ class _RoundState:
     best: OutcomeLevel = OutcomeLevel.FAILED
 
 
+def _run_identity(checkpoint: GenerationCheckpoint, intervention: Intervention, config: PipelineConfig, seed: int):
+    """A run's `RUN_IDENTITY` values, by name."""
+    values = (checkpoint.checkpoint_hash, intervention.signature(), seed, config.k, config.rounds)
+    return dict(zip(RUN_IDENTITY, values))
+
+
 class RunLedger:
     """All state owned by one run; runs never share per-sample state."""
 
@@ -260,15 +270,11 @@ class RunLedger:
     ):
         self.run_id = run_id
         self.checkpoint = checkpoint
-        self.checkpoint_hash = checkpoint.checkpoint_hash
         self.intervention = intervention
-        self.intervention_signature = intervention.signature()
         self.config = config
         self.seed = seed
-        self._stage_prefix = SeedPrefix(
-            0, "stage", self.checkpoint_hash, self.intervention_signature,
-            seed, config.k, config.rounds,
-        )
+        self.identity = _run_identity(checkpoint, intervention, config, seed)
+        self._stage_prefix = SeedPrefix(0, "stage", *self.identity.values())
         self.replay = replay
         self.rounds: dict[tuple[str, int], _RoundState] = {}
         self.best_outcomes: dict[str, OutcomeLevel] = {}
@@ -278,13 +284,9 @@ class RunLedger:
         self.clock = 0.0
         self.max_llm_inflight = self.max_gen_inflight = self.max_eval_queue = 0
 
-    @property
-    def replay_hits(self) -> int:
-        return len(self.replayed)
-
     def stage_key(self, stage: Stage, sample_id: str, round_index: int, attempt: int = -1) -> str:
-        """Archive key: derive_seed(0, "stage", checkpoint hash, intervention
-        signature, seed, k, rounds, stage name, sample, round, attempt)."""
+        """Archive key: derive_seed(0, "stage", the run identity's values,
+        stage name, sample, round, attempt)."""
         return "%016x" % self._stage_prefix.derive(stage.name, sample_id, round_index, attempt)
 
     def replayed_product(self, task: Task) -> object:
@@ -475,18 +477,13 @@ class InterventionPipeline:
             )
         seed = self.config.seed if seed is None else seed
         if replay is not None:
-            # An archive recorded under other settings matches no stage key.
-            for name, recorded, actual in (
-                ("checkpoint", replay.checkpoint_hash, checkpoint.checkpoint_hash),
-                ("intervention signature", replay.intervention_signature, intervention.signature()),
-                ("seed", replay.seed, seed),
-                ("k", replay.k, self.config.k),
-                ("rounds", replay.rounds, self.config.rounds),
-            ):
-                if recorded != actual:
+            # An archive recorded under another run identity matches no stage key.
+            identity = _run_identity(checkpoint, intervention, self.config, seed)
+            for name in RUN_IDENTITY:
+                if replay.identity[name] != identity[name]:
                     raise ReplayMismatchError(
-                        f"replay archive was recorded under a different {name} "
-                        f"({recorded} != {actual})"
+                        f"replay archive was recorded under a different {name.replace('_', ' ')} "
+                        f"({replay.identity[name]} != {identity[name]})"
                     )
         with self._lock:
             run_id = f"run-{next(self._run_counter):04d}-{os.getpid()}"
@@ -510,7 +507,7 @@ class InterventionPipeline:
     def run_to_completion(self, run_id: str) -> RunResult:
         ledger = self._take(run_id)
         self._run_samples(ledger)
-        if ledger.checkpoint.checkpoint_hash != ledger.checkpoint_hash:
+        if ledger.checkpoint.checkpoint_hash != ledger.identity["checkpoint_hash"]:
             raise CheckpointMutatedError(f"checkpoint hash changed during run {run_id}")
         samples = ledger.checkpoint.samples
         outcomes = [ledger.best_outcomes[s.sample_id] for s in samples]
@@ -547,7 +544,7 @@ class InterventionPipeline:
         # A frozen sample's ANLZ product depends only on the intervention, so
         # it is computed once per pipeline, unless a planner that does not
         # declare itself deterministic plans on it.
-        intervention, anlz_key = led.intervention, led.intervention_signature
+        intervention, anlz_key = led.intervention, led.identity["intervention_signature"]
         memoized = intervention.plan_mode is not PlanMode.SELF or getattr(self.agents.planner, "deterministic", False)
         for index, sample in enumerate(led.checkpoint.samples):
             sid = sample.sample_id
@@ -810,37 +807,27 @@ def export_trace(result: RunResult, path: str | Path) -> None:
     )
 
 
-@dataclass(frozen=True)
-class ReplayCache:
-    """Preloaded stage results from a prior run, with the checkpoint hash,
-    intervention signature, seed, k and rounds it was recorded under. `entries`
-    maps a stage key to where its entry was read and the entry's JSON value,
-    which is decoded, and so checked, only when a run replays it."""
+class ReplayCache(NamedTuple):
+    """Preloaded stage results from a prior run, with the run identity it was
+    recorded under. `entries` maps a stage key to where its entry was read and
+    the entry's JSON value, which is decoded, and so checked, only when a run
+    replays it."""
 
-    checkpoint_hash: str
-    entries: Mapping[str, tuple[Path | str, object]] = field(repr=False)
-    intervention_signature: str
-    seed: int
-    k: int
-    rounds: int
-
-    def filter(self, kinds: Iterable[str]) -> "ReplayCache":
-        """Keep only the given stage kinds (e.g. {"anlz"})."""
-        wanted = set(kinds)
-        return replace(self, entries={
-            key: entry for key, entry in self.entries.items()
-            if isinstance(entry[1], dict) and entry[1].get("kind") in wanted
-        })
+    identity: Mapping[str, object]
+    entries: Mapping[str, tuple[Path | str, object]]
 
 
 def archive_run(result: RunResult, directory: str | Path) -> None:
     """Persist a completed run's stage results as one content-addressed pack.
-    Any older manifest is removed first and the new one written last, so an
-    archive torn by a failed write has none and is refused."""
+    Any older manifest is removed first, then a version-1 archive's
+    `entries/`, and the new manifest is written last, so an archive torn by a
+    failed write or removal has none and is refused."""
     led = result.ledger
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     (base / "manifest.json").unlink(missing_ok=True)
+    if (base / "entries").is_dir():
+        shutil.rmtree(base / "entries")
     index: dict[str, str] = {}
     blobs: dict[str, str] = {}  # stages with equal payloads share one entry
     for stage_key, payload in led.archive_entries().items():
@@ -854,15 +841,7 @@ def archive_run(result: RunResult, directory: str | Path) -> None:
     (base / "index.json").write_text(
         json.dumps(index, indent=2, sort_keys=True), encoding="utf-8"
     )
-    manifest = {
-        "format_version": ARCHIVE_FORMAT_VERSION,
-        "run_id": result.run_id,
-        "checkpoint_hash": led.checkpoint_hash,
-        "intervention_signature": led.intervention_signature,
-        "seed": led.seed,
-        "k": led.config.k,
-        "rounds": led.config.rounds,
-    }
+    manifest = {"format_version": ARCHIVE_FORMAT_VERSION, "run_id": result.run_id, **led.identity}
     (base / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
     )
@@ -916,8 +895,8 @@ def replay_load(
             raise ReplayArchiveError(f"replay archive file {path} lacks entry {min(missing)} named in index.json")
         payloads = {name: (f"{path} entry {name}", pack[name]) for name in names}
     return ReplayCache(
-        recorded, {stage_key: payloads[name] for stage_key, name in index.items()},
-        manifest["intervention_signature"], manifest["seed"], manifest["k"], manifest["rounds"],
+        {name: manifest[name] for name in RUN_IDENTITY},
+        {stage_key: payloads[name] for stage_key, name in index.items()},
     )
 
 

@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -210,10 +210,6 @@ class Sample:
     parent_id: str | None = None
     executions: tuple[ExecutionRecord, ...] = ()
     metadata: Mapping[str, Any] = field(default_factory=dict)
-
-    def with_execution(self, rec: ExecutionRecord) -> "Sample":
-        """Return a copy with one more execution appended."""
-        return replace(self, executions=self.executions + (rec,))
 
     def to_json(self, trajectory_id: str | None = None) -> dict[str, Any]:
         data: dict[str, Any] = {

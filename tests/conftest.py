@@ -35,6 +35,14 @@ def build_pipe(checkpoint, behavior=None, config=None, fail_attempts=frozenset()
     return InterventionPipeline(bundle, source, config=config)
 
 
+def only_stages(cache, kinds):
+    """`cache` holding only the entries of the given stage kinds (e.g. {"anlz"})."""
+    return cache._replace(entries={
+        key: entry for key, entry in cache.entries.items()
+        if isinstance(entry[1], dict) and entry[1].get("kind") in kinds
+    })
+
+
 class ChatHandler(BaseHTTPRequestHandler):
     """A stub chat backend: answers `echo:<model>` after failing the next
     `fail_times` requests with 503, and logs each (path, body, auth) in

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from conftest import build_checkpoint, build_pipe
+from conftest import build_checkpoint, build_pipe, only_stages
 import planlens.pipeline as pipeline_mod
 from planlens.agents import Candidate
 from planlens.feedback import Coalition, Representation, default_components
@@ -24,6 +24,7 @@ from planlens.pipeline import (
     Intervention,
     PipelineConfig,
     PlanMode,
+    ReplayArchiveError,
     RunLedger,
     archive_run,
     replay_load,
@@ -191,7 +192,7 @@ def test_archive_of_replayed_run_equals_original(name, kinds, tmp_path):
     archive_run(original, tmp_path / "original")
     cp = original.ledger.checkpoint
     cache = replay_load(tmp_path / "original", cp)
-    _, replayed = run_case(name, cache.filter(kinds) if kinds else cache)
+    _, replayed = run_case(name, only_stages(cache, kinds) if kinds else cache)
     archive_run(replayed, tmp_path / "replayed")
     assert archive_digest(tmp_path / "replayed") == PINS[name]
 
@@ -216,3 +217,35 @@ def test_version_1_archive_still_replays(name, tmp_path):
         assert agent_calls(pipe) == (0, 0, 0, 0)
     assert replays["v1"].stats == replays["v2"].stats == original.stats
     assert [e.to_json() for e in replays["v1"].trace] == [e.to_json() for e in replays["v2"].trace] != []
+
+
+def test_recording_over_version_1_archive_leaves_only_the_pack(tmp_path):
+    """Re-recording over a version-1 archive removes its `entries/`, which
+    would otherwise count in any size or digest taken over the directory."""
+    _, first = run_case("serial")
+    archive_run(first, tmp_path / "v2")
+    write_v1_archive(tmp_path / "v2", tmp_path / "archive")
+    _, second = run_case("plan-dummy")
+    archive_run(second, tmp_path / "archive")
+    assert sorted(p.name for p in (tmp_path / "archive").iterdir()) == ["entries.json", "index.json", "manifest.json"]
+    assert archive_digest(tmp_path / "archive") == PINS["plan-dummy"]
+    pipe, replayed = run_case("plan-dummy", replay_load(tmp_path / "archive", second.ledger.checkpoint))
+    assert agent_calls(pipe) == (0, 0, 0, 0)
+    assert replayed.stats == second.stats
+
+
+def test_failed_removal_of_version_1_entries_leaves_no_manifest(tmp_path, monkeypatch):
+    _, result = run_case("serial")
+    archive_run(result, tmp_path / "v2")
+    write_v1_archive(tmp_path / "v2", tmp_path / "archive")
+
+    def refuse(path):
+        raise PermissionError(f"cannot remove {path}")
+
+    monkeypatch.setattr(pipeline_mod.shutil, "rmtree", refuse)
+    with pytest.raises(PermissionError):
+        archive_run(result, tmp_path / "archive")
+    monkeypatch.undo()
+    assert not (tmp_path / "archive" / "manifest.json").exists()
+    with pytest.raises(ReplayArchiveError, match="manifest.json"):
+        replay_load(tmp_path / "archive", result.ledger.checkpoint)

@@ -272,6 +272,31 @@ class TestUnreadableInput:
         assert "cannot parse checkpoint: line 5:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "case", ["run-out", "sweep-out", "trace", "archive", "gate-out", "cost-out", "report-out"]
+)
+def test_unwritable_output_is_runtime_error(tmp_path, checkpoint_file, capsys, case):
+    """An output path in a missing directory, or a directory output that
+    names a regular file, exits 4 naming the path."""
+    missing, regular = tmp_path / "nodir" / "out", tmp_path / "file"
+    regular.write_text("")
+    out = str(tmp_path / "out.csv")
+    run = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--rollouts", "1"]
+    argv, bad = {
+        "run-out": (run + ["--out", str(missing)], missing),
+        "sweep-out": (["intervene", "--checkpoint", str(checkpoint_file), "--sweep", "--rollouts", "1",
+                       "--out", str(missing)], missing),
+        "trace": (run + ["--out", out, "--trace", str(missing)], missing),
+        "archive": (run + ["--out", out, "--archive", str(regular)], regular),
+        "gate-out": (["gate", "--status", "failed", "--out", str(missing)], missing),
+        "cost-out": (["cost", "--sweep", "1:3", "--out", str(regular)], regular),
+        "report-out": (["report", "--out", str(regular)], regular),
+    }[case]
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and str(bad) in err and "Traceback" not in err
+
+
 class TestIntervene:
     def test_sweep_simulates_no_schedule(self, tmp_path, checkpoint_file, monkeypatch):
         # A sweep reads only each rollout's stats: no latency draw, no event.
@@ -583,8 +608,7 @@ class TestIntervene:
             return write_text(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "write_text", failing_index)
-        with pytest.raises(OSError):
-            main(base + ["--coalition", "d", "--out", str(tmp_path / "b.csv"), "--archive", str(archive)])
+        assert main(base + ["--coalition", "d", "--out", str(tmp_path / "b.csv"), "--archive", str(archive)]) == EXIT_RUNTIME
         monkeypatch.undo()
         out = tmp_path / "replayed.csv"
         assert main(base + ["--coalition", "d", "--out", str(out), "--replay", str(archive)]) == EXIT_DATA

@@ -5,7 +5,6 @@ from planlens.costmodel import (
     b_e2e,
     b_pipe,
     coalition_count,
-    crossover_depth,
     depth_slopes,
     scaling_table,
     scaling_to_csv,
@@ -96,15 +95,6 @@ class TestScaling:
     def test_sweep_cardinality(self):
         rows = scaling_table(CostParams(**PAPER_DEFAULTS), range(10, 101))
         assert len(rows) == 91
-
-    def test_crossover_search(self):
-        params = CostParams(**PAPER_DEFAULTS)
-        depth = crossover_depth(params, ratio=10.0)
-        assert depth is not None
-        rows = {r.depth: r for r in scaling_table(params, range(1, depth + 1))}
-        assert rows[depth].ratio >= 10.0
-        if depth > 1:
-            assert rows[depth - 1].ratio < 10.0
 
     def test_ratio_limit_is_v_times_r(self):
         # B_e2e/B_pipe -> V*R as depth grows with checkpoints fixed.

@@ -5,6 +5,7 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -59,7 +60,7 @@ class TestParseDot:
     def test_minimal_digraph(self):
         g = parse_dot("digraph{a->b;}")
         assert g.n_nodes == 2
-        assert g.n_edges == 1
+        assert len(g.edges) == 1
 
     def test_label_attribute_preserved(self):
         g = parse_dot('digraph { a [label="entry"]; a -> b; }')
@@ -72,7 +73,7 @@ class TestParseDot:
 
     def test_duplicate_edges_collapse(self):
         g = parse_dot("digraph { a -> b; a -> b; }")
-        assert g.n_edges == 1
+        assert len(g.edges) == 1
 
     def test_edge_chain(self):
         g = parse_dot("digraph { a -> b -> c; }")
@@ -106,7 +107,7 @@ class TestParseDot:
     def test_named_graph_and_comments(self):
         g = parse_dot("digraph cfg { // intro\n a -> b; // edge\n }")
         assert g.source == "cfg"
-        assert g.n_edges == 1
+        assert len(g.edges) == 1
 
     @pytest.mark.parametrize("label", ["i--", "x; y", "http://x"], ids=["dashes", "semicolon", "slashes"])
     def test_quoted_label_is_text(self, label):
@@ -424,8 +425,8 @@ class TestGate:
 class TestReferenceSelection:
     def test_best_sample_policy(self):
         cp = build_checkpoint(3)
-        passing = cp.samples[1].with_execution(
-            ExecutionRecord(compiled=True, validations_passed=True)
+        passing = replace(
+            cp.samples[1], executions=(ExecutionRecord(compiled=True, validations_passed=True),)
         )
         samples = (cp.samples[0], passing, cp.samples[2])
         cp = type(cp)(trajectory_id="t", g=0, samples=samples)

@@ -25,6 +25,7 @@ from conftest import (
     build_pipe,
     count_schedule_work,
     event_digest,
+    only_stages,
     record_computations,
     run_in_threads,
 )
@@ -425,7 +426,7 @@ class TestIsolation:
         for t in threads:
             t.join()
         led_a, led_b = results[run_a].ledger, results[run_b].ledger
-        assert led_a.checkpoint_hash != led_b.checkpoint_hash
+        assert led_a.identity["checkpoint_hash"] != led_b.identity["checkpoint_hash"]
         assert not (set(led_a.archive_entries()) & set(led_b.archive_entries()))
         assert results[run_a].stats == results[run_b].stats  # same seed, same mocks
 
@@ -495,12 +496,12 @@ class TestReplay:
         assert fresh.agents.planner.calls == 0
         assert fresh.agents.evaluator.calls == 0
         assert result.stats == original.stats
-        assert result.ledger.replay_hits > 0
+        assert len(result.ledger.replayed) > 0
 
     def test_anlz_only_replay(self, tmp_path):
         cp = build_checkpoint(6)
         _, original, archive_dir = self.archived_run(tmp_path, cp)
-        cache = replay_load(archive_dir, cp).filter({"anlz"})
+        cache = only_stages(replay_load(archive_dir, cp), {"anlz"})
         fresh = build_pipe(cp, config=PipelineConfig(k=3, seed=9))
         result, _ = run_once(fresh, cp, replay=cache)
         assert fresh.agents.planner.calls == 0  # feedback stage fully cached
@@ -574,7 +575,7 @@ class TestReplay:
         _, _, archive_dir = self.archived_run(tmp_path, cp)  # k=3, rounds=1, full coalition
         cache = replay_load(archive_dir, cp)
         pipe = build_pipe(cp, config=config)
-        for replay in (cache, cache.filter({"anlz"})):
+        for replay in (cache, only_stages(cache, {"anlz"})):
             with pytest.raises(ReplayMismatchError, match=f"different {named} "):
                 pipe.submit(cp, Intervention(coalition=coalition), replay=replay)
 
@@ -583,11 +584,11 @@ class TestReplay:
         cp = build_checkpoint(4)
         _, _, archive_dir = self.archived_run(tmp_path, cp, PipelineConfig(k=3, seed=17))
         cache = replay_load(archive_dir, cp)
-        assert cache.seed == 17
+        assert cache.identity["seed"] == 17
         recorded = build_pipe(cp, config=PipelineConfig(k=3, seed=17))
         recorded.cancel(recorded.submit(cp, Intervention(coalition=FULL), replay=cache))
         other = build_pipe(cp, config=PipelineConfig(k=3, seed=18))
-        for replay in (cache, cache.filter({"anlz"})):
+        for replay in (cache, only_stages(cache, {"anlz"})):
             for submit in (
                 lambda: other.submit(cp, Intervention(coalition=FULL), replay=replay),
                 lambda: recorded.submit(cp, Intervention(coalition=FULL), seed=18, replay=replay),

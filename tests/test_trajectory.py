@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -102,7 +103,7 @@ class TestBestOutcome:
     )
     def test_appending_never_lowers(self, levels, extra):
         base = make_sample("s", levels)
-        extended = base.with_execution(RECORD_BY_LEVEL[extra])
+        extended = replace(base, executions=base.executions + (RECORD_BY_LEVEL[extra],))
         assert sample_best_outcome(extended) >= sample_best_outcome(base)
 
 
