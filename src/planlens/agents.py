@@ -16,7 +16,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Mapping, Sequence
 
 from .feedback import Coalition, FeedbackArtifact, Memo, Report, Representation, read_asset
@@ -208,6 +207,13 @@ class Candidate:
     thresholds: tuple[float, float, float]  # at-least (compiled, pass, fast)
     plan_tag: str | None = None
 
+    # Fills the fields in one dict update; the generated frozen __init__
+    # sets each through object.__setattr__, at twice the cost per candidate.
+    def __init__(self, sample_id, attempt, text, quality, thresholds, plan_tag=None):
+        vars(self).update(
+            sample_id=sample_id, attempt=attempt, text=text, quality=quality, thresholds=thresholds, plan_tag=plan_tag
+        )
+
     def to_json(self) -> dict:
         return {
             "sample_id": self.sample_id,
@@ -248,8 +254,13 @@ class _CallCounter:
         self.invocations = 0
 
     def bump(self) -> None:
-        with self._lock:
+        # Once per generate or evaluate call: acquire and release cost about
+        # half of what `with self._lock` does.
+        self._lock.acquire()
+        try:
             self.calls += 1
+        finally:
+            self._lock.release()
 
     def begin(self) -> None:
         with self._lock:
@@ -345,22 +356,15 @@ class MockGenerator(_CallCounter):
         # Attempt a's quality is hash_uniform(seed, "quality", run_seed,
         # sample, round, a); the labels before the attempt are hashed once.
         quality_seeds = SeedPrefix(self.behavior.seed, "quality", run_seed, sid, round_index)
-        fail_attempts = self.fail_attempts
+        fail_attempts, mask = self.fail_attempts, coalition.mask
         out: list[Candidate | GeneratorAttemptError] = []
         for attempt in range(k):
             if fail_attempts and (sid, attempt) in fail_attempts:
                 out.append(GeneratorAttemptError(f"injected failure on attempt {attempt} of sample {sid}"))
                 continue
-            out.append(
-                Candidate(
-                    sample_id=sid,
-                    attempt=attempt,
-                    text=f"// candidate {sid}#{attempt} mask={coalition.mask}",
-                    quality=quality_seeds.derive(attempt) / 2.0**64,
-                    thresholds=thresholds,
-                    plan_tag=producer,
-                )
-            )
+            # Positional: (sample_id, attempt, text, quality, thresholds, plan_tag).
+            text = f"// candidate {sid}#{attempt} mask={mask}"
+            out.append(Candidate(sid, attempt, text, quality_seeds.derive(attempt) / 2.0**64, thresholds, producer))
         return out
 
 
@@ -390,19 +394,10 @@ class MockEvaluator(_CallCounter):
             return _FAILED
         if q < t_pass:
             return _COMPILED
+        # Positional: (compiled, validations_passed, speedup_vs_baseline, wall_time, raw_logs).
         if q < t_fast:
-            return ExecutionRecord(
-                compiled=True,
-                validations_passed=True,
-                speedup_vs_baseline=min(1.0, 0.5 + 0.5 * q),
-                raw_logs=("mock: pass",),
-            )
-        return ExecutionRecord(
-            compiled=True,
-            validations_passed=True,
-            speedup_vs_baseline=1.25 + q,
-            raw_logs=("mock: fast",),
-        )
+            return ExecutionRecord(True, True, min(1.0, 0.5 + 0.5 * q), None, ("mock: pass",))
+        return ExecutionRecord(True, True, 1.25 + q, None, ("mock: fast",))
 
 
 def crash_record(note: str) -> ExecutionRecord:
@@ -560,16 +555,6 @@ def load_prompt(role: Role) -> str:
     if name is None:
         raise KeyError(f"no prompt asset for role {role.value}")
     return read_asset("prompts", name)
-
-
-def prompt_inventory() -> dict[str, str]:
-    """All shipped prompt assets keyed by file name."""
-    base = resources.files("planlens").joinpath("assets", "prompts")
-    out = {}
-    for entry in base.iterdir():
-        if entry.name.endswith(".md"):
-            out[entry.name] = entry.read_text(encoding="utf-8")
-    return out
 
 
 def mock_artifact_payload(sample: Sample, component_name: str) -> str:

@@ -209,7 +209,9 @@ class Report:
 
 
 class ArtifactSource(Protocol):
-    """Supplies feedback artifacts; must be safe for concurrent reads."""
+    """Supplies feedback artifacts; must be safe for concurrent reads. A
+    source whose artifacts can change carries a `version` that changes with
+    them; a pipeline takes a source without one never to change."""
 
     def get(
         self,
@@ -222,6 +224,7 @@ class ArtifactSource(Protocol):
 class InMemoryArtifactSource:
     def __init__(self):
         self._store: dict[tuple[str, int, Representation], FeedbackArtifact] = {}
+        self.version = 0  # counts the puts
 
     def put(self, artifact: FeedbackArtifact) -> None:
         key = (
@@ -230,6 +233,7 @@ class InMemoryArtifactSource:
             artifact.representation,
         )
         self._store[key] = artifact
+        self.version += 1
 
     def get(self, sample_id, component, representation):
         return self._store.get((sample_id, component.id, representation))

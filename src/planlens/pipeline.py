@@ -373,29 +373,37 @@ class LatencyModel:
     """Simulated task duration: mean + tail * Exp(1), keyed by task identity.
 
     The Exp(1) draw is hash_uniform(seed, "latency", run_seed, stage name,
-    sample, round, attempt). One table per run seed, by stage value, holds
-    each stage's bound `SeedPrefix.derive`, mean and tail; AGG's is None and
-    takes no time. Runs on other threads replace (run_seed, table) whole.
+    sample, round, attempt); AGG takes no time. A run's schedule draws through
+    `drawer(run_seed)`, which hashes each stage's label prefix once; in a
+    subclass that overrides `duration`, it calls that for every task.
     """
 
     def __init__(self, seed: int = 0, params: Mapping[str, LatencyParams] | None = None):
         self.seed = seed
         self.params = dict(params or {})
-        self._run: tuple | None = None  # (run_seed, table) of the latest run seed
+
+    def drawer(self, run_seed: int) -> Callable[[Task], float]:
+        """`duration(run_seed, task)` for one run, for any task but AGG."""
+        # `__class__` is this class, also where a profiler rebinds the module's name to a subclass.
+        if type(self).duration is not __class__.duration:
+            return functools.partial(self.duration, run_seed)
+        table: list = [None] * (len(Stage) + 1)  # by stage value
+        for s in (Stage.ANLZ, Stage.GEN, Stage.EVAL):
+            p = self.params.get(s.name.lower(), LatencyParams())
+            table[s] = (SeedPrefix(self.seed, "latency", run_seed, s.name).derive, p.mean, p.tail)
+
+        def draw(task: Task) -> float:
+            derive, mean, tail = table[task[2]]
+            return mean + tail * -math.log(1.0 - derive(task[4], task[1], task[3]) / 2.0**64)
+
+        return draw
 
     def duration(self, run_seed: int, task: Task) -> float:
-        run = self._run
-        if run is None or run[0] != run_seed:
-            table: list[tuple | None] = [None] * (len(Stage) + 1)
-            for s in (Stage.ANLZ, Stage.GEN, Stage.EVAL):
-                p = self.params.get(s.name.lower(), LatencyParams())
-                table[s] = (SeedPrefix(self.seed, "latency", run_seed, s.name).derive, p.mean, p.tail)
-            run = self._run = (run_seed, table)
-        entry = run[1][task[2]]
-        if entry is None:
+        if task.stage is Stage.AGG:
             return 0.0
-        derive, mean, tail = entry
-        return mean + tail * -math.log(1.0 - derive(task[4], task[1], task[3]) / 2.0**64)
+        p = self.params.get(task.stage.name.lower(), LatencyParams())
+        x = derive_seed(self.seed, "latency", run_seed, task.stage.name, task.sample_id, task.round_index, task.attempt)
+        return p.mean + p.tail * -math.log(1.0 - x / 2.0**64)
 
 
 class _RepresentationSource:
@@ -456,8 +464,8 @@ class InterventionPipeline:
         self._ledgers: dict[str, RunLedger] = {}  # submitted, not yet driven
         self._lock = threading.Lock()
         self._summary_cache = Memo()
-        # (sample id, intervention signature) -> ANLZ product; see `_run_samples`.
-        self._anlz_cache = Memo()
+        # (source version, memo of (sample id, intervention signature) -> ANLZ product); see `_run_samples`.
+        self._anlz_cache: tuple[object, Memo] = (None, Memo())
         self._run_counter = itertools.count()
 
     # -- run lifecycle -------------------------------------------------------
@@ -541,10 +549,13 @@ class InterventionPipeline:
         them."""
         k, rounds, seed, replay = self.config.k, self.config.rounds, led.seed, led.replay
         generate, evaluate = self.agents.generator.generate, self.agents.evaluator.evaluate
-        # A frozen sample's ANLZ product depends only on the intervention, so
-        # it is computed once per pipeline, unless a planner that does not
-        # declare itself deterministic plans on it.
+        # A frozen sample's ANLZ product depends only on the intervention and
+        # the source's artifacts, so it is computed once per source version,
+        # unless a planner that does not declare itself deterministic plans on it.
         intervention, anlz_key = led.intervention, led.identity["intervention_signature"]
+        version, (memo_version, anlz_memo) = getattr(self.artifact_source, "version", None), self._anlz_cache
+        if memo_version != version:  # a new version drops the older one's products
+            self._anlz_cache = (version, anlz_memo := Memo())
         memoized = intervention.plan_mode is not PlanMode.SELF or getattr(self.agents.planner, "deterministic", False)
         for index, sample in enumerate(led.checkpoint.samples):
             sid = sample.sample_id
@@ -554,17 +565,20 @@ class InterventionPipeline:
                 product = None if replay is None else led.replayed_product(Task(index, r, Stage.ANLZ, -1, sid))
                 if product is None:
                     analyze = functools.partial(self._analyze, sid, intervention)
-                    product = self._anlz_cache.get((sid, anlz_key), analyze) if memoized else analyze()
+                    product = anlz_memo.get((sid, anlz_key), analyze) if memoized else analyze()
                 state.report, state.plan = product
                 product = None if replay is None else led.replayed_product(Task(index, r, Stage.GEN, -1, sid))
                 if product is None:
                     outputs = generate(sample, state.report, state.plan, k, run_seed=seed, round_index=r)
-                    product = (
-                        [c for c in outputs if not isinstance(c, GeneratorAttemptError)],
-                        [(j, str(e)) for j, e in enumerate(outputs) if isinstance(e, GeneratorAttemptError)],
-                    )
+                    product = [], []  # (candidates, failures), split in one pass
+                    for j, out in enumerate(outputs):
+                        if isinstance(out, GeneratorAttemptError):
+                            product[1].append((j, str(out)))
+                        else:
+                            product[0].append(out)
                 candidates, state.failures = product
                 state.candidates = {cand.attempt: cand for cand in candidates}
+                records, level = state.records, OutcomeLevel.FAILED  # the round's best so far
                 for attempt, candidate in state.candidates.items():
                     record = None if replay is None else led.replayed_product(Task(index, r, Stage.EVAL, attempt, sid))
                     if record is None:
@@ -572,9 +586,11 @@ class InterventionPipeline:
                             record = evaluate(candidate)
                         except Exception as exc:  # noqa: BLE001 - crash becomes a Failed record
                             record = crash_record(str(exc))
-                    state.records[attempt] = record
-                    state.best = max(state.best, classify_execution(record))
-                best = max(best, state.best)
+                    records[attempt] = record
+                    if (graded := classify_execution(record)) > level:
+                        level = graded
+                state.best = level
+                best = max(best, level)
             led.best_outcomes[sid] = best
 
     def _analyze(self, sid: str, intervention: Intervention) -> tuple[Report, PlanArtifact | None]:
@@ -606,7 +622,7 @@ class InterventionPipeline:
         cfg = led.config
         ANLZ, GEN, EVAL, AGG = Stage
         heappush, heappop = heapq.heappush, heapq.heappop
-        duration, seed, rounds, k = latency.duration, led.seed, cfg.rounds, cfg.k
+        duration, rounds, k = latency.drawer(led.seed), cfg.rounds, cfg.k
         stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
         serial = cfg.execution_mode is ExecutionMode.SERIAL
         trace, samples, led_rounds = cfg.record_trace, led.checkpoint.samples, led.rounds
@@ -624,8 +640,7 @@ class InterventionPipeline:
         # round's stages ran, so a stage's heap never holds two rounds here.
         cycle = [ANLZ, GEN, EVAL] * rounds + [AGG]
         wave = 0
-        on = [not stage_sync] * len(ready)  # by stage value
-        on[ANLZ] = True
+        anlz_on, gen_on, eval_on, agg_on = (not stage_sync or s is cycle[wave] for s in Stage)
         # Progress by sample: its last completed task, and the EVALs of its
         # current round still to complete (its rounds run one after another).
         last: list[Task | None] = [None] * len(samples)
@@ -649,8 +664,7 @@ class InterventionPipeline:
             # entries at or below the cursor, passed over while it was
             # closed, are set aside until the scan ends.
             cursor = ()  # sorts before every entry
-            aside: list = []
-            _, anlz_on, gen_on, eval_on, agg_on = on
+            aside = None
             while not (serial and running):
                 best = None
                 if llm_inflight < llm_slots:
@@ -661,7 +675,7 @@ class InterventionPipeline:
                     # stage-sync, whose barrier would deadlock against it.
                     if gen_on and gen_ready and (stage_sync or len(eval_queue) + (gen_inflight + 1) * k <= capacity):
                         while gen_ready and gen_ready[0] <= cursor:
-                            aside.append(heappop(gen_ready))
+                            (aside := aside or []).append(heappop(gen_ready))
                         if gen_ready and (best is None or gen_ready[0] < best[0]):
                             best = gen_ready
                 if eval_on and eval_queue and eval_inflight < eval_slots and (best is None or eval_queue[0] < best[0]):
@@ -684,19 +698,18 @@ class InterventionPipeline:
                         if gen_inflight > max_gen:
                             max_gen = gen_inflight
                 started += 1
-                # A replayed task takes no time.
-                finish = clock if replayed and task in replayed else clock + duration(seed, task)
+                # AGG and a replayed task take no time.
+                finish = clock if stage is AGG or replayed and task in replayed else clock + duration(task)
                 heappush(running, (finish, started, task))
-            for passed_over in aside:
+            for passed_over in aside or ():
                 heappush(gen_ready, passed_over)
 
             if not running:
                 if not any(ready):
                     break
                 if stage_sync and not ready[cycle[wave]] and wave + 1 < len(cycle):
-                    on[cycle[wave]] = False
                     wave += 1
-                    on[cycle[wave]] = True
+                    anlz_on, gen_on, eval_on, agg_on = (not stage_sync or s is cycle[wave] for s in Stage)
                     continue
                 stall = "ready tasks cannot acquire resources"
                 break

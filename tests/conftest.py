@@ -165,19 +165,24 @@ def record_computations(monkeypatch, cls, name="content_hash"):
 
 def count_schedule_work(monkeypatch):
     """Count the timing layer's per-task work from here on: latency draws
-    (`LatencyModel.duration` calls) and trace events built."""
+    (calls of the callable a `LatencyModel.drawer` returns) and trace events built."""
     work = Counter()
-    duration, event = pipeline_mod.LatencyModel.duration, pipeline_mod.Event
+    drawer, event = pipeline_mod.LatencyModel.drawer, pipeline_mod.Event
 
-    def counted_duration(model, run_seed, task):
-        work["duration"] += 1
-        return duration(model, run_seed, task)
+    def counted_drawer(model, run_seed):
+        draw = drawer(model, run_seed)
+
+        def counted_draw(task):
+            work["duration"] += 1
+            return draw(task)
+
+        return counted_draw
 
     def counted_event(*args):
         work["Event"] += 1
         return event(*args)
 
-    monkeypatch.setattr(pipeline_mod.LatencyModel, "duration", counted_duration)
+    monkeypatch.setattr(pipeline_mod.LatencyModel, "drawer", counted_drawer)
     monkeypatch.setattr(pipeline_mod, "Event", counted_event)
     return work
 

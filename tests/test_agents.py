@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import re
+from importlib import resources
 
 import pytest
 
@@ -20,7 +23,6 @@ from planlens.agents import (
     Role,
     load_prompt,
     mock_artifact_payload,
-    prompt_inventory,
     PlanArtifact,
 )
 from planlens.feedback import (
@@ -30,7 +32,7 @@ from planlens.feedback import (
     Representation,
     default_components,
 )
-from planlens.trajectory import OutcomeLevel, Sample, classify_execution
+from planlens.trajectory import ExecutionRecord, OutcomeLevel, Sample, classify_execution
 
 D, A, P = default_components()
 
@@ -326,6 +328,12 @@ class TestHttpChatAgent:
         assert len(ChatHandler.seen) == 3
 
 
+def prompt_inventory() -> dict[str, str]:
+    """All shipped prompt assets keyed by file name."""
+    base = resources.files("planlens").joinpath("assets", "prompts")
+    return {entry.name: entry.read_text(encoding="utf-8") for entry in base.iterdir() if entry.name.endswith(".md")}
+
+
 class TestPromptAssets:
     def test_role_keyed_prompts_load(self):
         inventory = prompt_inventory()
@@ -355,3 +363,23 @@ def test_mock_artifact_payload_deterministic():
     b = mock_artifact_payload(s, "debugger")
     assert a == b
     assert mock_artifact_payload(s, "analyzer") != a
+
+
+MADE_WITH = {
+    Candidate: {"sample_id": "s0", "attempt": 1, "text": "t", "quality": 0.5, "thresholds": (0.1, 0.2, 0.3)},
+    ExecutionRecord: {"compiled": True},
+}
+
+
+@pytest.mark.parametrize("cls", list(MADE_WITH))
+def test_written_init_takes_the_fields(cls):
+    # Both classes write their own __init__; it must take each field, in
+    # order, with the field's default, and leave the instance frozen.
+    empty = inspect.Parameter.empty
+    fields = [(f.name, empty if f.default is dataclasses.MISSING else f.default) for f in dataclasses.fields(cls)]
+    assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == fields
+    values = MADE_WITH[cls]
+    made = cls(**values)
+    assert made == cls(*values.values()) and hash(made) == hash(cls(**values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(made, fields[0][0], None)

@@ -6,6 +6,7 @@ the `InterventionPipeline.submit` signature, `RunLedger.stage_key`,
 them should fail here rather than only when the benchmark runs.
 """
 
+import gzip
 import importlib.util
 import json
 import os
@@ -68,3 +69,8 @@ def test_traced_worker_runs_clean(workload, tmp_path, monkeypatch):
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["problems"]
     assert result["layers"][REACHED[workload]] > 0
+    if workload != "gate":
+        # The tracer subclasses LatencyModel to wrap `duration`; the schedule
+        # must still call it, or the latency spans fall silent.
+        with gzip.open(tmp_path / f"spans-{workload}.tsv.gz", "rt", encoding="utf-8") as spans:
+            assert "pipeline.latency" in {line.split("\t")[3] for line in spans}

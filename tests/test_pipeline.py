@@ -400,6 +400,10 @@ class TestLatencyModel:
         alternating = [model.duration(run_seed, task) for run_seed, task in tasks]
         fresh = [LatencyModel(seed, params).duration(run_seed, task) for run_seed, task in tasks]
         assert list(map(float.hex, alternating)) == list(map(float.hex, fresh)) == list(map(float.hex, expected))
+        # One drawer per run seed draws every task but AGG as `duration` does, bit for bit.
+        drawers = {run_seed: model.drawer(run_seed) for run_seed in range(3)}
+        drawn = [(run_seed, task, x) for (run_seed, task), x in zip(tasks, expected) if task.stage is not Stage.AGG]
+        assert [float.hex(drawers[s](task)) for s, task, _ in drawn] == [float.hex(x) for _, _, x in drawn]
 
 
 class TestIsolation:
@@ -431,8 +435,8 @@ class TestIsolation:
         assert results[run_a].stats == results[run_b].stats  # same seed, same mocks
 
     def test_concurrent_runs_draw_their_own_latencies(self):
-        # One pipeline, so one LatencyModel, keeps its per-run draw state
-        # for one run seed at a time; interleaved runs must not mix them.
+        # One pipeline, so one LatencyModel, serves every run; interleaved
+        # runs must each draw their own latencies.
         cp = build_checkpoint(8)
         config = PipelineConfig(k=3, seed=2)
         seeds = (3, 4, 5)  # one thread per seed, more threads than 2 cores
@@ -449,14 +453,20 @@ class TestIsolation:
                 return super().get(key, default)
 
         model.params = YieldingParams(model.params)
-        duration = model.duration
+        drawer = model.drawer
         drawn = []
 
-        def recording_duration(run_seed, task):
-            drawn.append(run_seed)
-            return duration(run_seed, task)
+        def recording_drawer(run_seed):
+            draw = drawer(run_seed)
 
-        model.duration = recording_duration
+            def recorded(task):
+                drawn.append(run_seed)
+                time.sleep(0.0001)  # another run draws meanwhile
+                return draw(task)
+
+            return recorded
+
+        model.drawer = recording_drawer
         got = {}
 
         def drive(seed):
@@ -892,6 +902,31 @@ class TestAnlzMemo:
             run_once(pipe, cp, seed=seed)
         assert pipe.agents.planner.calls == 4 * 2 * 3  # samples x rounds x runs
 
+    def test_memo_follows_a_source_change(self):
+        # New raw artifacts for s000 go into the source after a run: the next
+        # run on the same pipeline reports them, as a fresh pipeline does.
+        cp = build_checkpoint(4)
+        pipe = build_pipe(cp)
+        before, _ = run_once(pipe, cp)
+        for component in default_components():
+            pipe.artifact_source.put(FeedbackArtifact(component, Representation.RAW, f"changed {component.name}", "s000"))
+        after, _ = run_once(pipe, cp)
+        fresh_pipe = InterventionPipeline(mock_bundle(MockBehavior(seed=1)), pipe.artifact_source, config=pipe.config)
+        fresh, _ = run_once(fresh_pipe, cp)
+        report = after.ledger.rounds["s000", 0].report
+        assert before.ledger.rounds["s000", 0].report.content_hash[:12] == "226ca102d972"
+        assert report.content_hash == fresh.ledger.rounds["s000", 0].report.content_hash
+        assert report.content_hash[:12] == "ea230263ddb2"
+        again, _ = run_once(pipe, cp, seed=1)
+        assert again.ledger.rounds["s000", 0].report is report  # the source did not change again: memoized
+        # A put drops the products of the versions before it: the memo keeps one run's four.
+        sizes = []
+        for n in range(3):
+            pipe.artifact_source.put(FeedbackArtifact(default_components()[0], Representation.RAW, f"put {n}", "s001"))
+            run_once(pipe, cp)
+            sizes.append(len(pipe._anlz_cache[1]))
+        assert sizes == [4, 4, 4]
+
     @settings(max_examples=30, deadline=None)
     @given(
         mask=st.integers(0, 7),
@@ -1027,6 +1062,26 @@ class TestCostGuards:
         assert work == Counter()
         assert result.makespan > 0
         assert work["duration"] > 0 and work["Event"] == len(result.trace) > 0
+
+    def test_schedule_draws_one_latency_per_live_task(self, monkeypatch, tmp_path):
+        # One draw per ANLZ, GEN and EVAL the run did itself; AGG and a
+        # replayed task draw none.
+        cp = build_checkpoint(3)
+        config = PipelineConfig(k=3, rounds=2, seed=2)
+        fails = frozenset({("s001", 0), ("s002", 2)})
+        result, _ = run_once(build_pipe(cp, config=config, fail_attempts=fails), cp)
+        rounds = result.ledger.rounds.values()
+        evals = sum(len(state.records) for state in rounds)
+        assert evals == 3 * 2 * 3 - 2 * 2
+        work = count_schedule_work(monkeypatch)
+        assert result.makespan > 0 and work["duration"] == 2 * len(rounds) + evals
+        archive_run(result, tmp_path)
+        cache = replay_load(tmp_path, cp)
+        for replay, draws in ((cache, 0), (only_stages(cache, {"anlz"}), len(rounds) + evals)):
+            work.clear()
+            replayed, _ = run_once(build_pipe(cp, config=config, fail_attempts=fails), cp, replay=replay)
+            assert (replayed.makespan > 0) == (draws > 0) and work["duration"] == draws
+        assert replayed.stats == result.stats
 
     def test_concurrent_timing_reads_schedule_once(self, monkeypatch):
         cp = build_checkpoint(6)

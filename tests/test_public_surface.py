@@ -22,7 +22,6 @@ ALLOWED = {
     "synergy_pair_adjusted": "acceptance criterion 02's closed-form oracle",
     "payoffs_from_two_player_values": "acceptance criterion 03 rebuilds the published table with it",
     "payoffs_from_three_player_values": "acceptance criterion 03 rebuilds the published table with it",
-    "prompt_inventory": "test helper: lists the shipped prompt assets",
     "TrajectoryStore.save": "test helper: writes a trajectory file for the CLI tests",
 }
 
