@@ -4,131 +4,28 @@ Freeze evolutionary trajectories at generation checkpoints, replay
 planning under controlled feedback coalitions via an event-driven
 pipeline, and decompose the resulting generation-level success rates
 into per-component Banzhaf values and synergy terms.
+
+The package root exports the names of README's library sketch; every
+other name is imported from its own module (`planlens.gating`, ...).
 """
 
 __version__ = "0.1.0"
 
-from .attribution import (
-    AttributionBundle,
-    AttributionReport,
-    CharacteristicTable,
-    GameSpec,
-    attribute,
-    attribution_report,
-    banzhaf,
-    banzhaf_three_player,
-    banzhaf_two_player,
-    shapley,
-    sweep_characteristic_tables,
-    synergy_full,
-    synergy_pair,
-    synergy_pair_adjusted,
-    synergy_three,
-)
-from .costmodel import CostParams, b_e2e, b_pipe, coalition_count, scaling_table
-from .feedback import (
-    Coalition,
-    FeedbackArtifact,
-    FeedbackComponent,
-    Report,
-    Representation,
-    build_report,
-    default_components,
-    dummy_plan,
-    enumerate_coalitions,
-    randomize_feedback,
-)
-from .gating import (
-    CfgGraph,
-    GateConfig,
-    GateDecision,
-    LazySummaryCache,
-    Phase,
-    gate,
-    parse_dot,
-    similarity,
-    wl_similarity,
-)
-from .pipeline import (
-    ExecutionMode,
-    Intervention,
-    InterventionPipeline,
-    PipelineConfig,
-    PlanMode,
-    RunResult,
-    archive_run,
-    make_rollout_fn,
-    replay_load,
-)
-from .trajectory import (
-    ExecutionRecord,
-    GenerationCheckpoint,
-    GenerationStats,
-    OutcomeLevel,
-    Sample,
-    TrajectoryStore,
-    classify_execution,
-    generation_stats,
-    sample_best_outcome,
-)
+from .attribution import GameSpec, attribution_report, sweep_characteristic_tables
+from .feedback import Coalition, default_components
+from .pipeline import Intervention, InterventionPipeline, PipelineConfig, make_rollout_fn
+from .trajectory import TrajectoryStore
 
 __all__ = [
     "__version__",
-    "AttributionBundle",
-    "AttributionReport",
-    "CharacteristicTable",
-    "CfgGraph",
     "Coalition",
-    "CostParams",
-    "ExecutionMode",
-    "ExecutionRecord",
-    "FeedbackArtifact",
-    "FeedbackComponent",
     "GameSpec",
-    "GateConfig",
-    "GateDecision",
-    "GenerationCheckpoint",
-    "GenerationStats",
     "Intervention",
     "InterventionPipeline",
-    "LazySummaryCache",
-    "OutcomeLevel",
-    "Phase",
     "PipelineConfig",
-    "PlanMode",
-    "Report",
-    "Representation",
-    "RunResult",
-    "Sample",
     "TrajectoryStore",
-    "archive_run",
-    "attribute",
     "attribution_report",
-    "b_e2e",
-    "b_pipe",
-    "banzhaf",
-    "banzhaf_three_player",
-    "banzhaf_two_player",
-    "build_report",
-    "classify_execution",
-    "coalition_count",
     "default_components",
-    "dummy_plan",
-    "enumerate_coalitions",
-    "gate",
-    "generation_stats",
     "make_rollout_fn",
-    "parse_dot",
-    "randomize_feedback",
-    "replay_load",
-    "sample_best_outcome",
-    "scaling_table",
-    "shapley",
-    "similarity",
     "sweep_characteristic_tables",
-    "synergy_full",
-    "synergy_pair",
-    "synergy_pair_adjusted",
-    "synergy_three",
-    "wl_similarity",
 ]

@@ -472,8 +472,11 @@ def tables_from_csv(
             raise ValueError(f"coalition_mask {mask} is outside the {len(players)}-player game")
         if mask in table.values:
             raise ValueError(f"coalition_mask {mask} repeated for g={key[0]} metric={key[1]}")
+        v = float(row["v"])
         stderr = float(row["stderr"]) if row.get("stderr") else None
-        table.set(Coalition(mask), float(row["v"]), stderr, int(row.get("n") or 0))
+        if not math.isfinite(v) or not math.isfinite(stderr or 0.0):
+            raise ValueError(f"coalition_mask {mask} has a non-finite v or stderr: {row['v']!r}, {row.get('stderr')!r}")
+        table.set(Coalition(mask), v, stderr, int(row.get("n") or 0))
     return [tables[key] for key in sorted(tables)]
 
 

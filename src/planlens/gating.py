@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from math import sqrt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .feedback import Coalition, FeedbackArtifact, Memo, default_components
 from .trajectory import GenerationCheckpoint, OutcomeLevel, Sample, sample_best_outcome
@@ -75,7 +75,8 @@ class CfgGraph:
 _NODE_RE = re.compile(
     r'^\s*("(?P<qid>[^"]*)"|(?P<id>[A-Za-z0-9_.]+))\s*(\[(?P<attrs>[^\]]*)\])?\s*;?\s*$'
 )
-_LABEL_RE = re.compile(r'label\s*=\s*("(?P<quoted>[^"]*)"|(?P<bare>[A-Za-z0-9_.]+))')
+# `label` as a whole attribute name, not the tail of one such as `xlabel`.
+_LABEL_RE = re.compile(r'(?<![\w.])label\s*=\s*("(?P<quoted>[^"]*)"|(?P<bare>[A-Za-z0-9_.]+))')
 _IDENT_RE = re.compile(r'^("([^"]*)"|[A-Za-z0-9_.]+)$')
 # A header word ends at whitespace, "{" or '"'; a stray quote is a word of its own.
 _HEADER_WORD_RE = re.compile(r'"[^"]*"|[^\s"{]+|"')
@@ -114,6 +115,13 @@ def _unmask(text: str, literals: list[str] | None) -> str:
     if not literals:
         return text
     return re.sub(r'"(\d+)"', lambda m: f'"{literals[int(m[1])]}"', text)
+
+
+def _bad_attributes(attrs: str) -> bool:
+    """Whether the text inside an attribute list's brackets holds a
+    bracket, a brace or an unpaired quote; quoted text that holds one of
+    these is masked before the statement is split."""
+    return "[" in attrs or "]" in attrs or "{" in attrs or "}" in attrs or attrs.count('"') % 2 == 1
 
 
 def parse_dot(text: str) -> CfgGraph:
@@ -166,12 +174,12 @@ def parse_dot(text: str) -> CfgGraph:
             line = line[brace + 1 :].strip()
             if not line:
                 continue
-        if closed:
-            raise DotSyntaxError("content after closing brace", lineno)
         for stmt in line.split(";"):
             stmt = stmt.strip()
             if not stmt:
                 continue
+            if closed:  # after "}" only ";", blanks and comments may follow
+                raise DotSyntaxError("content after closing brace", lineno)
             if stmt == "}":
                 closed = True
                 continue
@@ -186,8 +194,10 @@ def parse_dot(text: str) -> CfgGraph:
                 )
             if "->" in stmt:
                 parts = stmt.split("->")
-                # Optional attribute block on the final endpoint.
-                parts[-1] = parts[-1].split("[")[0]
+                if "[" in parts[-1]:  # an attribute list ends the statement
+                    parts[-1], _, attrs = parts[-1].partition("[")
+                    if not attrs.endswith("]") or _bad_attributes(attrs[:-1]):
+                        raise DotSyntaxError(f"bad attribute list in {_unmask(stmt, literals)!r}", lineno)
                 ids = []
                 for part in parts:
                     part = part.strip()
@@ -216,6 +226,8 @@ def parse_dot(text: str) -> CfgGraph:
             node_order.setdefault(nid)
             attrs = match.group("attrs")
             if attrs:
+                if _bad_attributes(attrs):
+                    raise DotSyntaxError(f"bad attribute list in {_unmask(stmt, literals)!r}", lineno)
                 label_match = _LABEL_RE.search(attrs)
                 if label_match:
                     label = label_match.group("quoted")
@@ -386,8 +398,6 @@ def decisions_to_json(entries: Iterable[tuple[str, OutcomeLevel, GateDecision]])
 
 
 # -- reference selection and lazy summarization --------------------------------
-
-ReferencePolicy = Callable[[GenerationCheckpoint], Sample | None]
 
 
 def best_sample_reference(checkpoint: GenerationCheckpoint) -> Sample | None:

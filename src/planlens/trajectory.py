@@ -86,11 +86,20 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
     raise ValueError(f"{name} is not a JSON {expected}: {value!r:.80}")
 
 
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"JSON has no {name}: a number must be finite")
+
+
+# `json.dumps` writes NaN and infinities as these bare words, which JSON lacks.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def parse_json(text: str) -> Any:
-    """`json.loads` for outside text. A document nested too deeply to parse
-    raises ValueError, as malformed JSON does, not RecursionError."""
+    """`json.loads` for outside text. `NaN`, `Infinity` and `-Infinity`
+    raise ValueError, as malformed JSON does, and so does a document nested
+    too deeply to parse, not RecursionError."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except RecursionError as exc:
         raise ValueError("JSON document is nested too deeply to read") from exc
 
@@ -424,12 +433,6 @@ class TrajectoryStore:
             yield from self.samples_at(g)
 
     # -- persistence: newline-delimited JSON, one record per sample -------
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for sample in self.iter_samples():
-                fh.write(_canonical_json(sample.to_json(self.trajectory_id)))
-                fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "TrajectoryStore":

@@ -27,6 +27,14 @@ def build_checkpoint(n_samples, g=0, trajectory_id="t"):
     return GenerationCheckpoint(trajectory_id=trajectory_id, g=g, samples=samples)
 
 
+def save_trajectory(store, path):
+    """Write `store` as a trajectory file: one canonical JSON sample record
+    per line, generations in order, as `TrajectoryStore.load` reads it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sample in store.iter_samples():
+            fh.write(json.dumps(sample.to_json(store.trajectory_id), sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def build_pipe(checkpoint, behavior=None, config=None, fail_attempts=frozenset(), crash_on=frozenset()):
     behavior = behavior or MockBehavior(seed=1)
     config = config or PipelineConfig(seed=0)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import count_schedule_work, serve_chat
+from conftest import count_schedule_work, save_trajectory, serve_chat
 from planlens.agents import MockBehavior, mock_bundle
 from planlens.attribution import rollout_seed
 from planlens.cli import (
@@ -56,7 +56,7 @@ def trajectory_file(tmp_path):
                 )
             )
     path = tmp_path / "traj.ndjson"
-    store.save(str(path))
+    save_trajectory(store, str(path))
     return path
 
 
@@ -213,6 +213,59 @@ class TestDeeplyNestedJson:
         assert main(["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"cannot parse checkpoint: line {line}:" in err and "Traceback" not in err
+
+
+class TestNonFiniteJson:
+    """`NaN`, `Infinity` and `-Infinity`, which `json.dumps` writes for
+    non-finite floats, are not JSON: each reader of outside JSON refuses
+    them with its usual error, naming the file or line."""
+
+    def test_config_is_configuration_error(self, tmp_path, checkpoint_file, capsys):
+        config = tmp_path / "nan.json"
+        config.write_text('{"agents": {"behavior": {"base_pass": NaN}}}')
+        out = tmp_path / "x.csv"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(config) in err and "NaN" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_trajectory_line_is_data_error(self, tmp_path, trajectory_file, capsys, constant):
+        record = {"sample_id": "extra", "generation_index": 0, "trajectory_id": "traj-cli",
+                  "executions": [{"compiled": True, "validations_passed": True, "speedup_vs_baseline": 0.5}]}
+        line = json.dumps(record).replace("0.5", constant)
+        lines = trajectory_file.read_text().splitlines()
+        trajectory_file.write_text("\n".join(lines[:1] + [line] + lines[1:]) + "\n")
+        out = tmp_path / "x"
+        assert main(["freeze", "--trajectory", str(trajectory_file), "-g", "0", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 2:" in err and constant in err and "Traceback" not in err
+        assert not (out / "checkpoint_g0.ndjson").exists()
+
+    def test_checkpoint_line_is_data_error(self, tmp_path, checkpoint_file, capsys):
+        lines = checkpoint_file.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["executions"] = [{"compiled": True, "validations_passed": True, "speedup_vs_baseline": float("inf")}]
+        lines[2] = json.dumps(record)
+        checkpoint_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot parse checkpoint: line 3:" in err and "Infinity" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_archive_file_is_data_error(self, tmp_path, checkpoint_file, capsys):
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",
+                "--retries", "1"]
+        archive = tmp_path / "archive"
+        assert main(base + ["--out", str(tmp_path / "x.csv"), "--archive", str(archive)]) == EXIT_OK
+        edit_entry(archive, "gen", lambda e: e["candidates"][0].update(quality=float("nan")))
+        out = tmp_path / "y.csv"
+        assert main(base + ["--out", str(out), "--replay", str(archive)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(archive / "entries.json") in err and "NaN" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUnreadableInput:
@@ -1262,6 +1315,21 @@ class TestAttribute:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("column, value", [("v", "nan"), ("stderr", "inf")], ids=["v-nan", "stderr-inf"])
+    def test_non_finite_value_is_data_error(self, tmp_path, sweep_table, capsys, column, value):
+        rows = read_csv_rows(sweep_table)
+        rows[1][column] = value
+        bad = tmp_path / "bad.csv"
+        with bad.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "report"
+        assert main(["attribute", "--tables", str(bad), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "non-finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_duplicate_table_is_data_error(self, tmp_path, checkpoint_file, sweep_table, capsys):
         # A second sweep of the same generation gives a second `pass` table.
         dup = tmp_path / "dup.csv"
@@ -1543,7 +1611,7 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch):
             executions = (ExecutionRecord(compiled=(g + i) % 2 == 0),)
             store.append(Sample(f"g{g}i{i}", g, f"kernel {g}/{i}", executions=executions))
     monkeypatch.chdir(tmp_path)
-    store.save("traj.ndjson")
+    save_trajectory(store, "traj.ndjson")
     Path("cand.dot").write_text("digraph cand { entry -> loop; loop -> loop; loop -> exit; }")
     Path("ref.dot").write_text("digraph ref { entry -> loop; loop -> exit; }")
     for argv in commands:

@@ -14,6 +14,7 @@ import os
 import random
 from pathlib import Path
 
+from conftest import save_trajectory
 from planlens.cli import EXIT_OK, main
 from planlens.trajectory import ExecutionRecord, Sample, TrajectoryStore
 
@@ -90,7 +91,7 @@ def write_inputs(root: Path) -> set[str]:
             compiled = [rng.random() < 0.8 for _ in range(rng.randint(1, 3))]
             executions = tuple(ExecutionRecord(c, c and rng.random() < 0.5) for c in compiled)
             store.append(Sample(f"g{g}i{i}", g, f"kernel {g}/{i}", executions=executions))
-    store.save(str(root / "traj.ndjson"))
+    save_trajectory(store, str(root / "traj.ndjson"))
     (root / "exp.json").write_text(
         '{"pipeline": {"concurrency": 2, "eval_concurrency": 3},'
         ' "agents": {"behavior": {"seed": 4}}}',

@@ -146,11 +146,34 @@ class TestParseDot:
         else:
             assert parse_dot(text) == CfgGraph(nodes=(("a", "1"), ("b", "0")), edges=(("a", "b"),), source=name)
 
+    @pytest.mark.parametrize("text", ["digraph { a }; x", "digraph {};}"], ids=["statement", "brace"])
+    def test_nothing_but_a_semicolon_follows_the_closing_brace(self, text):
+        with pytest.raises(DotSyntaxError, match="line 1: content after closing brace"):
+            parse_dot(text)
+
+    @pytest.mark.parametrize(
+        "stmt",
+        ["a -> b [garbage", "a -> b [x] c", "a -> b [x]]", "a [}]", 'a ["]', "a [[]"],
+        ids=["edge-unclosed", "edge-trailing-id", "edge-extra-bracket", "node-brace", "node-lone-quote",
+             "node-bracket"],
+    )
+    def test_malformed_attribute_list_is_refused(self, stmt):
+        with pytest.raises(DotSyntaxError, match="line 2: bad attribute list"):
+            parse_dot(f"digraph {{\n  {stmt};\n}}")
+
+    def test_label_is_matched_as_a_whole_attribute_name(self):
+        g = parse_dot('digraph { a [xlabel="q"]; b [xlabel="q", label="r"]; a -> b [label="e"]; }')
+        assert g.labels() == {"a": "1", "b": "r"}
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(dot_texts, dot_texts.map(lambda body: f"digraph {{{body}}}")))
     @example('digraph "a;b" x {\n  a -> b;\n}')
     @example("digraphx { a -> b; }")
     @example("digraph x\n{\n a -> b;\n}")
+    @example("digraph { a }; x")
+    @example("digraph { a -> b [x] c; }")
+    @example('digraph { a ["]; }')
+    @example('digraph { a [xlabel="q"]; }')
     def test_any_text_parses_or_is_a_syntax_error(self, text):
         try:
             graph = parse_dot(text)

@@ -1,12 +1,17 @@
 """Every public top-level function, class and method of the package has a
 caller: the package (without `__init__.py`), the benchmark harness or
 README names it besides its own definition. A name that only tests reach
-is kept by a decision, recorded in ALLOWED with its reason, not by drift."""
+is kept by a decision, recorded in ALLOWED with its reason, not by drift.
+The package root exports exactly what README's library sketch imports."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+import planlens
+from conftest import save_trajectory
+from planlens.trajectory import ExecutionRecord, Sample, TrajectoryStore
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "planlens"
@@ -22,7 +27,6 @@ ALLOWED = {
     "synergy_pair_adjusted": "acceptance criterion 02's closed-form oracle",
     "payoffs_from_two_player_values": "acceptance criterion 03 rebuilds the published table with it",
     "payoffs_from_three_player_values": "acceptance criterion 03 rebuilds the published table with it",
-    "TrajectoryStore.save": "test helper: writes a trajectory file for the CLI tests",
 }
 
 
@@ -78,3 +82,29 @@ def test_check_sees_a_name_only_its_definition_spells():
     assert definitions == ["Store", "Store.save", "Store.load", "helper"]
     assert unnamed(definitions, [source]) == {"Store.save", "helper"}
     assert unnamed(definitions, [source, "call helper() and save()"]) == set()
+
+
+def test_package_root_exports_what_the_readme_sketch_imports(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    imported = [
+        alias.name for node in ast.parse(sketch).body
+        if isinstance(node, ast.ImportFrom) and node.module == "planlens" for alias in node.names
+    ]
+    assert sorted(planlens.__all__) == sorted(imported + ["__version__"])
+    store = TrajectoryStore("readme")
+    for g in range(4):
+        for i in range(3):
+            executions = (ExecutionRecord(compiled=(g + i) % 2 == 0),)
+            store.append(Sample(f"g{g}i{i}", g, f"kernel {g}/{i}", executions=executions))
+    monkeypatch.chdir(tmp_path)
+    save_trajectory(store, "traj.ndjson")
+    exec(compile(sketch, "README.md", "exec"), {})
+    phi = ast.literal_eval(capsys.readouterr().out)
+    assert sorted(phi) == ["analyzer", "debugger", "profiler"]
+
+
+def test_version_is_the_one_pyproject_declares():
+    # A regex, not tomllib: Python 3.10 has no tomllib.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^\[project\]\n(?:[^\[].*\n)*?version = "([^"]+)"$', pyproject, re.M)[1] == planlens.__version__

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import save_trajectory
 from planlens.trajectory import (
     ExecutionRecord,
     GenerationCheckpoint,
@@ -230,7 +231,7 @@ class TestStore:
     def test_roundtrip(self, tmp_path):
         store = self.build_store()
         path = tmp_path / "traj.ndjson"
-        store.save(str(path))
+        save_trajectory(store, str(path))
         loaded = TrajectoryStore.load(str(path))
         assert loaded.trajectory_id == "traj-1"
         assert len(loaded) == len(store)
@@ -238,12 +239,12 @@ class TestStore:
             assert loaded.get(sample.sample_id) == sample
         # save(load(x)) is byte-identical: canonical key ordering.
         path2 = tmp_path / "traj2.ndjson"
-        loaded.save(str(path2))
+        save_trajectory(loaded, str(path2))
         assert path.read_bytes() == path2.read_bytes()
 
     def test_empty_store_roundtrip(self, tmp_path):
         path = tmp_path / "empty.ndjson"
-        TrajectoryStore("t").save(str(path))
+        save_trajectory(TrajectoryStore("t"), str(path))
         assert len(TrajectoryStore.load(str(path))) == 0
 
     def test_generated_fixture_roundtrip(self, tmp_path):
@@ -260,7 +261,7 @@ class TestStore:
                 current.append(sid)
             previous_gen = current
         path = tmp_path / "big.ndjson"
-        store.save(str(path))
+        save_trajectory(store, str(path))
         loaded = TrajectoryStore.load(str(path))
         assert len(loaded) == 75
         for sample in store.iter_samples():
