@@ -47,12 +47,20 @@ CASES = {
     "multi-async-backpressure-schedule-seed": (17, dict(execution_mode=MULTI_ASYNC, k=5, generator_concurrency=16, eval_concurrency=2, queue_capacity=12, schedule_seed=3), frozenset(), "raw"),
     "multi-async-rounds2-fails-schedule-seed": (12, dict(execution_mode=MULTI_ASYNC, k=3, rounds=2, generator_concurrency=4, eval_concurrency=1, queue_capacity=4, schedule_seed=7), FAILS, "raw"),
     "multi-async-backpressure-replay-anlz": (17, dict(execution_mode=MULTI_ASYNC, k=5, generator_concurrency=16, eval_concurrency=2, queue_capacity=12), frozenset(), "raw"),
+    "multi-async-backpressure-replay-gen-eval": (17, dict(execution_mode=MULTI_ASYNC, k=5, generator_concurrency=16, eval_concurrency=2, queue_capacity=12), frozenset(), "raw"),
+    "multi-async-rounds2-fails-replay-all": (12, dict(execution_mode=MULTI_ASYNC, k=3, rounds=2, generator_concurrency=4, eval_concurrency=2, queue_capacity=6), FAILS, "raw"),
 }
 
 # name -> the stage kinds a case's run is replayed from. The case's run is
 # recorded, archived, and its pin is that of a second run replaying only
 # these kinds: replayed tasks take no time, so they tie on finish time.
-REPLAYED = {"multi-async-backpressure-replay-anlz": {"anlz"}}
+REPLAYED = {
+    "multi-async-backpressure-replay-anlz": {"anlz"},
+    "multi-async-backpressure-replay-gen-eval": {"gen", "eval"},
+    # Every stage replayed: every task finishes at its start, so the whole
+    # run ties at time zero and only the start order separates tasks.
+    "multi-async-rounds2-fails-replay-all": {"anlz", "gen", "eval"},
+}
 
 # name -> (makespan, max_gen_inflight, max_eval_queue, max_llm_inflight,
 #          sha256 of the event sequence), as produced by the list-scan
@@ -76,6 +84,8 @@ PINS = {
     "multi-async-backpressure-schedule-seed": (92.46615197320239, 2, 8, 16, "ce6bec16ea3e87a95ee7f5f7fd3cdb6ac78254bebf092d1fe558d44c28c717de"),
     "multi-async-rounds2-fails-schedule-seed": (201.6172833465344, 1, 3, 4, "3903655e2bdf709eaa6feb936f913edfb9c438918a8d6dbfe7e34534c71a760c"),
     "multi-async-backpressure-replay-anlz": (87.35471580588758, 2, 9, 16, "cb4e4a4834cc43e223073a21ada78b03c86c5715b97e87b255969dbd9a143890"),
+    "multi-async-backpressure-replay-gen-eval": (8.512679276977273, 1, 5, 16, "7870c23b4d39941e679ce7d4688b37264452472b172615d1e158484c23a57765"),
+    "multi-async-rounds2-fails-replay-all": (0.0, 2, 4, 4, "eccfd0e98b6b1887b02ab31f6e0b6f4145111b04b1889e0be1b9547f0584c841"),
 }
 
 
