@@ -12,15 +12,13 @@ other name is imported from its own module (`planlens.gating`, ...).
 __version__ = "0.1.0"
 
 from .attribution import GameSpec, attribution_report, sweep_characteristic_tables
-from .feedback import Coalition, default_components
-from .pipeline import Intervention, InterventionPipeline, PipelineConfig, make_rollout_fn
+from .feedback import default_components
+from .pipeline import InterventionPipeline, PipelineConfig, make_rollout_fn
 from .trajectory import TrajectoryStore
 
 __all__ = [
     "__version__",
-    "Coalition",
     "GameSpec",
-    "Intervention",
     "InterventionPipeline",
     "PipelineConfig",
     "TrajectoryStore",

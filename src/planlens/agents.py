@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .feedback import Coalition, FeedbackArtifact, Memo, Report, Representation, read_asset
 # `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
-from .seeding import SeedPrefix, hash_uniform  # noqa: F401
+from .seeding import LABEL, SeedPrefix, hash_uniform  # noqa: F401
 from .trajectory import ExecutionRecord, ListOf, NoneType, OutcomeLevel, Required, Sample, check_json
 
 logger = logging.getLogger(__name__)
@@ -355,7 +355,7 @@ class MockGenerator(_CallCounter):
         )
         # Attempt a's quality is hash_uniform(seed, "quality", run_seed,
         # sample, round, a); the labels before the attempt are hashed once.
-        quality_seeds = SeedPrefix(self.behavior.seed, "quality", run_seed, sid, round_index)
+        quality_prefix = SeedPrefix(self.behavior.seed, "quality", run_seed, sid, round_index).hasher
         fail_attempts, mask = self.fail_attempts, coalition.mask
         out: list[Candidate | GeneratorAttemptError] = []
         for attempt in range(k):
@@ -364,7 +364,9 @@ class MockGenerator(_CallCounter):
                 continue
             # Positional: (sample_id, attempt, text, quality, thresholds, plan_tag).
             text = f"// candidate {sid}#{attempt} mask={mask}"
-            out.append(Candidate(sid, attempt, text, quality_seeds.derive(attempt) / 2.0**64, thresholds, producer))
+            hasher = quality_prefix.copy()
+            hasher.update((LABEL % attempt).encode())
+            out.append(Candidate(sid, attempt, text, int.from_bytes(hasher.digest(), "big") / 2.0**64, thresholds, producer))
         return out
 
 

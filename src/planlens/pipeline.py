@@ -51,7 +51,7 @@ from .feedback import (
     plan_summary_players,
 )
 # `hash_uniform` stays importable here: perfbench/tracing.py wraps it by name.
-from .seeding import SeedPrefix, derive_seed, hash_uniform, rng_for  # noqa: F401
+from .seeding import LABEL, SeedPrefix, derive_seed, hash_uniform, rng_for  # noqa: F401
 from .trajectory import (
     ExecutionRecord,
     GenerationCheckpoint,
@@ -374,27 +374,31 @@ class LatencyModel:
 
     The Exp(1) draw is hash_uniform(seed, "latency", run_seed, stage name,
     sample, round, attempt); AGG takes no time. A run's schedule draws through
-    `drawer(run_seed)`, which hashes each stage's label prefix once; in a
-    subclass that overrides `duration`, it calls that for every task.
+    `drawer(run_seed)`, which hashes each stage's label prefix once, then per
+    task copies that state, adds the frame of (sample, round, attempt) and
+    digests it. In a subclass overriding `duration` it calls that, with a `Task`.
     """
 
     def __init__(self, seed: int = 0, params: Mapping[str, LatencyParams] | None = None):
         self.seed = seed
         self.params = dict(params or {})
 
-    def drawer(self, run_seed: int) -> Callable[[Task], float]:
-        """`duration(run_seed, task)` for one run, for any task but AGG."""
+    def drawer(self, run_seed: int) -> Callable[[tuple], float]:
+        """`duration(run_seed, task)` for one run, for any task but AGG, as a `Task` or a plain tuple."""
         # `__class__` is this class, also where a profiler rebinds the module's name to a subclass.
         if type(self).duration is not __class__.duration:
-            return functools.partial(self.duration, run_seed)
+            return lambda task: self.duration(run_seed, Task._make(task))
         table: list = [None] * (len(Stage) + 1)  # by stage value
         for s in (Stage.ANLZ, Stage.GEN, Stage.EVAL):
             p = self.params.get(s.name.lower(), LatencyParams())
-            table[s] = (SeedPrefix(self.seed, "latency", run_seed, s.name).derive, p.mean, p.tail)
+            table[s] = (SeedPrefix(self.seed, "latency", run_seed, s.name).hasher.copy, p.mean, p.tail)
+        frame, log, from_bytes = LABEL * 3, math.log, int.from_bytes
 
-        def draw(task: Task) -> float:
-            derive, mean, tail = table[task[2]]
-            return mean + tail * -math.log(1.0 - derive(task[4], task[1], task[3]) / 2.0**64)
+        def draw(task: tuple) -> float:
+            copy, mean, tail = table[task[2]]
+            hasher = copy()
+            hasher.update((frame % (task[4], task[1], task[3])).encode())
+            return mean + tail * -log(1.0 - from_bytes(hasher.digest(), "big") / 2.0**64)
 
         return draw
 
@@ -632,7 +636,8 @@ class InterventionPipeline:
         draw = None if cfg.schedule_seed is None else rng_for(cfg.schedule_seed, "schedule", led.seed).random
         # Ready tasks: one heap per stage, by stage value, of tasks or, under
         # schedule_seed, (random priority drawn once when the task becomes
-        # ready, task). The EVAL heap is the GEN -> EVAL queue.
+        # ready, task). The EVAL heap is the GEN -> EVAL queue. A task is a plain
+        # tuple of `Task`'s fields: it orders, compares and hashes as one.
         ready: list[list] = [[] for _ in range(len(Stage) + 1)]
         _, anlz_ready, gen_ready, eval_queue, agg_ready = ready
         # Stage-sync turns on only the current stage of this cycle. A
@@ -643,7 +648,7 @@ class InterventionPipeline:
         anlz_on, gen_on, eval_on, agg_on = (not stage_sync or s is cycle[wave] for s in Stage)
         # Progress by sample: its last completed task, and the EVALs of its
         # current round still to complete (its rounds run one after another).
-        last: list[Task | None] = [None] * len(samples)
+        last: list[tuple | None] = [None] * len(samples)
         evals_left = [0] * len(samples)
         replayed = led.replayed
         llm_slots, eval_slots, capacity = cfg.generator_concurrency, cfg.eval_concurrency, cfg.queue_capacity
@@ -651,7 +656,7 @@ class InterventionPipeline:
         clock, started, stall = 0.0, 0, None
         llm_inflight = gen_inflight = eval_inflight = max_llm = max_gen = max_queue = 0
         for index, sample in enumerate(samples):
-            task = Task(index, 0, ANLZ, -1, sample.sample_id)
+            task = (index, 0, ANLZ, -1, sample.sample_id)
             heappush(anlz_ready, task if draw is None else (draw(), task))
 
         while True:
@@ -730,14 +735,14 @@ class InterventionPipeline:
                 gen_inflight -= 1
                 state = led_rounds[sid, r]
                 for attempt in state.records:
-                    followup = Task(i, r, EVAL, attempt, sid)
+                    followup = (i, r, EVAL, attempt, sid)
                     heappush(eval_queue, followup if draw is None else (draw(), followup))
                 if len(eval_queue) > max_queue:
                     max_queue = len(eval_queue)
                 evals_left[i] = len(state.candidates)
             elif stage is ANLZ:
                 llm_inflight -= 1
-                followup = Task(i, r, GEN, -1, sid)
+                followup = (i, r, GEN, -1, sid)
                 heappush(gen_ready, followup if draw is None else (draw(), followup))
                 continue
             else:  # AGG
@@ -745,38 +750,39 @@ class InterventionPipeline:
             if evals_left[i]:
                 continue
             if r + 1 < rounds:
-                heap, followup = anlz_ready, Task(i, r + 1, ANLZ, -1, sid)
+                heap, followup = anlz_ready, (i, r + 1, ANLZ, -1, sid)
             else:
-                heap, followup = agg_ready, Task(i, r, AGG, -1, sid)
+                heap, followup = agg_ready, (i, r, AGG, -1, sid)
             heappush(heap, followup if draw is None else (draw(), followup))
 
         led.clock, led.max_llm_inflight, led.max_gen_inflight, led.max_eval_queue = clock, max_llm, max_gen, max_queue
-        if stall is None and any(task is None or task.stage is not AGG for task in last):
+        if stall is None and any(task is None or task[2] is not AGG for task in last):
             stall = "run incomplete but no tasks remain"
         if stall is not None:
+            last = [task and Task._make(task) for task in last]  # `dump` reads fields by name
             raise PipelineStalledError(stall, led.dump(sum(map(len, ready)), last, evals_left))
         led.events = tuple(events)
 
 
-def _stage_event(led: RunLedger, task: Task, logical_time: int, wall_time: float) -> Event:
+def _stage_event(led: RunLedger, task: tuple, logical_time: int, wall_time: float) -> Event:
     """A task's trace event at completion, at simulated time `wall_time`; the
-    payload is read from the recorded results."""
-    sid, r = task.sample_id, task.round_index
+    payload is read from the recorded results. `task` holds `Task`'s fields."""
+    _, r, stage, attempt, sid = task
     payload: dict = {"round": r}
-    if task.stage is Stage.AGG:
+    if stage is Stage.AGG:
         payload["best"] = led.best_outcomes[sid].name
     else:
         state = led.rounds[sid, r]
-        if task.stage is Stage.ANLZ:
+        if stage is Stage.ANLZ:
             payload["report_hash"] = state.report.content_hash
-        elif task.stage is Stage.GEN:
+        elif stage is Stage.GEN:
             payload["n_candidates"] = len(state.candidates)
             payload["n_failed"] = len(state.failures)
         else:
-            payload["attempt"] = task.attempt
-            payload["level"] = classify_execution(state.records[task.attempt]).name
+            payload["attempt"] = attempt
+            payload["level"] = classify_execution(state.records[attempt]).name
         payload["replayed"] = task in led.replayed
-    return Event(_STAGE_EVENT[task.stage], sid, led.run_id, payload, logical_time, wall_time)
+    return Event(_STAGE_EVENT[stage], sid, led.run_id, payload, logical_time, wall_time)
 
 
 # -- rollout glue --------------------------------------------------------------

@@ -10,15 +10,15 @@ from __future__ import annotations
 import random
 from hashlib import blake2b
 
-# Label count -> "%s\x1f" repeated that often; `%s` formats a label as str() does.
-_FORMATS: dict[int, str] = {}
+LABEL = "%s\x1f"  # one label's frame; `%s` formats a label as str() does
+_FORMATS: dict[int, str] = {}  # label count -> LABEL repeated that often
 
 
 def _frame(parts: tuple) -> bytes:
     """Hash input for a label path: each part's str() followed by "\x1f"."""
     fmt = _FORMATS.get(len(parts))
     if fmt is None:
-        fmt = _FORMATS[len(parts)] = "%s\x1f" * len(parts)
+        fmt = _FORMATS[len(parts)] = LABEL * len(parts)
     return (fmt % parts).encode()
 
 
@@ -42,14 +42,16 @@ class SeedPrefix:
 
     ``SeedPrefix(root, *labels).derive(*more) == derive_seed(root, *labels,
     *more)``: keys that share a long prefix pay for hashing it only once.
+    A hot loop may do what `derive` does inline: copy `hasher`, the state
+    after the prefix, update the copy with (LABEL * n % labels).encode().
     """
 
-    __slots__ = ("_hasher",)
+    __slots__ = ("hasher",)
 
     def __init__(self, root: int, *labels: object):
-        self._hasher = blake2b(_frame((root, *labels)), digest_size=8)
+        self.hasher = blake2b(_frame((root, *labels)), digest_size=8)
 
     def derive(self, *labels: object) -> int:
-        hasher = self._hasher.copy()
+        hasher = self.hasher.copy()
         hasher.update(_frame(labels))
         return int.from_bytes(hasher.digest(), "big")

@@ -18,6 +18,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
+from math import isfinite
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 FAST_SPEEDUP_THRESHOLD = 1.0  # strictly greater counts as fast; ties do not
@@ -44,12 +45,13 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
     the document `where` and the dotted key `path` inside it.
 
     A schema is a JSON type or a tuple of them, matched exactly (a bool is
-    not an int) except that an int is accepted where a float is expected;
-    a list of allowed values; a `ListOf`; or a dict of key -> schema that
-    refuses any other key, where the key `str` stands for any key and a
-    `Required` schema marks a key that must be present.
+    not an int) except that an int is accepted where a float is expected
+    and a float must be finite (`1e400` decodes to infinity); a list of
+    allowed values; a `ListOf`; or a dict of key -> schema that refuses any
+    other key, where the key `str` stands for any key and a `Required`
+    schema marks a key that must be present.
     """
-    if type(value) is schema:
+    if type(value) is schema and (schema is not float or isfinite(value)):
         return value
     kind = type(schema)
     if kind is dict and type(value) is dict:
@@ -60,7 +62,7 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
                 raise ValueError(f"unknown {where} key {dotted!r} ({key!r} is not one of {sorted(schema)})")
             if type(sub) is Required:
                 sub = sub.schema
-            if type(item) is not sub and not (type(sub) is tuple and type(item) in sub):
+            if type(item) is not sub and not (type(sub) is tuple and type(item) in sub) or type(item) is float and not isfinite(item):
                 check_json(item, sub, where, f"{path}.{key}" if path else key)
         if len(value) < len(schema):  # else every key of the schema is present
             for key, sub in schema.items():
@@ -69,7 +71,7 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
         return value
     if kind is ListOf and type(value) is list:
         for i, item in enumerate(value):
-            if type(item) is not schema.item:
+            if type(item) is not schema.item or type(item) is float and not isfinite(item):
                 check_json(item, schema.item, where, f"{path}[{i}]")
         return value
     if kind is list:
@@ -79,9 +81,11 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
         name = f"{where} key {path!r}" if path else where
         raise ValueError(f"{name} must be one of {schema}, not {value!r:.80}")
     kinds = schema if kind is tuple else {dict: (dict,), ListOf: (list,)}.get(kind, (schema,))
-    if type(value) in kinds or (type(value) is int and float in kinds):
+    if type(value) in kinds and (type(value) is not float or isfinite(value)) or (type(value) is int and float in kinds):
         return value
     name = f"{where} key {path!r}" if path else where
+    if type(value) is float and float in kinds:
+        raise ValueError(f"{name} is not a finite number: {value!r}")
     expected = " or ".join(_JSON_NAMES[k] for k in kinds)
     raise ValueError(f"{name} is not a JSON {expected}: {value!r:.80}")
 
@@ -292,8 +296,9 @@ class GenerationCheckpoint:
     @property
     def checkpoint_hash(self) -> str:
         # Samples' `metadata` mappings are the only mutable part of a
-        # checkpoint, so the full hash is kept until a dump of them changes.
-        guard = _canonical_json([dict(s.metadata) for s in self.samples])
+        # checkpoint, so the full hash is kept until a dump of them changes;
+        # while every one is empty, the guard is False and nothing is dumped.
+        guard = any(s.metadata for s in self.samples) and _canonical_json([dict(s.metadata) for s in self.samples])
         memo = self.__dict__.get("_hash_memo")
         if memo is None or memo[0] != guard:
             payload = {

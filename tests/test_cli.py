@@ -267,6 +267,62 @@ class TestNonFiniteJson:
         assert str(archive / "entries.json") in err and "NaN" in err and "Traceback" not in err
         assert not out.exists()
 
+    # A number literal too large for a float decodes to infinity; a reader
+    # refuses it wherever its schema asks for a number.
+    overflowing = pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+
+    @overflowing
+    def test_overflowing_config_number_is_configuration_error(self, tmp_path, checkpoint_file, capsys, literal):
+        config = tmp_path / "big.json"
+        config.write_text('{"agents": {"behavior": {"base_pass": %s}}}' % literal)
+        out = tmp_path / "x.csv"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(config) in err and "base_pass" in err and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @overflowing
+    def test_overflowing_trajectory_number_is_data_error(self, tmp_path, trajectory_file, capsys, literal):
+        record = {"sample_id": "extra", "generation_index": 0, "trajectory_id": "traj-cli",
+                  "executions": [{"compiled": True, "validations_passed": True, "speedup_vs_baseline": 0.5}]}
+        lines = trajectory_file.read_text().splitlines()
+        trajectory_file.write_text("\n".join(lines[:1] + [json.dumps(record).replace("0.5", literal)] + lines[1:]) + "\n")
+        out = tmp_path / "x"
+        assert main(["freeze", "--trajectory", str(trajectory_file), "-g", "0", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 2:" in err and "speedup_vs_baseline" in err and "finite" in err and "Traceback" not in err
+        assert not (out / "checkpoint_g0.ndjson").exists()
+
+    @overflowing
+    def test_overflowing_checkpoint_number_is_data_error(self, tmp_path, checkpoint_file, capsys, literal):
+        lines = checkpoint_file.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["executions"] = [{"compiled": True, "validations_passed": True, "speedup_vs_baseline": 0.5}]
+        lines[2] = json.dumps(record).replace("0.5", literal)
+        checkpoint_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot parse checkpoint: line 3:" in err and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @overflowing
+    def test_overflowing_archive_number_is_data_error(self, tmp_path, checkpoint_file, capsys, literal):
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",
+                "--retries", "1"]
+        archive = tmp_path / "archive"
+        assert main(base + ["--out", str(tmp_path / "x.csv"), "--archive", str(archive)]) == EXIT_OK
+        pack = json.loads((archive / "entries.json").read_text())
+        entry = pack[entry_name(pack, "gen")]
+        entry["candidates"][0]["quality"] = 0.125
+        write_entry(archive, "gen", json.dumps(entry).replace("0.125", literal))
+        out = tmp_path / "y.csv"
+        assert main(base + ["--out", str(out), "--replay", str(archive)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(archive / "entries.json") in err and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestUnreadableInput:
     """No input file makes `main` print a traceback: a directory or a file

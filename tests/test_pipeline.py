@@ -181,6 +181,16 @@ class TestCheckpointGuard:
         with pytest.raises(ReplayMismatchError, match="mismatch"):
             replay_load(tmp_path, cp)
 
+    def test_hash_follows_metadata_to_empty_and_nested_changes(self):
+        cp, fresh = build_checkpoint(3), build_checkpoint(3)
+        empty = cp.checkpoint_hash
+        cp.samples[0].metadata["note"] = {"tags": ["a"]}
+        noted = cp.checkpoint_hash
+        cp.samples[0].metadata["note"]["tags"].append("b")  # nested, under a non-empty metadata
+        assert len({empty, noted, cp.checkpoint_hash}) == 3
+        del cp.samples[0].metadata["note"]
+        assert cp.checkpoint_hash == fresh.checkpoint_hash == empty
+
 
 class TestFanOut:
     def test_generator_failure_isolated(self):
@@ -404,6 +414,28 @@ class TestLatencyModel:
         drawers = {run_seed: model.drawer(run_seed) for run_seed in range(3)}
         drawn = [(run_seed, task, x) for (run_seed, task), x in zip(tasks, expected) if task.stage is not Stage.AGG]
         assert [float.hex(drawers[s](task)) for s, task, _ in drawn] == [float.hex(x) for _, _, x in drawn]
+        # The schedule passes plain tuples of the task's fields; they draw the same.
+        assert [float.hex(drawers[s](tuple(task))) for s, task, _ in drawn] == [float.hex(x) for _, _, x in drawn]
+
+    def test_duration_override_gets_tasks_and_keeps_the_schedule(self, checkpoint25):
+        seen = set()
+
+        class Delegating(LatencyModel):
+            def duration(self, run_seed, task):
+                seen.add(type(task))
+                return super().duration(run_seed, task)
+
+        config = PipelineConfig(k=5, seed=5, execution_mode=ExecutionMode.MULTI_ASYNC)
+        timings = []
+        for override in (False, True):
+            pipe = build_pipe(checkpoint25, config=config)
+            if override:
+                pipe.latency_model = Delegating(pipe.latency_model.seed, pipe.latency_model.params)
+            result, _ = run_once(pipe, checkpoint25, seed=11)
+            timings.append((float.hex(result.makespan), result.max_gen_inflight, result.max_eval_queue,
+                            result.ledger.max_llm_inflight, event_digest(result.trace)))
+        assert seen == {Task}
+        assert timings[0] == timings[1]
 
 
 class TestIsolation:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from conftest import build_checkpoint
 from planlens.feedback import Coalition
 from planlens.pipeline import Intervention, PipelineConfig, RunLedger, Stage
-from planlens.seeding import SeedPrefix, derive_seed
+from planlens.seeding import LABEL, SeedPrefix, _frame, derive_seed
 
 labels = st.lists(
     st.one_of(
@@ -26,6 +26,18 @@ def test_prefix_derive_equals_derive_seed_for_any_split(root, path, split):
     split %= len(path) + 1
     prefix = SeedPrefix(root, *path[:split])
     assert prefix.derive(*path[split:]) == derive_seed(root, *path)
+
+
+@given(st.integers(min_value=0, max_value=2**64), st.text(), st.integers(), st.integers())
+@example(0, "%s\x1f", -1, 0)
+def test_inline_task_frame_equals_frame(root, sample_id, round_index, attempt):
+    # The latency drawer frames (sample, round, attempt) inline and hashes it
+    # after a copy of the prefix's state, as `derive` does.
+    inline = (LABEL * 3 % (sample_id, round_index, attempt)).encode()
+    assert inline == _frame((sample_id, round_index, attempt))
+    hasher = SeedPrefix(root, "latency").hasher.copy()
+    hasher.update(inline)
+    assert int.from_bytes(hasher.digest(), "big") == derive_seed(root, "latency", sample_id, round_index, attempt)
 
 
 def test_prefix_reusable_across_derivations():
