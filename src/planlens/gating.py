@@ -82,6 +82,14 @@ _IDENT_RE = re.compile(r'^("([^"]*)"|[A-Za-z0-9_.]+)$')
 _HEADER_WORD_RE = re.compile(r'"[^"]*"|[^\s"{]+|"')
 # A quoted string holding a character that the statement syntax reads.
 _QUOTED_SYNTAX_RE = re.compile(r'"[^"]*[;/{}\[\]=-][^"]*"')
+# A plain body line, which the statement reader below would read the same:
+# `a;`, `a [label="text"];` or `a -> b;`, spaces and tabs between tokens,
+# no other attribute and nothing after the `;`.
+_PLAIN_LINE_RE = re.compile(
+    r'[ \t]*([A-Za-z0-9_.]+)[ \t]*'
+    r'(?:->[ \t]*([A-Za-z0-9_.]+)[ \t]*|\[label="([^"\[\]{};/=-]*)"\][ \t]*)?;'
+)
+_KEYWORDS = ("node", "edge", "subgraph")
 
 
 def _mask_quoted(line: str, lineno: int) -> tuple[str, list[str]]:
@@ -142,7 +150,22 @@ def parse_dot(text: str) -> CfgGraph:
     head: list[tuple[str, str]] = []  # header words read so far: (as written, as text)
     opened = False
     closed = False
+    plain_line = _PLAIN_LINE_RE.fullmatch
     for lineno, raw in enumerate(lines, start=1):
+        if opened and not closed:
+            plain = plain_line(raw)
+            if plain:
+                src, dst, label = plain.groups()
+                if dst is not None:
+                    node_order.setdefault(src)
+                    node_order.setdefault(dst)
+                    edges.setdefault((src, dst))
+                    continue
+                if src.lower() not in _KEYWORDS:  # else refused below
+                    node_order.setdefault(src)
+                    if label is not None:
+                        explicit_labels[src] = label
+                    continue
         # Strip // comments, then split multiple statements on ';'. Quoted
         # text that these would misread is masked first.
         literals = None
@@ -219,7 +242,7 @@ def parse_dot(text: str) -> CfgGraph:
                 nid = match.group("id")
             elif literals is not None:
                 nid = literals[int(nid)]
-            if nid.lower() in ("node", "edge", "subgraph"):
+            if nid.lower() in _KEYWORDS:
                 raise DotSyntaxError(
                     f"{nid!r} statements are not supported", lineno
                 )

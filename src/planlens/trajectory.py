@@ -47,9 +47,10 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
     A schema is a JSON type or a tuple of them, matched exactly (a bool is
     not an int) except that an int is accepted where a float is expected
     and a float must be finite (`1e400` decodes to infinity); a list of
-    allowed values; a `ListOf`; or a dict of key -> schema that refuses any
+    allowed values; a `ListOf`; a dict of key -> schema that refuses any
     other key, where the key `str` stands for any key and a `Required`
-    schema marks a key that must be present.
+    schema marks a key that must be present; or `Any`, any JSON value
+    whose every number is finite.
     """
     if type(value) is schema and (schema is not float or isfinite(value)):
         return value
@@ -80,6 +81,12 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
                 return value
         name = f"{where} key {path!r}" if path else where
         raise ValueError(f"{name} must be one of {schema}, not {value!r:.80}")
+    if schema is Any:
+        if type(value) is dict:
+            return check_json(value, _ANY_OBJECT, where, path)
+        if type(value) is list:
+            return check_json(value, _ANY_ARRAY, where, path)
+        schema = type(value)
     kinds = schema if kind is tuple else {dict: (dict,), ListOf: (list,)}.get(kind, (schema,))
     if type(value) in kinds and (type(value) is not float or isfinite(value)) or (type(value) is int and float in kinds):
         return value
@@ -88,6 +95,10 @@ def check_json(value: Any, schema: Any, where: str, path: str = "") -> Any:
         raise ValueError(f"{name} is not a finite number: {value!r}")
     expected = " or ".join(_JSON_NAMES[k] for k in kinds)
     raise ValueError(f"{name} is not a JSON {expected}: {value!r:.80}")
+
+
+_ANY_OBJECT = {str: Any}
+_ANY_ARRAY = ListOf(Any)
 
 
 def _refuse_constant(name: str) -> None:
@@ -156,7 +167,7 @@ SAMPLE_SCHEMA = {
     "parent_id": (str, NoneType),
     "program_text": str,
     "executions": list,
-    "metadata": dict,
+    "metadata": _ANY_OBJECT,
 }
 
 

@@ -294,6 +294,21 @@ class TestNonFiniteJson:
         assert "line 2:" in err and "speedup_vs_baseline" in err and "finite" in err and "Traceback" not in err
         assert not (out / "checkpoint_g0.ndjson").exists()
 
+    @pytest.mark.parametrize("metadata, key", [
+        pytest.param('{"x": 1e400}', "metadata.x", id="flat"),
+        pytest.param('{"a": {"b": [1, -1e400]}}', "metadata.a.b[1]", id="nested"),
+    ])
+    def test_overflowing_metadata_number_is_data_error(self, tmp_path, trajectory_file, capsys, metadata, key):
+        record = {"sample_id": "extra", "generation_index": 0, "trajectory_id": "traj-cli", "metadata": "M"}
+        lines = trajectory_file.read_text().splitlines()
+        trajectory_file.write_text("\n".join(lines[:1] + [json.dumps(record).replace('"M"', metadata)] + lines[1:]) + "\n")
+        out = tmp_path / "x"
+        assert main(["freeze", "--trajectory", str(trajectory_file), "-g", "0", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(trajectory_file) in err and "line 2:" in err and repr(key) in err and "finite" in err
+        assert "Traceback" not in err
+        assert not (out / "checkpoint_g0.ndjson").exists()
+
     @overflowing
     def test_overflowing_checkpoint_number_is_data_error(self, tmp_path, checkpoint_file, capsys, literal):
         lines = checkpoint_file.read_text().splitlines()

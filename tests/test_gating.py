@@ -42,6 +42,37 @@ DOT_PIECES = (
 dot_texts = st.lists(st.sampled_from(DOT_PIECES), max_size=20).map("".join)
 
 
+def joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+# Body lines: plain statement lines (`a;`, `a [label="x"];`, `a -> b;`),
+# near misses of them with one piece spliced in, and arbitrary pieces.
+LINE_GAPS = st.sampled_from(("", " ", "\t", " \t "))
+PLAIN_IDS = st.sampled_from(("a", "b_1", "x.y", "0"))
+node_lines = joined(
+    LINE_GAPS, st.sampled_from(("a", "b_1", "x.y", "0", "node", "Edge", "SUBGRAPH")), LINE_GAPS,
+    st.sampled_from(("", '[label=""]', '[label="load"]', '[label="x y"]')), LINE_GAPS, st.just(";"),
+)
+edge_lines = joined(LINE_GAPS, PLAIN_IDS, LINE_GAPS, st.just("->"), LINE_GAPS, PLAIN_IDS, LINE_GAPS, st.just(";"))
+plain_lines = st.one_of(node_lines, edge_lines)
+SPLICED = ("-", ">", ";", "=", "/", "{", "}", "[", "]", '"', "--", " -> c", '[xlabel="q"]', "label", "a b",
+           "\x0c", "\xa0", "\x1f", "\r")
+near_misses = st.tuples(plain_lines, st.integers(0, 24), st.sampled_from(SPLICED)).map(
+    lambda t: t[0][: t[1]] + t[2] + t[0][t[1]:]
+)
+body_lines = st.one_of(plain_lines, near_misses, st.lists(st.sampled_from(DOT_PIECES), max_size=6).map("".join))
+dot_bodies = st.lists(body_lines, max_size=6).map(lambda lines: "digraph {\n" + "\n".join(lines) + "\n}\n")
+
+
+def parse_outcome(text):
+    """What parse_dot makes of `text`: a graph, or a syntax error's line and message."""
+    try:
+        return parse_dot(text)
+    except DotSyntaxError as exc:
+        return exc.line, str(exc)
+
+
 def graph(edges, labels=None, nodes=None):
     node_ids = list(nodes or [])
     for src, dst in edges:
@@ -161,6 +192,10 @@ class TestParseDot:
         with pytest.raises(DotSyntaxError, match="line 2: bad attribute list"):
             parse_dot(f"digraph {{\n  {stmt};\n}}")
 
+    def test_every_statement_of_a_line_is_read(self):
+        g = parse_dot('digraph {\n  a; b -> c;\n  d [label="x"]; a -> d\n}\n')
+        assert g == graph([("b", "c"), ("a", "d")], labels={"d": "x"}, nodes=["a"])
+
     def test_label_is_matched_as_a_whole_attribute_name(self):
         g = parse_dot('digraph { a [xlabel="q"]; b [xlabel="q", label="r"]; a -> b [label="e"]; }')
         assert g.labels() == {"a": "1", "b": "r"}
@@ -180,6 +215,25 @@ class TestParseDot:
         except DotSyntaxError:
             return
         assert isinstance(graph, CfgGraph)
+
+    # A `//` comment on every line keeps each line off the plain-line path,
+    # since `/` is outside that path's alphabet: the general statement
+    # reader must read every text as the plain-line path does.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dot_bodies, dot_texts))
+    @example("digraph {\na->b;\n}")
+    @example('digraph {\na [label=""];\n}')
+    @example("digraph {\nNODE;\n}")
+    @example('digraph {\na [label="x-y"];\n}')
+    @example("digraph {\na -> b -> c;\n}")
+    @example("digraph {\na\t->\tb ;  \n}")
+    @example('digraph {\r\n  a [label="q"];\r\n  a -> b;\r\n}\r\n')
+    @example("digraph {\x0c a -> b;\x0c b;\x0c}")
+    @example("a;\ndigraph {\n}\n")
+    @example("digraph {\n}\na;\n")
+    def test_plain_lines_read_as_the_general_reader_reads_them(self, text):
+        commented = "\n".join(line + " //" for line in text.splitlines())
+        assert parse_outcome(text) == parse_outcome(commented)
 
 
 # Hand WL iteration for the path-vs-triangle oracle, h=1, uniform labels:

@@ -1,12 +1,14 @@
 """No module of the package imports a name it never uses, and every module
-parses as Python 3.10, the oldest version CI runs."""
+of the package, the benchmark and the tests parses as Python 3.10, the
+oldest version CI runs."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "planlens"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "planlens"
 
 # Imports kept only because perfbench/tracing.py wraps them by name in
 # these modules; the next change to the benchmark can empty this list.
@@ -53,6 +55,14 @@ def test_no_unused_import(module):
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_parses_as_python_3_10(module):
     ast.parse((PACKAGE / module).read_text(encoding="utf-8"), feature_version=(3, 10))
+
+
+OTHER_SOURCES = sorted(p.relative_to(ROOT).as_posix() for d in ("perfbench", "tests") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", OTHER_SOURCES)
+def test_benchmark_and_tests_parse_as_python_3_10(path):
+    ast.parse((ROOT / path).read_text(encoding="utf-8"), feature_version=(3, 10))
 
 
 def test_version_guard_refuses_newer_syntax():

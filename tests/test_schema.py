@@ -6,6 +6,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,8 @@ def near(schema):
         shaped = st.sampled_from(schema)
     elif type(schema) is tuple:
         shaped = st.one_of(*(SCALARS[kind] for kind in schema))
+    elif schema is Any:  # any JSON value; a non-finite number in it is refused
+        shaped = st.lists(st.floats(), max_size=2)
     else:
         shaped = SCALARS[schema]
     return shaped | ANY_JSON
@@ -90,6 +93,15 @@ def test_bool_is_not_int_and_int_is_a_float():
     for value, schema in [(True, int), (True, float), (1.0, int), ("1", float), (None, float)]:
         with pytest.raises(ValueError, match="x is not a JSON"):
             check_json(value, schema, "x")
+
+
+def test_any_is_any_json_value_with_finite_numbers():
+    schema = {"m": {str: Any}}
+    value = {"m": {"a": [1, {"b": 2.5, "c": None}], "d": "e"}}
+    assert check_json(value, schema, "x") is value
+    for bad, key in [(float("inf"), "m.a"), ([1, {"b": float("-inf")}], "m.a[1].b"), ([float("nan")], "m.a[0]")]:
+        with pytest.raises(ValueError, match=re.escape(f"x key {key!r} is not a finite number")):
+            check_json({"m": {"a": bad}}, schema, "x")
 
 
 RECORDS = st.builds(
