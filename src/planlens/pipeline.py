@@ -7,7 +7,8 @@ out to k evaluations, and evaluations fan in to an online, commutative
 aggregation. The stage work runs in sample order. Its schedule is a
 separate timing layer: a simulated-clock event loop with three policies
 (serial, stage-sync barriers, multi-async) over the recorded tasks, run
-once, when a result's timing or trace is first read. Schedule
+once, when a result's timing or trace is first read; a traced schedule
+only logs its completions, and events are built from that log. Schedule
 permutations are first-class, and order independence is testable rather
 than assumed.
 """
@@ -24,6 +25,7 @@ import shutil
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, IntEnum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -279,8 +281,11 @@ class RunLedger:
         self.rounds: dict[tuple[str, int], _RoundState] = {}
         self.best_outcomes: dict[str, OutcomeLevel] = {}
         self.replayed: set[Task] = set()  # tasks whose product came from `replay`
-        # The schedule's; `InterventionPipeline._schedule` fills them.
-        self.events: tuple[Event, ...] = ()  # kept only when tracing
+        # (stage, id of a `replay` entry) -> (the entry, held so its id is not reused, and its product)
+        self._decoded: dict[tuple[Stage, int], tuple[tuple, object]] = {}
+        # The schedule's; `InterventionPipeline._schedule` fills them. The
+        # log of (task, finish time) per completion is kept only when tracing.
+        self.completions: list[tuple[tuple, float]] | None = None
         self.clock = 0.0
         self.max_llm_inflight = self.max_gen_inflight = self.max_eval_queue = 0
 
@@ -293,18 +298,25 @@ class RunLedger:
         """The task's ANLZ, GEN or EVAL product decoded from the replay
         archive, noting the task in `replayed`; None if the archive holds no
         entry for it. An entry that does not decode raises
-        ReplayArchiveError naming its file and entry."""
+        ReplayArchiveError naming its file and entry. Stages with equal
+        payloads share an entry: each (stage, entry) is decoded once per run
+        and its product shared, as no product is mutated after its stage."""
         stage = task.stage
         entry = self.replay.entries.get(self.stage_key(stage, task.sample_id, task.round_index, task.attempt))
         if entry is None:
             return None
-        where, payload = entry
-        try:
-            product = _DECODE[stage](check_json(payload, _ENTRY_SCHEMA[stage], f"{stage.name} entry"), self.config.k)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ReplayArchiveError(f"replay archive file {where} holds no {stage.name} entry ({exc!r})") from exc
+        key = stage, id(entry)
+        decoded = self._decoded.get(key)
+        if decoded is None:
+            where, payload = entry
+            try:
+                checked = check_json(payload, _ENTRY_SCHEMA[stage], f"{stage.name} entry")
+                product = _DECODE[stage](checked, self.config.k)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ReplayArchiveError(f"replay archive file {where} holds no {stage.name} entry ({exc!r})") from exc
+            decoded = self._decoded[key] = entry, product
         self.replayed.add(task)
-        return product
+        return decoded[1]
 
     def archive_entries(self) -> dict[str, dict]:
         """Stage key -> archive payload for every stage of the run, replayed
@@ -348,9 +360,11 @@ class RunLedger:
 @dataclass(eq=False)
 class RunResult:
     """A finished run. Its stats and counts are known when it completes; its
-    simulated schedule (trace, makespan, high-water marks) is computed from
-    the recorded tasks once, when one of them is first read, through this
-    result's own `Memo`, so the schedules of other results run meanwhile."""
+    simulated schedule (makespan, high-water marks and, when tracing, the
+    completion log) is computed from the recorded tasks once, when one of
+    them is first read, through this result's own `Memo`, so the schedules of
+    other results run meanwhile. The trace's `Event`s are built from the log
+    under a second key of that `Memo`, once `trace` is read."""
 
     run_id: str
     stats: GenerationStats
@@ -363,7 +377,7 @@ class RunResult:
     def _timed(self) -> RunLedger:
         return self._timing.get("schedule", self._schedule)
 
-    trace = property(lambda self: self._timed().events)
+    trace = property(lambda self: self._timing.get("trace", lambda: _trace_events(self._timed())))
     makespan = property(lambda self: self._timed().clock)
     max_gen_inflight = property(lambda self: self._timed().max_gen_inflight)
     max_eval_queue = property(lambda self: self._timed().max_eval_queue)
@@ -618,7 +632,7 @@ class InterventionPipeline:
 
     def _schedule(self, led: RunLedger, latency: LatencyModel) -> None:
         """Simulate the run's schedule over its recorded tasks and fill the
-        ledger's clock, high-water marks and, when tracing, events. A task
+        ledger's clock, high-water marks and, when tracing, completion log. A task
         start draws its latency. A completion makes its follow-ups ready:
         after ANLZ the GEN; after GEN one EVAL per recorded EVAL; once the
         round's EVALs, one per candidate, completed (at once if it has no
@@ -630,8 +644,7 @@ class InterventionPipeline:
         stage_sync = cfg.execution_mode is ExecutionMode.STAGE_SYNC
         serial = cfg.execution_mode is ExecutionMode.SERIAL
         trace, samples, led_rounds = cfg.record_trace, led.checkpoint.samples, led.rounds
-        loaded = EventKind.SAMPLE_LOADED
-        events = [Event(loaded, s.sample_id, led.run_id, {"index": i}, i, 0.0) for i, s in enumerate(samples) if trace]
+        log = [] if trace else None
         # Keyed by the run's seed, not its id: the id holds the process id.
         draw = None if cfg.schedule_seed is None else rng_for(cfg.schedule_seed, "schedule", led.seed).random
         # Ready tasks: one heap per stage, by stage value, of tasks or, under
@@ -725,7 +738,7 @@ class InterventionPipeline:
             i, r, stage, _, sid = task
             last[i] = task
             if trace:
-                events.append(_stage_event(led, task, len(events), clock))
+                log.append((task, clock))
             # A round has k EVALs but one ANLZ, one GEN and at most one AGG.
             if stage is EVAL:
                 eval_inflight -= 1
@@ -761,7 +774,19 @@ class InterventionPipeline:
         if stall is not None:
             last = [task and Task._make(task) for task in last]  # `dump` reads fields by name
             raise PipelineStalledError(stall, led.dump(sum(map(len, ready)), last, evals_left))
-        led.events = tuple(events)
+        led.completions = log
+
+
+def _trace_events(led: RunLedger) -> tuple[Event, ...]:
+    """A scheduled run's trace: each sample's SampleLoaded, in checkpoint
+    order at time 0, then one event per logged completion."""
+    if led.completions is None:
+        return ()
+    samples = led.checkpoint.samples
+    loaded = EventKind.SAMPLE_LOADED
+    events = [Event(loaded, s.sample_id, led.run_id, {"index": i}, i, 0.0) for i, s in enumerate(samples)]
+    events += (_stage_event(led, task, t, clock) for t, (task, clock) in enumerate(led.completions, len(samples)))
+    return tuple(events)
 
 
 def _stage_event(led: RunLedger, task: tuple, logical_time: int, wall_time: float) -> Event:
@@ -817,13 +842,50 @@ def make_rollout_fn(
 # encoder per call.
 _JSON = json.JSONEncoder(sort_keys=True)
 
+# A trace line per event kind, by stage value (0 for SampleLoaded), as
+# `_JSON.encode(event.to_json())` writes it: keys sorted, strings escaped by
+# `encode_basestring_ascii`, the wall time by `repr`. It takes the logical
+# time, the payload's values in its keys' order, run id, sample id and wall time.
+_TRACE_TAIL = '}, "run_id": %s, "sample_id": %s, "wall_time": %r}\n'
+_TRACE_LINES = (
+    '{"kind": "SampleLoaded", "logical_time": %d, "payload": {"index": %d' + _TRACE_TAIL,
+    '{"kind": "FeedbackBuilt", "logical_time": %d, "payload": {"replayed": %s, "report_hash": %s, "round": %d'
+    + _TRACE_TAIL,
+    '{"kind": "CandidatesGenerated", "logical_time": %d, "payload": {"n_candidates": %d, "n_failed": %d, '
+    '"replayed": %s, "round": %d' + _TRACE_TAIL,
+    '{"kind": "EvalCompleted", "logical_time": %d, "payload": {"attempt": %d, "level": %s, "replayed": %s, '
+    '"round": %d' + _TRACE_TAIL,
+    '{"kind": "Aggregated", "logical_time": %d, "payload": {"best": %s, "round": %d' + _TRACE_TAIL,
+)
+
 
 def export_trace(result: RunResult, path: str | Path) -> None:
-    """Write the ordered event trace as newline-delimited JSON."""
-    Path(path).write_text(
-        "".join(_JSON.encode(event.to_json()) + "\n" for event in result.trace),
-        encoding="utf-8",
-    )
+    """Write the ordered event trace as newline-delimited JSON, each line what
+    `_JSON.encode(event.to_json())` writes, formatted straight from the
+    completion log without building an `Event`. A run that kept no trace
+    raises ValueError."""
+    led = result.ledger
+    if not led.config.record_trace:
+        raise ValueError(f"run {result.run_id} kept no trace: its pipeline ran with record_trace off")
+    log = result._timed().completions
+    enc, flag = encode_basestring_ascii, ("false", "true")
+    run, replayed, rounds, best = enc(result.run_id), led.replayed, led.rounds, led.best_outcomes
+    sids = [enc(s.sample_id) for s in led.checkpoint.samples]
+    out = [_TRACE_LINES[0] % (i, i, run, sid, 0.0) for i, sid in enumerate(sids)]
+    for t, (task, clock) in enumerate(log, len(sids)):
+        i, r, stage, attempt, sid = task
+        if stage is Stage.AGG:
+            payload = enc(best[sid].name), r
+        else:
+            state, done = rounds[sid, r], flag[task in replayed]
+            if stage is Stage.EVAL:
+                payload = attempt, enc(classify_execution(state.records[attempt]).name), done, r
+            elif stage is Stage.GEN:
+                payload = len(state.candidates), len(state.failures), done, r
+            else:
+                payload = done, enc(state.report.content_hash), r
+        out.append(_TRACE_LINES[stage] % (t, *payload, run, sids[i], clock))
+    Path(path).write_text("".join(out), encoding="utf-8")
 
 
 class ReplayCache(NamedTuple):

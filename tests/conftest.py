@@ -173,7 +173,9 @@ def record_computations(monkeypatch, cls, name="content_hash"):
 
 def count_schedule_work(monkeypatch):
     """Count the timing layer's per-task work from here on: latency draws
-    (calls of the callable a `LatencyModel.drawer` returns) and trace events built."""
+    (calls of the callable a `LatencyModel.drawer` returns), which the
+    schedule makes, and trace events built, which only reading a result's
+    `trace` does."""
     work = Counter()
     drawer, event = pipeline_mod.LatencyModel.drawer, pipeline_mod.Event
 

@@ -1,10 +1,13 @@
+import copy
 import gc
 import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 import threading
 import time
 import types
@@ -55,6 +58,7 @@ from planlens.feedback import (
     build_report,
     default_components,
     dummy_plan,
+    randomize_feedback,
 )
 from planlens.pipeline import (
     DEFAULT_LATENCIES,
@@ -79,7 +83,7 @@ from planlens.pipeline import (
     replay_load,
 )
 from planlens.seeding import hash_uniform
-from planlens.trajectory import OutcomeLevel, classify_execution
+from planlens.trajectory import GenerationCheckpoint, OutcomeLevel, Sample, classify_execution
 
 D, A, P = default_components()
 FULL = Coalition.of(D, A, P)
@@ -587,6 +591,59 @@ class TestReplay:
         with pytest.raises(ReplayArchiveError, match=named):
             run_once(build_pipe(cp, config=PipelineConfig(k=3, seed=9)), cp, replay=replay_load(archive_dir, cp))
 
+    def test_shared_entries_decode_once_per_run(self, tmp_path, monkeypatch):
+        # Stages with equal payloads share an archive entry. A replay checks and
+        # decodes each (stage, entry) once, and keeps the stats and trace of a
+        # replay whose stage keys each have an entry of their own.
+        cp = build_checkpoint(6)
+        config = PipelineConfig(k=3, rounds=2, seed=9)
+        _, _, archive_dir = self.archived_run(tmp_path, cp, config)
+        index = json.loads((archive_dir / "index.json").read_text())
+        pack = json.loads((archive_dir / "entries.json").read_text())
+        assert len(set(index.values())) < len(index)
+        decodes = Counter()
+        for stage, decode in pipeline_mod._DECODE.items():
+
+            def counted(entry, k, _stage=stage, _decode=decode):
+                decodes[_stage.name.lower()] += 1
+                return _decode(entry, k)
+
+            monkeypatch.setitem(pipeline_mod._DECODE, stage, counted)
+        cache = replay_load(archive_dir, cp)
+        unshared = cache._replace(entries={key: copy.deepcopy(entry) for key, entry in cache.entries.items()})
+        runs = []
+        for replay, expected in (
+            (cache, Counter(pack[name]["kind"] for name in set(index.values()))),
+            (unshared, Counter(pack[name]["kind"] for name in index.values())),
+        ):
+            decodes.clear()
+            result, _ = run_once(build_pipe(cp, config=config), cp, replay=replay)
+            assert decodes == expected
+            export_trace(result, tmp_path / "trace.ndjson")
+            runs.append((result.stats, (tmp_path / "trace.ndjson").read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_corrupt_shared_entry_refused_on_first_use(self, tmp_path):
+        cp = build_checkpoint(6)
+        _, _, archive_dir = self.archived_run(tmp_path, cp)
+        index = json.loads((archive_dir / "index.json").read_text())
+        pack = json.loads((archive_dir / "entries.json").read_text())
+        shared = Counter(index.values())
+        name = next(n for n, uses in shared.most_common() if pack[n]["kind"] == "eval" and uses > 1)
+        pack[name]["record"]["compiled"] = "yes"
+        (archive_dir / "entries.json").write_text(json.dumps(pack))
+        pipe = build_pipe(cp, config=PipelineConfig(k=3, seed=9))
+        run_id = pipe.submit(cp, Intervention(coalition=FULL), replay=replay_load(archive_dir, cp))
+        ledger = pipe._ledgers[run_id]
+        named = re.escape(f"{archive_dir / 'entries.json'} entry {name} holds no EVAL entry")
+        with pytest.raises(ReplayArchiveError, match=named):
+            pipe.run_to_completion(run_id)
+        # The entry's first stage raised: no stage that uses it was replayed.
+        uses = {key for key, n in index.items() if n == name}
+        assert not any(
+            ledger.stage_key(t.stage, t.sample_id, t.round_index, t.attempt) in uses for t in ledger.replayed
+        )
+
     def test_checkpoint_mismatch_refused(self, tmp_path):
         cp = build_checkpoint(6)
         _, _, archive_dir = self.archived_run(tmp_path, cp)
@@ -732,6 +789,13 @@ class TestRounds:
         assert stats[0] == stats[1] == stats[2]
 
 
+class WholeLatencyModel(LatencyModel):
+    """Durations in whole time units, as ints."""
+
+    def duration(self, run_seed, task):
+        return math.ceil(super().duration(run_seed, task))
+
+
 class TestDiagnostics:
     def test_real_time_sets_no_limit_on_a_run(self, monkeypatch):
         # Agent calls may take any real time: only HttpChatAgent's own
@@ -785,6 +849,49 @@ class TestDiagnostics:
         times = [json.loads(ln)["logical_time"] for ln in lines]
         assert times == sorted(times)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sample_ids=st.lists(
+            st.text(st.sampled_from('s"\\\né\u2028'), min_size=1, max_size=3), min_size=1, max_size=3, unique=True
+        ),
+        mode=st.sampled_from(ExecutionMode),
+        rounds=st.integers(1, 2),
+        k=st.integers(1, 3),
+        schedule_seed=st.none() | st.integers(0, 1000),
+        faults=st.lists(st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 2)), max_size=4),
+        replayed=st.booleans(),
+        shuffle_seed=st.none() | st.integers(0, 100),
+        whole_latencies=st.booleans(),
+    )
+    def test_trace_lines_are_the_events_encoded(
+        self, sample_ids, mode, rounds, k, schedule_seed, faults, replayed, shuffle_seed, whole_latencies
+    ):
+        # `export_trace` formats its lines itself, without building an event:
+        # they must be what encoding each event of `trace` writes.
+        samples = tuple(Sample(sample_id=sid, generation_index=0, program_text="k") for sid in sample_ids)
+        cp = GenerationCheckpoint(trajectory_id="t", g=0, samples=samples)
+        config = PipelineConfig(k=k, rounds=rounds, seed=4, execution_mode=mode, schedule_seed=schedule_seed)
+        fails, crashes = (
+            frozenset((sample_ids[i % len(sample_ids)], a) for crash, i, a in faults if crash is c) for c in (False, True)
+        )
+        permutation = None if shuffle_seed is None else randomize_feedback(cp, shuffle_seed)
+        intervention = Intervention(coalition=FULL, permutation=permutation)
+
+        def traced_run(replay=None):
+            pipe = build_pipe(cp, config=config, fail_attempts=fails, crash_on=crashes)
+            if whole_latencies:
+                pipe.latency_model = WholeLatencyModel(pipe.latency_model.seed, pipe.latency_model.params)
+            return run_once(pipe, cp, intervention, replay=replay)[0]
+
+        result = traced_run()
+        with tempfile.TemporaryDirectory() as tmp:
+            if replayed:
+                archive_run(result, tmp)
+                result = traced_run(replay_load(tmp, cp))
+            export_trace(result, Path(tmp) / "trace.ndjson")
+            written = (Path(tmp) / "trace.ndjson").read_bytes()
+        assert written == "".join(pipeline_mod._JSON.encode(e.to_json()) + "\n" for e in result.trace).encode()
+
     def test_causal_order_per_sample(self, checkpoint25):
         config = PipelineConfig(k=3, seed=2, schedule_seed=8)
         pipe = build_pipe(checkpoint25, config=config)
@@ -818,6 +925,14 @@ class TestDiagnostics:
         result, _ = run_once(pipe, checkpoint25)
         assert result.trace == ()
         assert result.event_counts[EventKind.AGGREGATED] == 25
+
+    def test_export_of_an_untraced_run_is_refused(self, tmp_path, checkpoint25):
+        # An empty file would claim that the run had no events.
+        result, _ = run_once(build_pipe(checkpoint25, config=PipelineConfig(k=2, record_trace=False)), checkpoint25)
+        path = tmp_path / "trace.ndjson"
+        with pytest.raises(ValueError, match=f"run {result.run_id} kept no trace"):
+            export_trace(result, path)
+        assert not path.exists()
 
     def test_programs_and_throughput_reported(self, checkpoint25):
         pipe = build_pipe(checkpoint25)
@@ -1084,7 +1199,8 @@ class TestCostGuards:
 
     def test_rollout_simulates_no_schedule(self, monkeypatch):
         # A rollout reads only stats: even in a traced pipeline it draws no
-        # latency and builds no event. Reading a result's timing does both.
+        # latency and builds no event. Reading a result's timing draws the
+        # latencies; only reading its trace builds the events.
         cp = build_checkpoint(5)
         pipe = build_pipe(cp)  # the default config records a trace
         work = count_schedule_work(monkeypatch)
@@ -1093,7 +1209,11 @@ class TestCostGuards:
         result, _ = run_once(pipe, cp)
         assert work == Counter()
         assert result.makespan > 0
-        assert work["duration"] > 0 and work["Event"] == len(result.trace) > 0
+        assert work["duration"] > 0 and work["Event"] == 0
+        export_trace(result, os.devnull)
+        assert work["Event"] == 0
+        trace = result.trace
+        assert work["Event"] == len(trace) > 0
 
     def test_schedule_draws_one_latency_per_live_task(self, monkeypatch, tmp_path):
         # One draw per ANLZ, GEN and EVAL the run did itself; AGG and a
