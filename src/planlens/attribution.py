@@ -321,9 +321,11 @@ def sweep_characteristic_tables(
         raise ValueError("at least one game spec is required")
     if r_rollouts < 1:
         raise ValueError("r_rollouts must be >= 1")
-    for spec in specs[1:]:
+    for i, spec in enumerate(specs):
         if spec.players != specs[0].players:
             raise ValueError("all specs must share one player set")
+        if any(spec.metric == other.metric for other in specs[:i]):
+            raise ValueError(f"metric {spec.metric!r} is named by two specs")
     tables = [CharacteristicTable(spec) for spec in specs]
     for coalition in enumerate_coalitions(specs[0].n):
         stats_list: list[GenerationStats] = []
@@ -476,7 +478,10 @@ def tables_from_csv(
         stderr = float(row["stderr"]) if row.get("stderr") else None
         if not math.isfinite(v) or not math.isfinite(stderr or 0.0):
             raise ValueError(f"coalition_mask {mask} has a non-finite v or stderr: {row['v']!r}, {row.get('stderr')!r}")
-        table.set(Coalition(mask), v, stderr, int(row.get("n") or 0))
+        n = int(row.get("n") or 0)
+        if (stderr or 0.0) < 0 or n < 0:  # v may lie anywhere: synthetic tables leave [0, 1]
+            raise ValueError(f"coalition_mask {mask} has a negative stderr or n: {row.get('stderr')!r}, {row.get('n')!r}")
+        table.set(Coalition(mask), v, stderr, n)
     return [tables[key] for key in sorted(tables)]
 
 

@@ -299,7 +299,7 @@ def resolve_intervene(args: argparse.Namespace) -> tuple[dict, AgentBundle, Gene
         except ValueError as exc:
             raise ConfigError(f"--coalition {args.coalition!r}: {exc}") from exc
 
-    metrics = ["compiled", "pass", "fast"]
+    metrics, origin = ["compiled", "pass", "fast"], "--metrics"
     if args.metrics:
         metrics = args.metrics.split(",")
         try:
@@ -307,7 +307,10 @@ def resolve_intervene(args: argparse.Namespace) -> tuple[dict, AgentBundle, Gene
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     elif args.sweep:
-        metrics = config.get("metrics", metrics)
+        metrics, origin = config.get("metrics", metrics), "config key 'metrics'"
+    for i, metric in enumerate(metrics):
+        if metric in metrics[:i]:  # its table rows would repeat, which `attribute` refuses
+            raise ConfigError(f"{origin} names metric {metric!r} twice")
     record = {
         "command": "intervene",
         **settings,
@@ -529,25 +532,28 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    copied = []
-    for label, path in (
-        ("stats", args.stats),
-        ("tables", args.tables),
-        ("attribution", args.attribution),
-    ):
+    inputs: dict[str, Path] = {}  # by the name each is bundled under
+    for label, path in (("stats", args.stats), ("tables", args.tables), ("attribution", args.attribution)):
         if path is None:
             continue
         src = Path(path)
+        # Checked before anything is written: a clash would overwrite a file the manifest lists.
+        if src.name == "bundle.json":
+            raise ConfigError(f"report input {path} would be overwritten by the manifest {out_dir / src.name}")
+        if src.name in inputs:
+            raise ConfigError(f"report inputs {inputs[src.name]} and {path} would both be bundled as {src.name}")
         if not src.exists():
             raise DataError(f"{label} input not found: {path}")
-        if src.is_dir():
-            dest = out_dir / src.name
-            shutil.copytree(src, dest, dirs_exist_ok=True)
-            copied.extend(sorted(p.name for p in dest.iterdir()))
+        inputs[src.name] = src
+    out_dir.mkdir(parents=True, exist_ok=True)
+    copied = []
+    for name, src in inputs.items():
+        if src.is_dir():  # its entries, not what an earlier bundle left in the destination
+            shutil.copytree(src, out_dir / name, dirs_exist_ok=True)
+            copied.extend(p.name for p in src.iterdir())
         else:
-            shutil.copy(src, out_dir / src.name)
-            copied.append(src.name)
+            shutil.copy(src, out_dir / name)
+            copied.append(name)
     settings = {
         "command": "report",
         "inputs": {

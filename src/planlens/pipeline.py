@@ -8,7 +8,8 @@ aggregation. The stage work runs in sample order. Its schedule is a
 separate timing layer: a simulated-clock event loop with three policies
 (serial, stage-sync barriers, multi-async) over the recorded tasks, run
 once, when a result's timing or trace is first read; a traced schedule
-only logs its completions, and events are built from that log. Schedule
+only logs its completions. The trace's NDJSON lines are formatted from
+that log, and its events are decoded from those lines. Schedule
 permutations are first-class, and order independence is testable rather
 than assumed.
 """
@@ -120,31 +121,16 @@ class Stage(IntEnum):
     AGG = 4
 
 
-_STAGE_EVENT = {
-    Stage.ANLZ: EventKind.FEEDBACK_BUILT,
-    Stage.GEN: EventKind.CANDIDATES_GENERATED,
-    Stage.EVAL: EventKind.EVAL_COMPLETED,
-    Stage.AGG: EventKind.AGGREGATED,
-}
-
 @dataclass(frozen=True)
 class Event:
+    """One trace event, as `RunResult.trace` decodes it from its line."""
+
     kind: EventKind
     sample_id: str
     run_id: str
     payload: Mapping
     logical_time: int
     wall_time: float
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "sample_id": self.sample_id,
-            "run_id": self.run_id,
-            "logical_time": self.logical_time,
-            "wall_time": self.wall_time,
-            "payload": dict(self.payload),
-        }
 
 
 @dataclass(frozen=True)
@@ -240,16 +226,13 @@ class Task(NamedTuple):
 
 @dataclass
 class _RoundState:
-    """One (sample, round)'s stage results, as the stages produced them, and
-    their fan-in: `best` is the max of its EVAL levels, in any order (failed
-    attempts are FAILED)."""
+    """One (sample, round)'s stage results, as the stages produced them."""
 
     report: Report | None = None
     plan: PlanArtifact | None = None
     candidates: dict[int, Candidate] = field(default_factory=dict)  # by attempt
     failures: list[tuple[int, str]] = field(default_factory=list)
     records: dict[int, ExecutionRecord] = field(default_factory=dict)
-    best: OutcomeLevel = OutcomeLevel.FAILED
 
 
 def _run_identity(checkpoint: GenerationCheckpoint, intervention: Intervention, config: PipelineConfig, seed: int):
@@ -363,8 +346,9 @@ class RunResult:
     simulated schedule (makespan, high-water marks and, when tracing, the
     completion log) is computed from the recorded tasks once, when one of
     them is first read, through this result's own `Memo`, so the schedules of
-    other results run meanwhile. The trace's `Event`s are built from the log
-    under a second key of that `Memo`, once `trace` is read."""
+    other results run meanwhile. `trace` decodes the lines `export_trace`
+    writes into `Event`s, once, under a second key of that `Memo`; it is ()
+    for a run that kept no trace."""
 
     run_id: str
     stats: GenerationStats
@@ -377,10 +361,19 @@ class RunResult:
     def _timed(self) -> RunLedger:
         return self._timing.get("schedule", self._schedule)
 
-    trace = property(lambda self: self._timing.get("trace", lambda: _trace_events(self._timed())))
+    trace = property(lambda self: self._timing.get("trace", self._decode_trace))
     makespan = property(lambda self: self._timed().clock)
     max_gen_inflight = property(lambda self: self._timed().max_gen_inflight)
     max_eval_queue = property(lambda self: self._timed().max_eval_queue)
+
+    def _decode_trace(self) -> tuple[Event, ...]:
+        if not self.ledger.config.record_trace:
+            return ()
+        lines = map(json.loads, _trace_lines(self))
+        return tuple(
+            Event(EventKind(d["kind"]), d["sample_id"], d["run_id"], d["payload"], d["logical_time"], d["wall_time"])
+            for d in lines
+        )
 
 
 class LatencyModel:
@@ -607,7 +600,6 @@ class InterventionPipeline:
                     records[attempt] = record
                     if (graded := classify_execution(record)) > level:
                         level = graded
-                state.best = level
                 best = max(best, level)
             led.best_outcomes[sid] = best
 
@@ -777,39 +769,6 @@ class InterventionPipeline:
         led.completions = log
 
 
-def _trace_events(led: RunLedger) -> tuple[Event, ...]:
-    """A scheduled run's trace: each sample's SampleLoaded, in checkpoint
-    order at time 0, then one event per logged completion."""
-    if led.completions is None:
-        return ()
-    samples = led.checkpoint.samples
-    loaded = EventKind.SAMPLE_LOADED
-    events = [Event(loaded, s.sample_id, led.run_id, {"index": i}, i, 0.0) for i, s in enumerate(samples)]
-    events += (_stage_event(led, task, t, clock) for t, (task, clock) in enumerate(led.completions, len(samples)))
-    return tuple(events)
-
-
-def _stage_event(led: RunLedger, task: tuple, logical_time: int, wall_time: float) -> Event:
-    """A task's trace event at completion, at simulated time `wall_time`; the
-    payload is read from the recorded results. `task` holds `Task`'s fields."""
-    _, r, stage, attempt, sid = task
-    payload: dict = {"round": r}
-    if stage is Stage.AGG:
-        payload["best"] = led.best_outcomes[sid].name
-    else:
-        state = led.rounds[sid, r]
-        if stage is Stage.ANLZ:
-            payload["report_hash"] = state.report.content_hash
-        elif stage is Stage.GEN:
-            payload["n_candidates"] = len(state.candidates)
-            payload["n_failed"] = len(state.failures)
-        else:
-            payload["attempt"] = attempt
-            payload["level"] = classify_execution(state.records[attempt]).name
-        payload["replayed"] = task in led.replayed
-    return Event(_STAGE_EVENT[stage], sid, led.run_id, payload, logical_time, wall_time)
-
-
 # -- rollout glue --------------------------------------------------------------
 
 
@@ -843,7 +802,7 @@ def make_rollout_fn(
 _JSON = json.JSONEncoder(sort_keys=True)
 
 # A trace line per event kind, by stage value (0 for SampleLoaded), as
-# `_JSON.encode(event.to_json())` writes it: keys sorted, strings escaped by
+# `json.dumps` with `sort_keys=True` writes its object: keys sorted, strings escaped by
 # `encode_basestring_ascii`, the wall time by `repr`. It takes the logical
 # time, the payload's values in its keys' order, run id, sample id and wall time.
 _TRACE_TAIL = '}, "run_id": %s, "sample_id": %s, "wall_time": %r}\n'
@@ -860,13 +819,19 @@ _TRACE_LINES = (
 
 
 def export_trace(result: RunResult, path: str | Path) -> None:
-    """Write the ordered event trace as newline-delimited JSON, each line what
-    `_JSON.encode(event.to_json())` writes, formatted straight from the
-    completion log without building an `Event`. A run that kept no trace
-    raises ValueError."""
-    led = result.ledger
-    if not led.config.record_trace:
+    """Write the ordered event trace as newline-delimited JSON. A run that
+    kept no trace raises ValueError."""
+    if not result.ledger.config.record_trace:
         raise ValueError(f"run {result.run_id} kept no trace: its pipeline ran with record_trace off")
+    Path(path).write_text("".join(_trace_lines(result)), encoding="utf-8")
+
+
+def _trace_lines(result: RunResult) -> list[str]:
+    """A traced run's trace, one NDJSON line per event, formatted straight
+    from its completion log: each sample's SampleLoaded, in checkpoint order
+    at time 0, then one event per completion, its payload read from the
+    recorded results. The one definition of what an event carries."""
+    led = result.ledger
     log = result._timed().completions
     enc, flag = encode_basestring_ascii, ("false", "true")
     run, replayed, rounds, best = enc(result.run_id), led.replayed, led.rounds, led.best_outcomes
@@ -885,7 +850,7 @@ def export_trace(result: RunResult, path: str | Path) -> None:
             else:
                 payload = done, enc(state.report.content_hash), r
         out.append(_TRACE_LINES[stage] % (t, *payload, run, sids[i], clock))
-    Path(path).write_text("".join(out), encoding="utf-8")
+    return out
 
 
 class ReplayCache(NamedTuple):

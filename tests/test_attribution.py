@@ -391,6 +391,14 @@ class TestEstimatePayoff:
                 # Bit for bit, not approximately.
                 assert repr(table.values[coalition.mask]) == repr(math.fsum(rates) / len(rates))
 
+    def test_specs_repeating_a_metric_refused(self):
+        # Two tables for one (generation, metric) are a table that `tables_from_csv` refuses.
+        calls = []
+        specs = [GameSpec(players=THREE, metric=m) for m in ("pass", "fast", "pass")]
+        with pytest.raises(ValueError, match="metric 'pass' is named by two specs"):
+            sweep_characteristic_tables(EMPTY_CP, specs, lambda *args: calls.append(args), 2, seed=1)
+        assert calls == []
+
     @pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
     def test_programming_error_propagates(self, error):
         calls = []
@@ -480,3 +488,14 @@ class TestReportAssembly:
         assert len(loaded) == 2
         for original, restored in zip(sorted(tables, key=lambda t: t.spec.g), loaded):
             assert restored.values == original.values
+
+    @pytest.mark.parametrize("row", ["0,pass,1,0.5,-0.5,7", "0,pass,1,0.5,0.5,-7"], ids=["stderr", "n"])
+    def test_negative_stderr_or_n_refused(self, row):
+        # A negative stderr would square into phi_stderr as if it were positive.
+        text = f"g,metric,coalition_mask,v,stderr,n\n0,pass,0,0.5,0.1,7\n{row}\n"
+        with pytest.raises(ValueError, match="coalition_mask 1 has a negative stderr or n"):
+            tables_from_csv(text, THREE)
+
+    def test_v_outside_unit_interval_accepted(self):
+        (table,) = tables_from_csv("g,metric,coalition_mask,v,stderr,n\n0,pass,1,-1.5,0.0,0\n", THREE)
+        assert table.values[1] == -1.5

@@ -1031,6 +1031,21 @@ class TestIntervene:
         assert "'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("origin", ["--metrics", "config key 'metrics'"])
+    def test_repeated_sweep_metric_is_config_error(self, tmp_path, checkpoint_file, capsys, origin):
+        # Its table would hold every row of the metric twice, which `attribute` refuses.
+        out = tmp_path / "table.csv"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--sweep", "--rollouts", "2", "--out", str(out)]
+        if origin == "--metrics":
+            argv += ["--metrics", "pass,fast,pass"]
+        else:
+            config_path = tmp_path / "exp.json"
+            config_path.write_text(json.dumps({"metrics": ["pass", "fast", "pass"]}))
+            argv += ["--config", str(config_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{origin} names metric 'pass' twice" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, expected", [(None, {"pass"}), ("fast", {"fast"})], ids=["config", "flag"]
     )
@@ -1649,6 +1664,30 @@ class TestReportCommand:
             ["report", "--stats", str(tmp_path / "none.csv"), "--out", str(tmp_path / "b")]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("names", [("a/s.csv", "b/s.csv"), ("a/bundle.json", "b/t.csv")], ids=["same", "manifest"])
+    def test_inputs_bundled_under_one_name_are_config_error(self, tmp_path, capsys, names):
+        # One would overwrite the other, or the manifest would overwrite it.
+        stats, tables = (tmp_path / name for name in names)
+        for path in (stats, tables):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("x\n")
+        out = tmp_path / "bund"
+        assert main(["report", "--stats", str(stats), "--tables", str(tables), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(stats) in err and (str(tables) if stats.name == tables.name else str(out / "bundle.json")) in err
+        assert not out.exists()
+
+    def test_directory_input_lists_its_own_entries(self, tmp_path):
+        # An entry an earlier bundle left in the destination was not bundled now.
+        rep = tmp_path / "rep"
+        rep.mkdir()
+        (rep / "a.csv").write_text("x\n")
+        out = tmp_path / "bund"
+        (out / "rep").mkdir(parents=True)
+        (out / "rep" / "old.txt").write_text("stale\n")
+        assert main(["report", "--attribution", str(rep), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "bundle.json").read_text())["files"] == ["a.csv"]
 
 
 def test_version_flag(capsys):

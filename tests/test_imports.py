@@ -79,3 +79,65 @@ def test_guard_sees_unused_and_quoted_names():
         "    return os.path.join(dataclass)\n"
     )
     assert unused_imports(source) == {"field"}
+
+
+# Standard-library names that Python 3.10 lacks, so that only CI's 3.10 leg
+# would fail on them: by module, "" for builtins. Held as text, and the regex
+# atomic group built from two pieces, so that this file names none of them.
+NEWER_MODULES = {"tomllib"}
+NEWER_NAMES = {
+    "enum": {"StrEnum"},
+    "typing": {"Self", "LiteralString", "Never", "assert_never"},
+    "datetime": {"UTC"},
+    "hashlib": {"file_digest"},
+    "contextlib": {"chdir"},
+    "asyncio": {"TaskGroup", "timeout"},
+    "": {"ExceptionGroup", "BaseExceptionGroup"},
+}
+NEWER_METHODS = {"add_note"}
+ATOMIC_GROUP = "(?" + ">"
+
+
+def newer_stdlib_uses(source: str) -> list[str]:
+    """Each use in `source` of a module, name, method or regex syntax that
+    Python 3.11 added, in `ast.walk` order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] in NEWER_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] in NEWER_MODULES:
+                found.append(module)
+            found += [f"{module}.{alias.name}" for alias in node.names if alias.name in NEWER_NAMES.get(module, ())]
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if node.attr in NEWER_METHODS or node.attr in NEWER_NAMES.get(owner, ()):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id in NEWER_NAMES[""]:
+            found.append(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and ATOMIC_GROUP in node.value:
+            found.append(repr(node.value))
+    return found
+
+
+def test_no_python_3_11_stdlib_names():
+    sources = sorted(PACKAGE.glob("*.py")) + [ROOT / path for path in OTHER_SOURCES]
+    found = {path.relative_to(ROOT).as_posix(): newer_stdlib_uses(path.read_text(encoding="utf-8")) for path in sources}
+    assert {path: uses for path, uses in found.items() if uses} == {}
+
+
+def test_stdlib_guard_sees_each_newer_name():
+    planted = [
+        "import " + "tomllib",
+        "from " + "tomllib import loads",
+        "from enum import " + "StrEnum",
+        "import typing\nx: typing." + "Self",
+        "import datetime\ndatetime." + "UTC",
+        "import asyncio\nasyncio." + "timeout(1)",
+        "raise " + "ExceptionGroup('x', [])",
+        "err." + "add_note('x')",
+        "re.compile(" + repr(ATOMIC_GROUP + "a)") + ")",
+    ]
+    assert [len(newer_stdlib_uses(source)) for source in planted] == [1] * len(planted)
+    assert newer_stdlib_uses("from typing import Mapping\nimport datetime\ndatetime.timezone.utc\n'(?:a)'") == []

@@ -63,6 +63,7 @@ from planlens.feedback import (
 from planlens.pipeline import (
     DEFAULT_LATENCIES,
     CheckpointMutatedError,
+    Event,
     EventKind,
     ExecutionMode,
     Intervention,
@@ -283,7 +284,7 @@ class TestOrderIndependence:
             }
             assert result.event_counts[EventKind.AGGREGATED] == len(aggregated) == 2
             state = result.ledger.rounds["s000", 0]
-            results.append((result.stats, aggregated, state.best, state.records))
+            results.append((result.stats, aggregated, state.records))
         assert len(orders) == 6
         assert len({level for _, level in evals}) == 3  # so the order could matter
         assert all(r == results[0] for r in results)
@@ -789,6 +790,40 @@ class TestRounds:
         assert stats[0] == stats[1] == stats[2]
 
 
+STAGE_EVENT = {
+    Stage.ANLZ: EventKind.FEEDBACK_BUILT,
+    Stage.GEN: EventKind.CANDIDATES_GENERATED,
+    Stage.EVAL: EventKind.EVAL_COMPLETED,
+    Stage.AGG: EventKind.AGGREGATED,
+}
+
+
+def expected_trace(result):
+    """A traced run's events, rebuilt from its ledger by the payload rules of
+    each event kind: SampleLoaded carries the sample's index; every stage
+    event its round; ANLZ the report hash, GEN the candidate and failure
+    counts, EVAL the attempt and its level, each of these whether it was
+    replayed; AGG the sample's best level."""
+    led, samples = result.ledger, result.ledger.checkpoint.samples
+    events = [Event(EventKind.SAMPLE_LOADED, s.sample_id, led.run_id, {"index": i}, i, 0.0) for i, s in enumerate(samples)]
+    for t, (task, clock) in enumerate(led.completions, len(samples)):
+        _, r, stage, attempt, sid = task
+        payload = {"round": r}
+        if stage is Stage.AGG:
+            payload["best"] = led.best_outcomes[sid].name
+        else:
+            state = led.rounds[sid, r]
+            if stage is Stage.ANLZ:
+                payload["report_hash"] = state.report.content_hash
+            elif stage is Stage.GEN:
+                payload.update(n_candidates=len(state.candidates), n_failed=len(state.failures))
+            else:
+                payload.update(attempt=attempt, level=classify_execution(state.records[attempt]).name)
+            payload["replayed"] = task in led.replayed
+        events.append(Event(STAGE_EVENT[stage], sid, led.run_id, payload, t, clock))
+    return tuple(events)
+
+
 class WholeLatencyModel(LatencyModel):
     """Durations in whole time units, as ints."""
 
@@ -866,8 +901,8 @@ class TestDiagnostics:
     def test_trace_lines_are_the_events_encoded(
         self, sample_ids, mode, rounds, k, schedule_seed, faults, replayed, shuffle_seed, whole_latencies
     ):
-        # `export_trace` formats its lines itself, without building an event:
-        # they must be what encoding each event of `trace` writes.
+        # `export_trace`'s lines are the trace's one format: each is canonical
+        # JSON, `trace` is their decoding, and both carry what the ledger holds.
         samples = tuple(Sample(sample_id=sid, generation_index=0, program_text="k") for sid in sample_ids)
         cp = GenerationCheckpoint(trajectory_id="t", g=0, samples=samples)
         config = PipelineConfig(k=k, rounds=rounds, seed=4, execution_mode=mode, schedule_seed=schedule_seed)
@@ -890,7 +925,12 @@ class TestDiagnostics:
                 result = traced_run(replay_load(tmp, cp))
             export_trace(result, Path(tmp) / "trace.ndjson")
             written = (Path(tmp) / "trace.ndjson").read_bytes()
-        assert written == "".join(pipeline_mod._JSON.encode(e.to_json()) + "\n" for e in result.trace).encode()
+        *lines, end = written.split(b"\n")
+        assert end == b"" and all(line == json.dumps(json.loads(line), sort_keys=True).encode() for line in lines)
+        decoded = (json.loads(line) for line in lines)
+        keys = ("sample_id", "run_id", "payload", "logical_time", "wall_time")
+        assert result.trace == tuple(Event(EventKind(d["kind"]), *map(d.get, keys)) for d in decoded)
+        assert result.trace == expected_trace(result)
 
     def test_causal_order_per_sample(self, checkpoint25):
         config = PipelineConfig(k=3, seed=2, schedule_seed=8)
