@@ -272,6 +272,8 @@ def resolve_intervene(args: argparse.Namespace) -> tuple[dict, AgentBundle, Gene
     rollouts = settings["rollouts"]
     if rollouts < 1:
         raise ConfigError(f"--rollouts (config key 'rollouts') must be >= 1, not {rollouts}")
+    if settings["k"] > _DEFAULTS.queue_capacity:  # the GEN -> EVAL queue must hold a GEN's k EVALs
+        raise ConfigError(f"--retries (config key 'k') must be <= {_DEFAULTS.queue_capacity}, not {settings['k']}")
     agent_config = {"backend": args.backend or "mock", **config.get("agents", {})}
     if args.backend not in (None, agent_config["backend"]):
         raise ConfigError(
@@ -300,7 +302,7 @@ def resolve_intervene(args: argparse.Namespace) -> tuple[dict, AgentBundle, Gene
             raise ConfigError(f"--coalition {args.coalition!r}: {exc}") from exc
 
     metrics, origin = ["compiled", "pass", "fast"], "--metrics"
-    if args.metrics:
+    if args.metrics is not None:
         metrics = args.metrics.split(",")
         try:
             check_json(metrics, _CONFIG_SCHEMA["metrics"], "--metrics")
@@ -538,12 +540,16 @@ def cmd_report(args: argparse.Namespace) -> int:
             continue
         src = Path(path)
         # Checked before anything is written: a clash would overwrite a file the manifest lists.
+        if src.name in ("", ".."):  # it would be bundled as --out itself or its parent
+            raise ConfigError(f"report input {path} has no file name to be bundled under in {out_dir}")
         if src.name == "bundle.json":
             raise ConfigError(f"report input {path} would be overwritten by the manifest {out_dir / src.name}")
         if src.name in inputs:
             raise ConfigError(f"report inputs {inputs[src.name]} and {path} would both be bundled as {src.name}")
         if not src.exists():
             raise DataError(f"{label} input not found: {path}")
+        if src.is_dir() and out_dir.resolve().is_relative_to(src.resolve()):
+            raise ConfigError(f"report input {path} holds the output directory {out_dir}, so it would copy itself")
         inputs[src.name] = src
     out_dir.mkdir(parents=True, exist_ok=True)
     copied = []

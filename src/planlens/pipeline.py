@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import threading
 from dataclasses import asdict, dataclass, field, replace
@@ -235,12 +236,6 @@ class _RoundState:
     records: dict[int, ExecutionRecord] = field(default_factory=dict)
 
 
-def _run_identity(checkpoint: GenerationCheckpoint, intervention: Intervention, config: PipelineConfig, seed: int):
-    """A run's `RUN_IDENTITY` values, by name."""
-    values = (checkpoint.checkpoint_hash, intervention.signature(), seed, config.k, config.rounds)
-    return dict(zip(RUN_IDENTITY, values))
-
-
 class RunLedger:
     """All state owned by one run; runs never share per-sample state."""
 
@@ -258,14 +253,13 @@ class RunLedger:
         self.intervention = intervention
         self.config = config
         self.seed = seed
-        self.identity = _run_identity(checkpoint, intervention, config, seed)
+        values = (checkpoint.checkpoint_hash, intervention.signature(), seed, config.k, config.rounds)
+        self.identity = dict(zip(RUN_IDENTITY, values))
         self._stage_prefix = SeedPrefix(0, "stage", *self.identity.values())
         self.replay = replay
         self.rounds: dict[tuple[str, int], _RoundState] = {}
         self.best_outcomes: dict[str, OutcomeLevel] = {}
         self.replayed: set[Task] = set()  # tasks whose product came from `replay`
-        # (stage, id of a `replay` entry) -> (the entry, held so its id is not reused, and its product)
-        self._decoded: dict[tuple[Stage, int], tuple[tuple, object]] = {}
         # The schedule's; `InterventionPipeline._schedule` fills them. The
         # log of (task, finish time) per completion is kept only when tracing.
         self.completions: list[tuple[tuple, float]] | None = None
@@ -278,28 +272,20 @@ class RunLedger:
         return "%016x" % self._stage_prefix.derive(stage.name, sample_id, round_index, attempt)
 
     def replayed_product(self, task: Task) -> object:
-        """The task's ANLZ, GEN or EVAL product decoded from the replay
-        archive, noting the task in `replayed`; None if the archive holds no
-        entry for it. An entry that does not decode raises
-        ReplayArchiveError naming its file and entry. Stages with equal
-        payloads share an entry: each (stage, entry) is decoded once per run
-        and its product shared, as no product is mutated after its stage."""
-        stage = task.stage
-        entry = self.replay.entries.get(self.stage_key(stage, task.sample_id, task.round_index, task.attempt))
-        if entry is None:
+        """The task's ANLZ, GEN or EVAL product from the replay archive, noting
+        the task in `replayed`; None if the archive holds none. An entry of
+        another stage under the task's stage key raises ReplayArchiveError."""
+        key = self.stage_key(task.stage, task.sample_id, task.round_index, task.attempt)
+        found = self.replay.products.get(key)
+        if found is None:
             return None
-        key = stage, id(entry)
-        decoded = self._decoded.get(key)
-        if decoded is None:
-            where, payload = entry
-            try:
-                checked = check_json(payload, _ENTRY_SCHEMA[stage], f"{stage.name} entry")
-                product = _DECODE[stage](checked, self.config.k)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ReplayArchiveError(f"replay archive file {where} holds no {stage.name} entry ({exc!r})") from exc
-            decoded = self._decoded[key] = entry, product
+        stage, product = found
+        if stage is not task.stage:
+            raise ReplayArchiveError(
+                f"replay archive index.json maps {task.stage.name} key {key} to an entry of kind {stage.name.lower()}"
+            )
         self.replayed.add(task)
-        return decoded[1]
+        return product
 
     def archive_entries(self) -> dict[str, dict]:
         """Stage key -> archive payload for every stage of the run, replayed
@@ -495,18 +481,17 @@ class InterventionPipeline:
                 f"coalition mask {intervention.coalition.mask} exceeds the {len(self.players)}-player game"
             )
         seed = self.config.seed if seed is None else seed
+        ledger = RunLedger("", checkpoint, intervention, self.config, seed, replay)
         if replay is not None:
             # An archive recorded under another run identity matches no stage key.
-            identity = _run_identity(checkpoint, intervention, self.config, seed)
-            for name in RUN_IDENTITY:
-                if replay.identity[name] != identity[name]:
+            for name, value in ledger.identity.items():
+                if replay.identity[name] != value:
                     raise ReplayMismatchError(
-                        f"replay archive was recorded under a different {name.replace('_', ' ')} "
-                        f"({replay.identity[name]} != {identity[name]})"
+                        f"replay archive (manifest.json) was recorded under a different {name.replace('_', ' ')} "
+                        f"({replay.identity[name]} != {value})"
                     )
         with self._lock:
-            run_id = f"run-{next(self._run_counter):04d}-{os.getpid()}"
-            ledger = RunLedger(run_id, checkpoint, intervention, self.config, seed, replay)
+            ledger.run_id = run_id = f"run-{next(self._run_counter):04d}-{os.getpid()}"
             self._ledgers[run_id] = ledger
         return run_id
 
@@ -854,13 +839,13 @@ def _trace_lines(result: RunResult) -> list[str]:
 
 
 class ReplayCache(NamedTuple):
-    """Preloaded stage results from a prior run, with the run identity it was
-    recorded under. `entries` maps a stage key to where its entry was read and
-    the entry's JSON value, which is decoded, and so checked, only when a run
-    replays it."""
+    """A prior run's stage products, checked and decoded by `replay_load`,
+    with the run identity it was recorded under. `products` maps a stage key
+    to (stage, product); stages with equal payloads, and every run that
+    replays this cache, share one product, as none is mutated after its stage."""
 
     identity: Mapping[str, object]
-    entries: Mapping[str, tuple[Path | str, object]]
+    products: Mapping[str, tuple[Stage, object]]
 
 
 def archive_run(result: RunResult, directory: str | Path) -> None:
@@ -884,13 +869,9 @@ def archive_run(result: RunResult, directory: str | Path) -> None:
     # Joined as _JSON.encode would write {name: payload}, each blob as it is.
     pack = "{%s}" % ", ".join(f'"{name}": {blob}' for name, blob in sorted(blobs.items()))
     (base / "entries.json").write_text(pack, encoding="utf-8")
-    (base / "index.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    (base / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
     manifest = {"format_version": ARCHIVE_FORMAT_VERSION, "run_id": result.run_id, **led.identity}
-    (base / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    (base / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
 
 # The replay archive's manifest and index files, as `archive_run` writes them.
@@ -904,6 +885,7 @@ _MANIFEST_SCHEMA = {
     "rounds": Required(int),
 }
 _INDEX_SCHEMA = {str: str}  # stage key -> entry name
+_ENTRY_NAME = re.compile(r"[0-9a-f]{16}\.json")
 
 
 def _read_archive_json(path: Path, schema: dict | type | None = None):
@@ -915,38 +897,44 @@ def _read_archive_json(path: Path, schema: dict | type | None = None):
         raise ReplayArchiveError(f"cannot read replay archive file {path}: {exc}") from exc
 
 
-def replay_load(
-    directory: str | Path, checkpoint: GenerationCheckpoint
-) -> ReplayCache:
-    """Load a replay archive, refusing checkpoints it was not recorded on.
-    A missing or unparsable archive file, one that does not match its schema
-    (another format version included) and an index naming an entry the pack
-    lacks raise ReplayArchiveError naming the file."""
+def replay_load(directory: str | Path, checkpoint: GenerationCheckpoint) -> ReplayCache:
+    """Load a replay archive, checking and decoding each distinct entry once;
+    refuse checkpoints it was not recorded on. A missing or unparsable file,
+    one that does not match its schema (another format version included), an
+    index naming an entry by other than a `%016x.json` name or one the pack
+    lacks, and an entry that does not decode raise ReplayArchiveError naming
+    the file (and the entry and its stage)."""
     base = Path(directory)
     manifest = _read_archive_json(base / "manifest.json", _MANIFEST_SCHEMA)
     recorded, actual = manifest["checkpoint_hash"], checkpoint.checkpoint_hash
     if recorded != actual:
         raise ReplayMismatchError(
-            "replay archive checkpoint hash mismatch "
+            f"replay archive {base / 'manifest.json'} checkpoint hash mismatch "
             f"({recorded[:12]} != {actual[:12]}); refusing to mix trajectories"
         )
     index = _read_archive_json(base / "index.json", _INDEX_SCHEMA)
     names = dict.fromkeys(index.values())
+    if bad := [name for name in names if not _ENTRY_NAME.fullmatch(name)]:  # a name may be joined into a path
+        raise ReplayArchiveError(f"replay archive file {base / 'index.json'} names entry {bad[0]!r}: not %016x.json")
     if manifest["format_version"] == 1:  # one file per entry, entries/<name>
-        payloads = {name: (base / "entries" / name, _read_archive_json(base / "entries" / name)) for name in names}
+        paths = {name: base / "entries" / name for name in names}
+        products = {name: _decode_entry(path, _read_archive_json(path), manifest["k"]) for name, path in paths.items()}
     else:
         path = base / "entries.json"
         pack = _read_archive_json(path, dict)  # entry name -> payload
         if missing := names.keys() - pack.keys():
             raise ReplayArchiveError(f"replay archive file {path} lacks entry {min(missing)} named in index.json")
-        payloads = {name: (f"{path} entry {name}", pack[name]) for name in names}
+        products = {name: _decode_entry(f"{path} entry {name}", pack[name], manifest["k"]) for name in names}
     return ReplayCache(
         {name: manifest[name] for name in RUN_IDENTITY},
-        {stage_key: payloads[name] for stage_key, name in index.items()},
+        {stage_key: products[name] for stage_key, name in index.items()},
     )
 
 
 def _report_from_json(data: Mapping) -> Report:
+    coalition, ids = Coalition(data["coalition_mask"]), [a["component"]["id"] for a in data["artifacts"]]
+    if not all(0 <= i < coalition.mask.bit_length() for i in ids):  # else a component's `bit` shifts by any id
+        raise ValueError(f"artifact component ids {ids} are not all members of coalition mask {coalition.mask}")
     artifacts = tuple(
         FeedbackArtifact(
             FeedbackComponent(a["component"]["id"], a["component"]["name"], a["component"].get("short", "")),
@@ -954,7 +942,7 @@ def _report_from_json(data: Mapping) -> Report:
         )
         for a in data["artifacts"]
     )
-    return Report(data["sample_id"], Coalition(data["coalition_mask"]), artifacts, data.get("plan_slot"))
+    return Report(data["sample_id"], coalition, artifacts, data.get("plan_slot"))
 
 
 def _report_to_json(report: Report) -> dict:
@@ -976,10 +964,8 @@ def _report_to_json(report: Report) -> dict:
 # -- archive codec ---------------------------------------------------------------
 # One archive payload per ANLZ, GEN and EVAL stage. Each encoder takes the
 # product the stage's work returns and its decoder, given the run's k, gives
-# that product back; `RunLedger.archive_entries` encodes, and on replay
-# `RunLedger.replayed_product` checks an entry against its stage's schema and
-# decodes it, turning the checker's or a decoder's error into
-# ReplayArchiveError.
+# that product back. `RunLedger.archive_entries` encodes; `replay_load` checks
+# and decodes each entry by its `kind`, through `_decode_entry`.
 
 _ARTIFACT_SCHEMA = {
     "component": Required({"id": Required(int), "name": Required(str), "short": str}),
@@ -1040,4 +1026,17 @@ def _decode_eval(entry: Mapping, k: int) -> ExecutionRecord:
     return record
 
 
-_DECODE = {Stage.ANLZ: _decode_anlz, Stage.GEN: _decode_gen, Stage.EVAL: _decode_eval}
+# An entry's `kind` -> (its stage, the stage's decoder).
+_DECODE = {"anlz": (Stage.ANLZ, _decode_anlz), "gen": (Stage.GEN, _decode_gen), "eval": (Stage.EVAL, _decode_eval)}
+
+
+def _decode_entry(where: Path | str, entry: object, k: int) -> tuple[Stage, object]:
+    """An archive entry's (stage, product), by its `kind`; one that does not
+    decode raises ReplayArchiveError naming `where` and the stage."""
+    stage = None
+    try:
+        stage, decode = _DECODE[entry["kind"]]
+        return stage, decode(check_json(entry, _ENTRY_SCHEMA[stage], f"{stage.name} entry"), k)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        named = stage.name if stage else "ANLZ, GEN or EVAL"
+        raise ReplayArchiveError(f"replay archive file {where} holds no {named} entry ({exc!r})") from exc

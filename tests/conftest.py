@@ -44,10 +44,9 @@ def build_pipe(checkpoint, behavior=None, config=None, fail_attempts=frozenset()
 
 
 def only_stages(cache, kinds):
-    """`cache` holding only the entries of the given stage kinds (e.g. {"anlz"})."""
-    return cache._replace(entries={
-        key: entry for key, entry in cache.entries.items()
-        if isinstance(entry[1], dict) and entry[1].get("kind") in kinds
+    """`cache` holding only the products of the given stage kinds (e.g. {"anlz"})."""
+    return cache._replace(products={
+        key: found for key, found in cache.products.items() if found[0].name.lower() in kinds
     })
 
 

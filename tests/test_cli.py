@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import count_schedule_work, save_trajectory, serve_chat
+from test_archive_pin import write_v1_archive
 from planlens.agents import MockBehavior, mock_bundle
 from planlens.attribution import rollout_seed
 from planlens.cli import (
@@ -717,6 +719,44 @@ class TestIntervene:
         err = capsys.readouterr().err
         assert str(archive) in err and named in err and "Traceback" not in err
 
+    def test_corrupt_entry_refused_before_any_rollout(self, tmp_path, checkpoint_file, capsys, monkeypatch):
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",
+                "--retries", "1"]
+        archive = tmp_path / "archive"
+        assert main(base + ["--out", str(tmp_path / "x.csv"), "--archive", str(archive)]) == EXIT_OK
+        pack = json.loads((archive / "entries.json").read_text())
+        name = entry_name(pack, "eval")
+        edit_entry(archive, "eval", lambda e: e["record"].update(compiled="yes"))
+        capsys.readouterr()
+        monkeypatch.setattr(InterventionPipeline, "submit", None)  # `replay_load` refuses it first
+        outputs = {flag: tmp_path / name for flag, name in
+                   (("--out", "y.csv"), ("--trace", "t.ndjson"), ("--archive", "again"))}
+        argv = base + [arg for flag, path in outputs.items() for arg in (flag, str(path))] + ["--replay", str(archive)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{archive / 'entries.json'} entry {name} holds no EVAL entry" in err and "Traceback" not in err
+        assert not any(path.exists() for path in outputs.values())
+
+    def test_index_name_outside_the_archive_is_data_error(self, tmp_path, checkpoint_file, capsys):
+        # A version-1 archive reads entries/<name>: a name that leaves the
+        # directory is refused even where it points at a valid entry.
+        base = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d,a", "--rollouts", "1",
+                "--retries", "1"]
+        recorded = tmp_path / "recorded"
+        assert main(base + ["--out", str(tmp_path / "x.csv"), "--archive", str(recorded)]) == EXIT_OK
+        archive = tmp_path / "a" / "archive"
+        write_v1_archive(recorded, archive)
+        index = json.loads((archive / "index.json").read_text())
+        key = min(index)
+        shutil.copy(archive / "entries" / index[key], tmp_path / "outside.json")
+        index[key] = "../../../outside.json"
+        (archive / "index.json").write_text(json.dumps(index))
+        out = tmp_path / "y.csv"
+        assert main(base + ["--out", str(out), "--replay", str(archive)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(archive / "index.json") in err and "../../../outside.json" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_torn_rerecording_is_data_error(self, tmp_path, checkpoint_file, monkeypatch, capsys):
         """Re-recording into an archive and failing to write its index leaves
         no manifest, so the replay is refused instead of matching no stage key
@@ -1029,6 +1069,30 @@ class TestIntervene:
         )
         assert code == EXIT_CONFIG
         assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_sweep_metrics_is_config_error(self, tmp_path, checkpoint_file, capsys):
+        # An empty --metrics names no metric; it does not fall back to the defaults.
+        out = tmp_path / "table.csv"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--sweep", "--rollouts", "1", "--retries", "1"]
+        assert main(argv + ["--metrics", "", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--metrics" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_retries_above_queue_capacity_is_config_error(self, tmp_path, checkpoint_file, capsys, source):
+        # The GEN -> EVAL queue has no flag; the refusal names the setting that has.
+        out = tmp_path / "stats.csv"
+        argv = ["intervene", "--checkpoint", str(checkpoint_file), "--coalition", "d", "--rollouts", "1"]
+        if source == "flag":
+            argv += ["--retries", "300"]
+        else:
+            (tmp_path / "exp.json").write_text(json.dumps({"k": 300}))
+            argv += ["--config", str(tmp_path / "exp.json")]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--retries (config key 'k')" in err and "256" in err and "queue_capacity" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("origin", ["--metrics", "config key 'metrics'"])
@@ -1677,6 +1741,30 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert str(stats) in err and (str(tables) if stats.name == tables.name else str(out / "bundle.json")) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("attribution", ["..", "."], ids=["parent", "no-name"])
+    def test_input_without_a_file_name_is_config_error(self, tmp_path, sweep_table, capsys, monkeypatch, attribution):
+        # `..` would be copied to `bundle/..`, the working directory, and `.`
+        # into `bundle` itself.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = ["report", "--tables", str(sweep_table), "--attribution", attribution, "--out", "bundle"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"report input {attribution} " in err and "bundle" in err and "Traceback" not in err
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["report", "report/bundle", "report/a/b"])
+    def test_directory_input_holding_the_output_is_config_error(self, tmp_path, capsys, monkeypatch, out):
+        # Copying it would copy the copy, until the path is too deep.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "report").mkdir()
+        (tmp_path / "report" / "a.csv").write_text("x\n")
+        assert main(["report", "--attribution", "report", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "report input report " in err and f"output directory {out}" in err and "Traceback" not in err
+        assert [p.name for p in (tmp_path / "report").iterdir()] == ["a.csv"]
 
     def test_directory_input_lists_its_own_entries(self, tmp_path):
         # An entry an earlier bundle left in the destination was not bundled now.

@@ -592,10 +592,12 @@ class TestReplay:
         with pytest.raises(ReplayArchiveError, match=named):
             run_once(build_pipe(cp, config=PipelineConfig(k=3, seed=9)), cp, replay=replay_load(archive_dir, cp))
 
-    def test_shared_entries_decode_once_per_run(self, tmp_path, monkeypatch):
-        # Stages with equal payloads share an archive entry. A replay checks and
-        # decodes each (stage, entry) once, and keeps the stats and trace of a
-        # replay whose stage keys each have an entry of their own.
+    def test_shared_entries_decode_once_per_load(self, tmp_path, monkeypatch):
+        # Stages with equal payloads share an archive entry. `replay_load`
+        # checks and decodes each distinct entry once; a replaying run decodes
+        # nothing, every run on one cache gets the same product objects, and
+        # a cache whose stage keys each hold a product of their own replays
+        # to the same stats and trace.
         cp = build_checkpoint(6)
         config = PipelineConfig(k=3, rounds=2, seed=9)
         _, _, archive_dir = self.archived_run(tmp_path, cp, config)
@@ -603,28 +605,32 @@ class TestReplay:
         pack = json.loads((archive_dir / "entries.json").read_text())
         assert len(set(index.values())) < len(index)
         decodes = Counter()
-        for stage, decode in pipeline_mod._DECODE.items():
+        for kind, (stage, decode) in pipeline_mod._DECODE.items():
 
-            def counted(entry, k, _stage=stage, _decode=decode):
-                decodes[_stage.name.lower()] += 1
+            def counted(entry, k, _kind=kind, _decode=decode):
+                decodes[_kind] += 1
                 return _decode(entry, k)
 
-            monkeypatch.setitem(pipeline_mod._DECODE, stage, counted)
+            monkeypatch.setitem(pipeline_mod._DECODE, kind, (stage, counted))
         cache = replay_load(archive_dir, cp)
-        unshared = cache._replace(entries={key: copy.deepcopy(entry) for key, entry in cache.entries.items()})
+        assert decodes == Counter(pack[name]["kind"] for name in set(index.values()))
+        unshared = cache._replace(products={key: copy.deepcopy(found) for key, found in cache.products.items()})
+        decodes.clear()
+        results = [run_once(build_pipe(cp, config=config), cp, replay=replay)[0] for replay in (cache, cache, unshared)]
+        assert not decodes
+        first, second, _ = (result.ledger.rounds for result in results)
+        for key, state in first.items():
+            other = second[key]
+            assert state.report is other.report and state.failures is other.failures
+            assert all(c is other.candidates[a] for a, c in state.candidates.items())
+            assert all(r is other.records[a] for a, r in state.records.items())
         runs = []
-        for replay, expected in (
-            (cache, Counter(pack[name]["kind"] for name in set(index.values()))),
-            (unshared, Counter(pack[name]["kind"] for name in index.values())),
-        ):
-            decodes.clear()
-            result, _ = run_once(build_pipe(cp, config=config), cp, replay=replay)
-            assert decodes == expected
+        for result in results:
             export_trace(result, tmp_path / "trace.ndjson")
             runs.append((result.stats, (tmp_path / "trace.ndjson").read_bytes()))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[2]
 
-    def test_corrupt_shared_entry_refused_on_first_use(self, tmp_path):
+    def test_corrupt_shared_entry_refused_at_load(self, tmp_path):
         cp = build_checkpoint(6)
         _, _, archive_dir = self.archived_run(tmp_path, cp)
         index = json.loads((archive_dir / "index.json").read_text())
@@ -633,17 +639,24 @@ class TestReplay:
         name = next(n for n, uses in shared.most_common() if pack[n]["kind"] == "eval" and uses > 1)
         pack[name]["record"]["compiled"] = "yes"
         (archive_dir / "entries.json").write_text(json.dumps(pack))
-        pipe = build_pipe(cp, config=PipelineConfig(k=3, seed=9))
-        run_id = pipe.submit(cp, Intervention(coalition=FULL), replay=replay_load(archive_dir, cp))
-        ledger = pipe._ledgers[run_id]
         named = re.escape(f"{archive_dir / 'entries.json'} entry {name} holds no EVAL entry")
         with pytest.raises(ReplayArchiveError, match=named):
-            pipe.run_to_completion(run_id)
-        # The entry's first stage raised: no stage that uses it was replayed.
-        uses = {key for key, n in index.items() if n == name}
-        assert not any(
-            ledger.stage_key(t.stage, t.sample_id, t.round_index, t.attempt) in uses for t in ledger.replayed
-        )
+            replay_load(archive_dir, cp)
+
+    def test_entry_under_another_stage_key_refused(self, tmp_path):
+        # A stage key remapped to an entry of another stage decodes (as that
+        # stage) but is refused when a run looks it up.
+        cp = build_checkpoint(4)
+        _, _, archive_dir = self.archived_run(tmp_path, cp)
+        index = json.loads((archive_dir / "index.json").read_text())
+        pack = json.loads((archive_dir / "entries.json").read_text())
+        eval_name = next(n for n in index.values() if pack[n]["kind"] == "eval")
+        gen_key = next(key for key, n in index.items() if pack[n]["kind"] == "gen")
+        index[gen_key] = eval_name
+        (archive_dir / "index.json").write_text(json.dumps(index))
+        cache = replay_load(archive_dir, cp)
+        with pytest.raises(ReplayArchiveError, match=f"index.json maps GEN key {gen_key} to an entry of kind eval"):
+            run_once(build_pipe(cp, config=PipelineConfig(k=3, seed=9)), cp, replay=cache)
 
     def test_checkpoint_mismatch_refused(self, tmp_path):
         cp = build_checkpoint(6)
